@@ -2,6 +2,7 @@
 summability criterion for the strong law, and a Levy-Prokhorov estimator."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -12,7 +13,7 @@ from .densities import (DEFAULT_EPS0, GridDensity, cell_centers,
 from .maps import MapFamily, instantiate
 from .seeding import substream
 from .sequences import _as_gammas
-from .transfer import ApplierCache
+from .transfer import CACHE_SIZE, operator_cache
 
 DEFAULT_DITHER = 1e-12
 
@@ -72,17 +73,10 @@ def _step_points(instance_cache, gamma, x, dither: float, rng) -> np.ndarray:
     return fx % 1.0
 
 
-class _InstanceCache:
-    def __init__(self, family: MapFamily, unsafe: bool = False):
-        self.family = family
-        self.unsafe = unsafe
-        self._cache: dict = {}
-
-    def __call__(self, gamma: float):
-        key = float(gamma)
-        if key not in self._cache:
-            self._cache[key] = instantiate(self.family, key, unsafe=self.unsafe)
-        return self._cache[key]
+def _instance_cache(family: MapFamily):
+    """gamma -> F_gamma, memoized for one orbit loop and bounded by CACHE_SIZE."""
+    return functools.lru_cache(maxsize=CACHE_SIZE)(
+        lambda gamma: instantiate(family, gamma))
 
 
 def orbit_points(family: MapFamily, seq, x0, n: int, seed: int = 0,
@@ -92,7 +86,7 @@ def orbit_points(family: MapFamily, seq, x0, n: int, seed: int = 0,
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     gammas = _as_gammas(seq, n)
     rng = substream(seed, "orbit-dither")
-    cache = _InstanceCache(family)
+    cache = _instance_cache(family)
     out = np.empty((n + 1,) + x.shape)
     out[0] = x
     for k in range(n):
@@ -128,7 +122,7 @@ def birkhoff_averages(family: MapFamily, seq, initial_points: int, psi,
     x = rng_init.uniform(0.0, 1.0, initial_points)
     gammas = _as_gammas(seq, max(n - 1, 0))
     rng = substream(seed, "birkhoff-dither")
-    cache = _InstanceCache(family)
+    cache = _instance_cache(family)
     sums = np.zeros((len(obs), initial_points))
     for j, o in enumerate(obs):
         sums[j] = o.fn(x)
@@ -240,7 +234,7 @@ def covariance_decay(family: MapFamily, seq, psi: Observable, window: tuple,
     rng_init = substream(seed, "covariance-init")
     x = rng_init.uniform(0.0, 1.0, ensemble)
     rng = substream(seed, "covariance-dither")
-    cache = _InstanceCache(family)
+    cache = _instance_cache(family)
     n_cells = psi.n_cells
     samples = np.empty((j_max + 1, ensemble))
     samples[0] = psi.fn(x)
@@ -248,13 +242,13 @@ def covariance_decay(family: MapFamily, seq, psi: Observable, window: tuple,
         x = _step_points(cache, float(gammas[k - 1]), x, dither, rng)
         samples[k] = psi.fn(x)
     # spectral means: int psi L_{gamma_k} ... L_{gamma_1} 1 dm
-    appliers = ApplierCache(family, n_cells, quadrature)
-    dens = np.ones(n_cells)
+    operator = operator_cache(family, n_cells, quadrature)
+    dens = GridDensity.uniform(n_cells)
     means_spectral = np.empty(j_max + 1)
     means_spectral[0] = float(np.mean(psi.values))
     for k in range(1, j_max + 1):
-        dens = appliers.get(float(gammas[k - 1])).apply_values(dens)
-        means_spectral[k] = float(np.mean(psi.values * dens))
+        dens = operator(float(gammas[k - 1])).apply(dens)
+        means_spectral[k] = float(np.mean(psi.values * dens.values))
     means_ens = samples.mean(axis=1)
     centered = samples - means_ens[:, None]
     idx = np.arange(j_max + 1)

@@ -296,7 +296,7 @@ def run_cone(cfg: dict, writer: ArtifactWriter) -> int:
 
 
 def run_network(cfg: dict, writer: ArtifactWriter) -> int:
-    family = _family_from_config({"family": cfg.get("family", "doubling")})
+    family = _family_from_config(cfg)
     gamma = float(cfg.get("gamma", 0.0))
     n_nodes = int(cfg.get("nodes", 8))
     alpha_c = float(cfg.get("alpha_c", 0.01))

@@ -1,8 +1,6 @@
 """Cell-averaged densities on [0,1), L1 geometry, oscillation and quasi-Holder seminorms."""
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,36 +178,3 @@ def quasi_holder_seminorm(phi: GridDensity, alpha: float,
                           per_eps=per_eps, seminorm=seminorm, l1=l1,
                           norm_alpha=norm_alpha, ess_sup_bound=bound)
 
-
-# --- serialization -------------------------------------------------------
-
-def density_to_csv(phi: GridDensity, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell", "value"])
-        for i, v in enumerate(phi.values):
-            writer.writerow([i, repr(float(v))])
-
-
-def density_from_csv(path, circle: bool = True, density: bool = True) -> GridDensity:
-    cells, vals = [], []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            cells.append(int(row["cell"]))
-            vals.append(float(row["value"]))
-    values = np.empty(len(vals))
-    values[np.asarray(cells)] = vals
-    return GridDensity(values, circle=circle, density=density)
-
-
-def density_to_json(phi: GridDensity) -> str:
-    return json.dumps({"n_cells": phi.n_cells, "circle": phi.circle,
-                       "values": [float(v) for v in phi.values]})
-
-
-def density_from_json(text: str, density: bool = True) -> GridDensity:
-    obj = json.loads(text)
-    values = np.asarray(obj["values"], dtype=float)
-    if len(values) != obj["n_cells"]:
-        raise ValueError("grid size does not match the declared n_cells")
-    return GridDensity(values, circle=bool(obj["circle"]), density=density)

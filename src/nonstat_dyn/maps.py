@@ -159,10 +159,6 @@ class MapInstance:
         """sup over the domain of 1/|F'|; below one iff uniformly expanding."""
         return 1.0 / self.min_abs_derivative(n_grid)
 
-    @property
-    def is_affine(self) -> bool:
-        return all(p.affine is not None for p in self.pieces)
-
 
 # --- instantiation -------------------------------------------------------
 

@@ -11,8 +11,8 @@ from .densities import (DEFAULT_EPS0, GridDensity, l1_distance,
                         quasi_holder_seminorm)
 from .maps import MapFamily, instantiate
 from .seeding import substream
-from .transfer import ApplierCache, AveragingLaw, averaged_operator, \
-    build_ulam, fixed_density
+from .transfer import (AveragingLaw, averaged_operator, build_ulam,
+                       fixed_density, operator_cache)
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,8 @@ def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
     gammas = _as_gammas(seq, n)
     if alpha is None:
         alpha = min(family.holder_exponent, 1.0)
-    cache = ApplierCache(family, phi0.n_cells, quadrature, unsafe=unsafe)
-    vals = phi0.values.copy()
-    steps, masses, dists, semis, snaps = [0], [float(vals.mean())], [], [], []
+    operator = operator_cache(family, phi0.n_cells, quadrature, unsafe=unsafe)
+    steps, masses, dists, semis, snaps = [0], [phi0.mass], [], [], []
 
     def record(k, vals):
         steps.append(k)
@@ -152,20 +151,21 @@ def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
             snaps.append(GridDensity(np.clip(vals, 0.0, None)))
 
     if reference is not None:
-        dists.append(float(np.mean(np.abs(vals - reference.values))))
+        dists.append(float(np.mean(np.abs(phi0.values - reference.values))))
     if track_seminorm:
         semis.append(quasi_holder_seminorm(phi0, alpha, eps0).seminorm)
     if keep_densities:
         snaps.append(phi0)
+    cur = phi0
     for k in range(1, n + 1):
-        vals = cache.get(float(gammas[k - 1])).apply_values(vals)
+        cur = operator(float(gammas[k - 1])).apply(cur)
         if k % checkpoint_every == 0 or k == n:
-            record(k, vals)
+            record(k, cur.values)
     return EvolutionTrace(
         steps=np.array(steps), masses=np.array(masses),
         distances=np.array(dists) if reference is not None else None,
         seminorms=np.array(semis) if track_seminorm else None,
-        final=GridDensity(np.clip(vals, 0.0, None)),
+        final=GridDensity(np.clip(cur.values, 0.0, None)),
         checkpoints=tuple(snaps))
 
 
@@ -286,14 +286,14 @@ def adversarial_demo(family: MapFamily, eps: float, k_schedule,
     phi_plus = fixed_density(build_ulam(instantiate(family, eps),
                                         phi0.n_cells, quadrature))
     gammas = gen_sequence(spec, n_max)
-    cache = ApplierCache(family, phi0.n_cells, quadrature, unsafe=True)
-    vals = phi0.values.copy()
+    operator = operator_cache(family, phi0.n_cells, quadrature, unsafe=True)
+    cur = phi0
     mass_low = np.empty(n_max)
     dist_plus = np.empty(n_max)
     for k in range(n_max):
-        vals = cache.get(float(gammas[k])).apply_values(vals)
-        mass_low[k] = _mass_below(vals, w)
-        dist_plus[k] = float(np.mean(np.abs(vals - phi_plus.values)))
+        cur = operator(float(gammas[k])).apply(cur)
+        mass_low[k] = _mass_below(cur.values, w)
+        dist_plus[k] = float(np.mean(np.abs(cur.values - phi_plus.values)))
     block_ends = tuple((k, "+" if j % 2 == 0 else "-")
                        for j, k in enumerate(ks[1:]) if k <= n_max)
     reached_conc = any(kind == "-" and mass_low[k - 1] > 0.9

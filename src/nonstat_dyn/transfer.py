@@ -2,20 +2,24 @@
 fixed densities, spectra, and empirical operator inequalities."""
 from __future__ import annotations
 
-import csv
-import hashlib
-import json
+import functools
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 import scipy.sparse.linalg
 
 from .densities import (DEFAULT_EPS0, GridDensity, GridMismatchError,
                         l1_norm, quasi_holder_seminorm)
 from .maps import MapFamily, MapInstance, instantiate
 from .seeding import substream
+
+#: Parameters whose operator (or map instance) one call keeps: sequences
+#: revisiting more distinct parameters rebuild, so memory stays bounded in
+#: the horizon.
+CACHE_SIZE = 32
 
 
 class NonConvergenceError(RuntimeError):
@@ -28,18 +32,22 @@ class UlamOperator:
 
     Entries M[i][j] approximate m(U_j ∩ F^{-1} U_i)/m(U_j); columns sum to
     one, so the action on cell-average vectors preserves mass and L1-contracts.
+    `matrix` may be given dense or sparse; it is stored as a read-only
+    `scipy.sparse.csr_array`.
     """
 
-    matrix: np.ndarray
+    matrix: scipy.sparse.csr_array
     provenance: str = "explicit"
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=float, copy=True)
+        mat = scipy.sparse.csr_array(self.matrix, dtype=float, copy=True)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("operator matrix must be square")
-        if np.any(mat < 0):
+        mat.sum_duplicates()
+        if np.any(mat.data < 0):
             raise ValueError("operator matrix must be entrywise nonnegative")
-        mat.flags.writeable = False
+        for arr in (mat.data, mat.indices, mat.indptr):
+            arr.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -57,43 +65,25 @@ class UlamOperator:
         return float(np.max(np.abs(self.matrix.sum(axis=0) - 1.0)))
 
 
-def _exact_affine_matrix(instance: MapInstance, n: int) -> np.ndarray:
-    mat = np.zeros((n, n))
-    for br in instance.branches:
-        a, b = br.affine
-        j0 = int(np.floor(br.lo * n))
-        j1 = int(np.ceil(br.hi * n))
-        for j in range(j0, j1):
-            s0 = max(br.lo, j / n)
-            s1 = min(br.hi, (j + 1) / n)
-            if s1 - s0 <= 0:
-                continue
-            y0 = a * s0 + b - br.offset
-            y1 = a * s1 + b - br.offset
-            if y1 < y0:
-                y0, y1 = y1, y0
-            i_start = max(0, int(np.floor(y0 * n + 1e-12)))
-            i_end = min(n - 1, int(np.ceil(y1 * n - 1e-12)) - 1)
-            for i in range(i_start, i_end + 1):
-                lo_t = max(y0, i / n)
-                hi_t = min(y1, (i + 1) / n)
-                if hi_t > lo_t:
-                    mat[i % n, j % n] += n * (hi_t - lo_t) / abs(a)
-    return mat
+def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> UlamOperator:
+    """Discretize the transfer operator of a realized map by the chord rule.
 
-
-def _chord_triplets(instance: MapInstance, n: int, quadrature: int):
-    """(target, source, weight) triplets of the chord discretization.
-
-    Every source cell is split into `quadrature` subintervals; each
-    subinterval's image (the chord through the lift values at its edges) is
-    distributed over target cells by exact overlap.  Exact for affine
-    branches, and smooth in the map parameter for all branches, unlike
-    point binning.  Weights per source cell sum to one.
+    Each piece's lift is replaced by its chord interpolant through the
+    edges of `quadrature` equal subintervals per cell.  Entry (i, j) is
+    n_cells times the measure of the points of cell j whose interpolated
+    image lies in cell i (mod 1), computed exactly by cutting each piece at
+    the cell edges and at the interpolant's preimages of the cell edges.
+    The rule is exact for affine branches, columns sum to one, and entries
+    are continuous in the map parameter, unlike point binning.
     """
-    t_parts, s_parts, w_parts = [], [], []
-    nq = n * quadrature
+    if n_cells < 2:
+        raise ValueError("n_cells must be at least 2")
+    if quadrature < 1:
+        raise ValueError("quadrature must be at least 1")
+    n, nq = n_cells, n_cells * quadrature
+    targets, sources, weights = [], [], []
     for piece in instance.pieces:
+        # chord nodes: the n*quadrature grid inside the piece plus its ends
         k0 = int(np.ceil(piece.lo * nq - 1e-12))
         k1 = int(np.floor(piece.hi * nq + 1e-12))
         inner = np.arange(k0, k1 + 1) / nq
@@ -102,138 +92,60 @@ def _chord_triplets(instance: MapInstance, n: int, quadrature: int):
             chunks.insert(0, np.array([piece.lo]))
         if inner.size == 0 or piece.hi > inner[-1] + 1e-15:
             chunks.append(np.array([piece.hi]))
-        edges = np.concatenate(chunks)
-        widths = np.diff(edges)
-        keep = widths > 1e-15
-        ys = np.asarray(piece.lift(edges), dtype=float) * n
-        y0 = ys[:-1][keep]
-        y1 = ys[1:][keep]
-        ylo = np.minimum(y0, y1)
-        yhi = np.maximum(y0, y1)
-        src = np.floor((edges[:-1][keep] + edges[1:][keep]) * 0.5 * n).astype(np.int64)
-        wt = widths[keep] * n            # fraction of the source cell
-        c0 = np.floor(ylo + 1e-9).astype(np.int64)
-        c1 = np.maximum(np.ceil(yhi - 1e-9).astype(np.int64) - 1, c0)
-        simple = c0 == c1
-        t_parts.append(c0[simple] % n)
-        s_parts.append(src[simple])
-        w_parts.append(wt[simple])
-        two = (~simple) & (c1 == c0 + 1)
-        if np.any(two):
-            span = yhi[two] - ylo[two]
-            cut = c0[two] + 1.0
-            t_parts.append(c0[two] % n)
-            s_parts.append(src[two])
-            w_parts.append(wt[two] * (cut - ylo[two]) / span)
-            t_parts.append((c0[two] + 1) % n)
-            s_parts.append(src[two])
-            w_parts.append(wt[two] * (yhi[two] - cut) / span)
-        # images spanning three or more cells (steep branches only)
-        for idx in np.nonzero((~simple) & (c1 > c0 + 1))[0]:
-            span = yhi[idx] - ylo[idx]
-            for c in range(c0[idx], c1[idx] + 1):
-                overlap = min(yhi[idx], c + 1.0) - max(ylo[idx], float(c))
-                if overlap <= 0:
-                    continue
-                t_parts.append(np.array([c % n], dtype=np.int64))
-                s_parts.append(np.array([src[idx]], dtype=np.int64))
-                w_parts.append(np.array([wt[idx] * overlap / span]))
-    return (np.concatenate(t_parts), np.concatenate(s_parts),
-            np.concatenate(w_parts))
-
-
-def _quadrature_matrix(instance: MapInstance, n: int, quadrature: int) -> np.ndarray:
-    targets, sources, weights = _chord_triplets(instance, n, quadrature)
-    mat = np.zeros((n, n))
-    np.add.at(mat, (targets, sources), weights)
-    return mat
-
-
-def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> UlamOperator:
-    """Discretize the transfer operator of a realized map.
-
-    All-affine instances get exact interval-intersection entries; otherwise
-    entries come from a deterministic midpoint rule with `quadrature`
-    points per cell, which makes columns sum to one exactly.
-    """
-    if n_cells < 2:
-        raise ValueError("n_cells must be at least 2")
-    if quadrature < 1:
-        raise ValueError("quadrature must be at least 1")
-    if instance.is_affine:
-        mat = _exact_affine_matrix(instance, n_cells)
-        method = "exact-intervals"
-    else:
-        mat = _quadrature_matrix(instance, n_cells, quadrature)
-        method = f"chord-{quadrature}"
+        xs = np.concatenate(chunks)
+        ys = np.asarray(piece.lift(xs), dtype=float) * n   # in target cells
+        up = ys[-1] >= ys[0]
+        levels = np.arange(np.floor(min(ys[0], ys[-1])) + 1.0,
+                           np.ceil(max(ys[0], ys[-1])))
+        preimages = (np.interp(levels, ys, xs) if up
+                     else np.interp(levels, ys[::-1], xs[::-1]))
+        edges = np.arange(np.floor(xs[0] * n) + 1.0, np.ceil(xs[-1] * n)) / n
+        cuts = np.sort(np.concatenate([xs[:1], edges, xs[-1:], preimages]))
+        width = np.diff(cuts)
+        keep = width > 1e-15
+        mid = 0.5 * (cuts[:-1] + cuts[1:])[keep]
+        sources.append(np.minimum((mid * n).astype(np.int64), n - 1))
+        targets.append(np.floor(np.interp(mid, xs, ys)).astype(np.int64) % n)
+        weights.append(width[keep] * n)
+    # sum entries met more than once (cells straddling a piece boundary)
+    # and lay them out row by row
+    keys, where = np.unique(np.concatenate(targets) * n + np.concatenate(sources),
+                            return_inverse=True)
+    data = np.bincount(where, weights=np.concatenate(weights))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=n))))
+    mat = scipy.sparse.csr_array((data, keys % n, indptr), shape=(n, n))
     tag = "unsafe " if instance.unsafe else ""
     prov = (f"{tag}{instance.family.name} gamma={instance.gamma!r} "
-            f"n={n_cells} {method}")
+            f"n={n_cells} chord-{quadrature}")
     return UlamOperator(matrix=mat, provenance=prov)
 
 
-class SequenceApplier:
-    """Applies one discretized operator to cell-average vectors without
-    materializing the matrix (chord pushforward via bincount)."""
-
-    def __init__(self, instance: MapInstance, n_cells: int, quadrature: int = 32):
-        self.n_cells = n_cells
-        self.quadrature = quadrature
-        self.targets, self.sources, self.weights = _chord_triplets(
-            instance, n_cells, quadrature)
-
-    def apply_values(self, values: np.ndarray) -> np.ndarray:
-        return np.bincount(self.targets, weights=self.weights * values[self.sources],
-                           minlength=self.n_cells)
+def operator_cache(family: MapFamily, n_cells: int, quadrature: int = 32,
+                   unsafe: bool = False):
+    """gamma -> L_gamma for one family and grid, memoized for the calling
+    experiment only and bounded by CACHE_SIZE."""
+    @functools.lru_cache(maxsize=CACHE_SIZE)
+    def operator(gamma: float) -> UlamOperator:
+        return build_ulam(instantiate(family, gamma, unsafe=unsafe), n_cells,
+                          quadrature)
+    return operator
 
 
-class ApplierCache:
-    """Per-parameter cache of SequenceAppliers for one family and grid."""
-
-    def __init__(self, family: MapFamily, n_cells: int, quadrature: int = 32,
-                 unsafe: bool = False):
-        self.family = family
-        self.n_cells = n_cells
-        self.quadrature = quadrature
-        self.unsafe = unsafe
-        self._cache: dict = {}
-
-    def get(self, gamma: float) -> SequenceApplier:
-        key = float(gamma)
-        if key not in self._cache:
-            inst = instantiate(self.family, key, unsafe=self.unsafe)
-            self._cache[key] = SequenceApplier(inst, self.n_cells, self.quadrature)
-        return self._cache[key]
-
-
-def apply_sequence(ops, phi: GridDensity, record_every: Optional[int] = None):
+def apply_sequence(ops: Sequence[UlamOperator], phi: GridDensity,
+                   record_every: Optional[int] = None):
     """Compose operators in time order: L_{gamma_n} ... L_{gamma_1} phi.
 
-    `ops` is either a sequence of UlamOperators or a tuple
-    ``(family, gammas)``; in the latter case the midpoint-rule applier is
-    used for every step.  With `record_every`, a list of intermediate
-    densities (including start and end) is returned alongside the result.
+    With `record_every`, a list of intermediate densities (including start
+    and end) is returned alongside the result.
     """
     snapshots = []
-    if isinstance(ops, tuple) and len(ops) == 2 and isinstance(ops[0], MapFamily):
-        family, gammas = ops
-        cache = ApplierCache(family, phi.n_cells)
-        vals = phi.values.copy()
-        if record_every:
-            snapshots.append(GridDensity(vals, circle=phi.circle))
-        for k, gamma in enumerate(gammas, start=1):
-            vals = cache.get(float(gamma)).apply_values(vals)
-            if record_every and k % record_every == 0:
-                snapshots.append(GridDensity(vals, circle=phi.circle))
-        out = GridDensity(vals, circle=phi.circle)
-    else:
-        out = phi
-        if record_every:
+    out = phi
+    if record_every:
+        snapshots.append(out)
+    for k, op in enumerate(ops, start=1):
+        out = op.apply(out)
+        if record_every and k % record_every == 0:
             snapshots.append(out)
-        for k, op in enumerate(ops, start=1):
-            out = op.apply(out)
-            if record_every and k % record_every == 0:
-                snapshots.append(out)
     if record_every:
         return out, snapshots
     return out
@@ -298,14 +210,10 @@ def averaged_operator(family: MapFamily, nu: AveragingLaw, n_cells: int,
     nodes, weights = nu.nodes()
     if nodes.size == 0:
         raise ValueError("averaging law produced zero sample nodes")
-    if nodes.size == 1:
-        member = build_ulam(instantiate(family, float(nodes[0])), n_cells, quadrature)
-        prov = f"averaged({nu.law}) == {member.provenance}"
-        return UlamOperator(matrix=member.matrix, provenance=prov)
-    acc = np.zeros((n_cells, n_cells))
+    acc = 0
     for gamma, w in zip(nodes, weights):
         member = build_ulam(instantiate(family, float(gamma)), n_cells, quadrature)
-        acc += w * member.matrix
+        acc = acc + w * member.matrix
     prov = (f"averaged({nu.law} center={nu.center!r} radius={nu.radius!r} "
             f"k={nodes.size}) {family.name} n={n_cells}")
     return UlamOperator(matrix=acc, provenance=prov)
@@ -347,18 +255,15 @@ def spectral_summary(op: UlamOperator, k: int = 5,
                      gap_floor: float = 1e-6) -> SpectralSummary:
     """Top-k eigenvalues by modulus and the normalized leading eigenvector.
 
-    Dense solve for n <= 2048, implicitly restarted Arnoldi above (with a
-    fixed start vector for determinism).  Operators without a spectral gap
+    Implicitly restarted Arnoldi on the sparse matrix, with a fixed start
+    vector for determinism.  Operators without a spectral gap
     (|lambda_2| ~ 1) are flagged, not rejected.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     n = op.n_cells
-    if n <= 2048:
-        eigvals, eigvecs = np.linalg.eig(op.matrix)
-    else:
-        eigvals, eigvecs = scipy.sparse.linalg.eigs(
-            op.matrix, k=min(k, n - 2), which="LM", v0=np.ones(n))
+    eigvals, eigvecs = scipy.sparse.linalg.eigs(
+        op.matrix, k=min(k, n - 2), which="LM", v0=np.ones(n))
     order = np.argsort(-np.abs(eigvals))
     eigvals = eigvals[order][:k]
     lead = np.real(eigvecs[:, order[0]])
@@ -508,15 +413,14 @@ def perturbation_probe(family: MapFamily, gamma_hat: float, delta: float,
     gammas = rng.uniform(gamma_hat - delta, gamma_hat + delta, n_max)
     lo, hi = family.gamma_range
     gammas = np.clip(gammas, lo, hi)
-    cache = ApplierCache(family, phi.n_cells, quadrature)
-    base = cache.get(float(gamma_hat))
-    cur_seq = phi.values.copy()
-    cur_const = phi.values.copy()
+    operator = operator_cache(family, phi.n_cells, quadrature)
+    base = operator(float(gamma_hat))
+    cur_seq = cur_const = phi
     curve = np.zeros(n_max + 1)
     for k in range(1, n_max + 1):
-        cur_seq = cache.get(float(gammas[k - 1])).apply_values(cur_seq)
-        cur_const = base.apply_values(cur_const)
-        curve[k] = float(np.mean(np.abs(cur_seq - cur_const)))
+        cur_seq = operator(float(gammas[k - 1])).apply(cur_seq)
+        cur_const = base.apply(cur_const)
+        curve[k] = float(np.mean(np.abs(cur_seq.values - cur_const.values)))
     norm_alpha = quasi_holder_seminorm(phi, alpha, eps0).norm_alpha
     env = fit_decay_envelope(curve, norm_alpha)
     dominated = bool(np.all(
@@ -525,31 +429,3 @@ def perturbation_probe(family: MapFamily, gamma_hat: float, delta: float,
     return PerturbationProbe(deltas_used=gammas, curve=curve, envelope=env,
                              norm_alpha=norm_alpha, dominated=dominated)
 
-
-# --- serialization --------------------------------------------------------
-
-def operator_to_csv(op: UlamOperator, path, threshold: float = 0.0):
-    """Sparse triplet CSV with a JSON header line (row, col, value)."""
-    rows, cols = np.nonzero(op.matrix > threshold)
-    payload = "".join(f"{r},{c},{float(op.matrix[r, c])!r}\n"
-                      for r, c in zip(rows.tolist(), cols.tolist()))
-    header = {
-        "provenance": op.provenance,
-        "n_cells": op.n_cells,
-        "checksum": hashlib.sha256(payload.encode()).hexdigest(),
-    }
-    with open(path, "w") as fh:
-        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        fh.write("row,col,value\n")
-        fh.write(payload)
-
-
-def operator_from_csv(path) -> UlamOperator:
-    with open(path) as fh:
-        header = json.loads(fh.readline().lstrip("# ").strip())
-        reader = csv.DictReader(fh)
-        n = int(header["n_cells"])
-        mat = np.zeros((n, n))
-        for row in reader:
-            mat[int(row["row"]), int(row["col"])] = float(row["value"])
-    return UlamOperator(matrix=mat, provenance=header.get("provenance", "loaded"))

@@ -28,8 +28,8 @@ from nonstat_dyn.seeding import substream
 from nonstat_dyn.sequences import (ParameterSequence, adversarial_demo,
                                    doubling_gap_schedule,
                                    post_transient_worst)
-from nonstat_dyn.transfer import (AveragingLaw, SequenceApplier,
-                                  apply_sequence, averaged_operator,
+from nonstat_dyn.transfer import (AveragingLaw, apply_sequence,
+                                  averaged_operator,
                                   build_ulam, fit_decay_envelope,
                                   fixed_density, iterated_bound_margin,
                                   lasota_yorke_fit, perturbation_probe)
@@ -120,9 +120,9 @@ def test_criterion_04_evolution_robustness():
             vecs = [v.copy() for v in starts]
             dists = [[], []]
             for k, g in enumerate(gammas, start=1):
-                ap = SequenceApplier(instantiate(fam, float(g)), cells)
+                op = build_ulam(instantiate(fam, float(g)), cells)
                 for i in range(2):
-                    vecs[i] = ap.apply_values(vecs[i])
+                    vecs[i] = op.matrix @ vecs[i]
                     if k % 50 == 0:
                         dists[i].append(
                             float(np.mean(np.abs(vecs[i] - phi_hat.values))))

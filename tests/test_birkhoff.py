@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from nonstat_dyn.birkhoff import (band_pass_check,
@@ -81,6 +83,18 @@ def test_orbit_points_deterministic():
     a = orbit_points(fam, seq, np.array([0.3]), 100, seed=6)
     b = orbit_points(fam, seq, np.array([0.3]), 100, seed=6)
     assert np.array_equal(a, b)
+
+
+def test_orbit_instance_cache_bounded():
+    # 800 distinct parameters; only a bounded number of instances is kept
+    tracemalloc.start()
+    try:
+        orbit_points(pm_family(0.5), ParameterSequence.iid(0.1, 0.01, 0),
+                     [0.3], 800)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 19
 
 
 def test_dither_defeats_binary_collapse():

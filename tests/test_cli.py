@@ -118,6 +118,16 @@ def test_ly_fit_subcommand(tmp_path):
     assert rep["eta_hat"] < 1.0
 
 
+def test_network_reads_family_parameters(tmp_path):
+    def max_distance(kappa):
+        out = tmp_path / f"net-{kappa}"
+        assert main(["network", "--family", "pm", "--gamma", "0.1",
+                     "--kappa", kappa, "--nodes", "4", "--ensemble", "500",
+                     "--n", "20", "--out", str(out)]) == 0
+        return json.load(open(out / "network_summary.json"))["data"]["max_distance"]
+    assert max_distance("0.3") != max_distance("0.7")
+
+
 def test_random_step_density_properties():
     rng = np.random.default_rng(0)
     for _ in range(10):

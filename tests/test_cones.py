@@ -197,7 +197,6 @@ def test_smooth_family_supnorm_convergence_under_sequences():
         phi = sample_cone_density(256, CONE, rng)
         vals = phi.values.copy()
         gammas = rng.uniform(-0.01, 0.01, 60)
-        from nonstat_dyn.transfer import SequenceApplier
         for g in gammas:
-            vals = SequenceApplier(instantiate(fam, float(g)), 256).apply_values(vals)
+            vals = build_ulam(instantiate(fam, float(g)), 256).matrix @ vals
         assert np.max(np.abs(vals - phi_hat.values)) < 0.05

@@ -1,11 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
 from nonstat_dyn.densities import (GridDensity, GridMismatchError,
-                                   density_from_csv, density_from_json,
-                                   density_to_csv, density_to_json,
                                    l1_distance, osc_integral,
                                    quasi_holder_seminorm)
 
@@ -163,22 +159,3 @@ def test_density_immutable():
     with pytest.raises(ValueError):
         phi.values[0] = 2.0
 
-
-def test_csv_json_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    phi = random_density(rng, 32)
-    path = tmp_path / "d.csv"
-    density_to_csv(phi, path)
-    back = density_from_csv(path)
-    assert np.array_equal(back.values, phi.values)
-    again = density_from_json(density_to_json(phi))
-    assert np.array_equal(again.values, phi.values)
-
-
-def test_json_loader_validates():
-    bad = json.dumps({"n_cells": 4, "circle": True, "values": [1, 1]})
-    with pytest.raises(ValueError):
-        density_from_json(bad)
-    neg = json.dumps({"n_cells": 2, "circle": True, "values": [1, -1]})
-    with pytest.raises(ValueError):
-        density_from_json(neg)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from nonstat_dyn.sequences import (ParameterSequence, adversarial_demo,
                                    doubling_gap_schedule, evolve_density,
                                    gen_sequence, post_transient_worst,
                                    stability_experiment)
-from nonstat_dyn.transfer import SequenceApplier, build_ulam, fixed_density
+from nonstat_dyn.transfer import build_ulam, fixed_density
 
 
 def test_constant_sequence():
@@ -97,14 +99,27 @@ def test_memory_loss_of_density_pairs():
     w = GridDensity.indicator(0.25, 0.75, 128, height=2.0).values.copy()
     diffs = [np.mean(np.abs(v - w))]
     for g in gammas:
-        ap = SequenceApplier(instantiate(fam, float(g)), 128)
-        v = ap.apply_values(v)
-        w = ap.apply_values(w)
+        op = build_ulam(instantiate(fam, float(g)), 128)
+        v = op.matrix @ v
+        w = op.matrix @ w
         diffs.append(np.mean(np.abs(v - w)))
     assert all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))
     assert diffs[-1] < 1e-3
     n_star = next(i for i, d in enumerate(diffs) if d < 1e-3)
     assert n_star < 100
+
+
+def test_evolve_memory_bounded_in_horizon():
+    # every step of an iid sequence is a new parameter; the operator cache
+    # is bounded, so the peak stays flat instead of growing ~0.2 MiB a step
+    tracemalloc.start()
+    try:
+        evolve_density(pm_family(0.5), ParameterSequence.iid(0.1, 0.01, 0),
+                       GridDensity.uniform(256), 400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_post_transient_worst_picks_plateau():
