@@ -428,7 +428,11 @@ _COMMON_FLAGS = {
 
 
 def load_config(path: str | None, section: str) -> dict:
-    """Key-value config: a [common] section plus one section per experiment."""
+    """Key-value config: a [common] section plus one section per experiment.
+
+    Keys are the flag names (underscored); any other key is rejected, as an
+    unknown flag is on the command line.
+    """
     if path is None:
         return {}
     parser = configparser.ConfigParser()
@@ -439,6 +443,9 @@ def load_config(path: str | None, section: str) -> dict:
     for sect in ("common", section):
         if parser.has_section(sect):
             cfg.update(dict(parser.items(sect)))
+    unknown = sorted(set(cfg) - set(_COMMON_FLAGS))
+    if unknown:
+        raise ConfigError(f"config file {path!r}: unknown keys {unknown}")
     return cfg
 
 

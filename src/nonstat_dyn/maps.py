@@ -1,12 +1,14 @@
 """Parameterized families of expanding circle maps with explicit branch structure.
 
 A family is described by analytic *pieces*: monotone lifts g_i on subintervals
-of [0,1) whose mod-1 reduction is the map.  Realized instances cut each piece
-at the integer crossings of its lift, producing injective *branches* with
-known image intervals, exact or root-solved inverses, and derivatives.
+of [0,1) whose mod-1 reduction is the map.  A realized instance is its
+pieces; on first use of `MapInstance.branches` each piece is cut at the
+integer crossings of its lift into injective *branches* with known image
+intervals, exact or root-solved inverses, and derivatives.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -45,22 +47,19 @@ class Piece:
 class BranchSpec:
     """Maximal subinterval of a piece on which the mod-1 map is injective."""
 
-    piece_index: int
+    piece: Piece
     lo: float
     hi: float
     offset: int
     increasing: bool
     img_lo: float
     img_hi: float
-    lift: Callable
-    dlift: Callable
-    affine: Optional[tuple]
 
     def forward(self, x):
-        return self.lift(x) - self.offset
+        return self.piece.lift(x) - self.offset
 
     def deriv(self, x):
-        return self.dlift(x)
+        return self.piece.dlift(x)
 
     def covers(self, y: float) -> bool:
         return self.img_lo - 1e-12 <= y < self.img_hi - 1e-12
@@ -68,26 +67,14 @@ class BranchSpec:
     def inverse(self, y: float) -> float:
         """Solve forward(x) = y on [lo, hi]; exact for affine lifts."""
         target = y + self.offset
-        if self.affine is not None:
-            a, b = self.affine
-            return (target - b) / a
-        lo, hi = self.lo, self.hi
-        flo = self.lift(lo) - target
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fmid = self.lift(mid) - target
-            if (fmid <= 0) == (flo <= 0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-            if hi - lo < BISECT_TOL:
-                break
-        x = 0.5 * (lo + hi)
+        x = _solve_lift(self.piece, target, self.lo, self.hi)
+        if self.piece.affine is not None:
+            return x
         for _ in range(3):  # Newton polish
-            d = self.dlift(x)
+            d = self.piece.dlift(x)
             if d == 0:
                 break
-            x = min(max(x - (self.lift(x) - target) / d, self.lo), self.hi)
+            x = min(max(x - (self.piece.lift(x) - target) / d, self.lo), self.hi)
         return x
 
 
@@ -107,19 +94,18 @@ class MapFamily:
     eps0: float = 0.05
     structural_range: Optional[tuple] = None
 
-    @property
-    def n_pieces(self) -> int:
-        lo, hi = self.gamma_range
-        return len(self.pieces_for(0.5 * (lo + hi)))
-
 
 @dataclass(frozen=True)
 class MapInstance:
     family: MapFamily
     gamma: float
     pieces: tuple
-    branches: tuple
     unsafe: bool = False
+
+    @functools.cached_property
+    def branches(self) -> tuple:
+        """Injective branches, cut from the pieces on first access."""
+        return _cut_branches(self.pieces)
 
     def evaluate(self, x):
         """Vectorized map evaluation, values in [0, 1)."""
@@ -134,19 +120,6 @@ class MapInstance:
             if np.any(mask):
                 out[mask] = p.lift(x[mask])
         return out % 1.0
-
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        if len(self.pieces) == 1:
-            return self.pieces[0].dlift(x)
-        uppers = np.array([p.hi for p in self.pieces[:-1]])
-        idx = np.searchsorted(uppers, x, side="right")
-        out = np.empty_like(x)
-        for k, p in enumerate(self.pieces):
-            mask = idx == k
-            if np.any(mask):
-                out[mask] = p.dlift(x[mask])
-        return out
 
     def min_abs_derivative(self, n_grid: int = 4096) -> float:
         best = np.inf
@@ -171,16 +144,16 @@ def _integer_crossings(piece: Piece) -> list:
     m = math.floor(a) + 1
     while m < b - 1e-12:
         if m > a + 1e-12:
-            cuts.append(_solve_lift(piece, float(m)))
+            cuts.append(_solve_lift(piece, float(m), piece.lo, piece.hi))
         m += 1
     return sorted(cuts)
 
 
-def _solve_lift(piece: Piece, target: float) -> float:
+def _solve_lift(piece: Piece, target: float, lo: float, hi: float) -> float:
+    """Solve lift(x) = target on [lo, hi]: exact for affine lifts, else bisection."""
     if piece.affine is not None:
         a, b = piece.affine
         return (target - b) / a
-    lo, hi = piece.lo, piece.hi
     flo = float(piece.lift(np.float64(lo))) - target
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -196,7 +169,7 @@ def _solve_lift(piece: Piece, target: float) -> float:
 
 def _cut_branches(pieces: Sequence[Piece]) -> tuple:
     branches = []
-    for k, piece in enumerate(pieces):
+    for piece in pieces:
         cuts = [piece.lo] + _integer_crossings(piece) + [piece.hi]
         for c0, c1 in zip(cuts[:-1], cuts[1:]):
             if c1 - c0 < MIN_BRANCH_WIDTH:
@@ -209,9 +182,8 @@ def _cut_branches(pieces: Sequence[Piece]) -> tuple:
             img_lo = min(max(lo_v - offset, 0.0), 1.0)
             img_hi = min(max(hi_v - offset, 0.0), 1.0)
             branches.append(BranchSpec(
-                piece_index=k, lo=c0, hi=c1, offset=offset,
-                increasing=v1 >= v0, img_lo=img_lo, img_hi=img_hi,
-                lift=piece.lift, dlift=piece.dlift, affine=piece.affine))
+                piece=piece, lo=c0, hi=c1, offset=offset,
+                increasing=v1 >= v0, img_lo=img_lo, img_hi=img_hi))
     return tuple(branches)
 
 
@@ -229,7 +201,6 @@ def instantiate(family: MapFamily, gamma: float, unsafe: bool = False) -> MapIns
     in_range = family.gamma_range[0] <= gamma <= family.gamma_range[1]
     pieces = tuple(family.pieces_for(gamma))
     instance = MapInstance(family=family, gamma=gamma, pieces=pieces,
-                           branches=_cut_branches(pieces),
                            unsafe=unsafe and not in_range)
     if not unsafe:
         min_d = instance.min_abs_derivative()

@@ -46,9 +46,6 @@ class AdjacencySchedule:
             raise IndexError(f"schedule horizon {self.horizon} exceeded at t={t}")
         return self.matrices[t]
 
-    def max_degree(self) -> int:
-        return int(self.matrices.sum(axis=2).max())
-
     def mean_failure_run_length(self) -> float:
         """Mean length of contiguous absent-edge runs over the horizon
         (edges absent for the entire horizon are ignored)."""
@@ -133,7 +130,8 @@ def gen_schedule(kind: str, n_nodes: int, horizon: int, seed: int = 0,
 class NetworkSystem:
     """Identical expanding node maps with pairwise coupling of strength
     alpha_c; construction enforces the per-node expansion budget
-    min |f'| - |alpha_c| * max_degree * Lip(h) > 1."""
+    min |f'| - |alpha_c| * (n_nodes - 1) * Lip(h) > 1, the degree of the
+    complete graph bounding every schedule's in-degree."""
 
     node_map: MapInstance
     n_nodes: int

@@ -89,6 +89,16 @@ def test_config_file_with_flag_override(tmp_path):
     assert manifest["config"]["cells"] == 32  # flags win
 
 
+def test_misspelt_config_key_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text("[invariant]\nfamily = doubling\ncels = 64\n")
+    status = main(["invariant", "--config", str(cfg),
+                   "--out", str(tmp_path / "typo")])
+    assert status == 2
+    assert "cels" in capsys.readouterr().err
+    assert not (tmp_path / "typo").exists()
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     status = main(["invariant", "--config", str(tmp_path / "absent.ini"),
                    "--out", str(tmp_path / "x")])

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from nonstat_dyn import maps
+from nonstat_dyn.birkhoff import orbit_points
 from nonstat_dyn.maps import (ExpansionError, boundary_complexity,
                               branch_preimages, breakpoint_family,
                               circle_family, doubling_family, family_by_name,
                               instantiate, lsv_family, pm_family, tent_family,
                               validate_family)
+from nonstat_dyn.sequences import ParameterSequence
 
 ALL_FAMILIES = {
     "doubling": (doubling_family(), (-0.05, 0.0, 0.1)),
@@ -21,8 +24,26 @@ def test_doubling_two_branches_slope_two():
     inst = instantiate(doubling_family(), 0.0)
     assert len(inst.branches) == 2
     for br in inst.branches:
-        assert br.affine[0] == 2.0
+        assert br.piece.affine[0] == 2.0
     assert [(br.lo, br.hi) for br in inst.branches] == [(0.0, 0.5), (0.5, 1.0)]
+
+
+def test_step_loops_never_cut_branches(monkeypatch):
+    cuts = []
+    original = maps._cut_branches
+
+    def counting(pieces):
+        cuts.append(len(pieces))
+        return original(pieces)
+
+    monkeypatch.setattr(maps, "_cut_branches", counting)
+    fam = pm_family(0.5)
+    orbit_points(fam, ParameterSequence.iid(0.1, 0.01, 0),
+                 np.linspace(0.0, 1.0, 8, endpoint=False), 50)
+    assert cuts == []
+    inst = instantiate(fam, 0.1)
+    assert inst.branches is inst.branches
+    assert len(cuts) == 1
 
 
 def test_pm_accepts_expanding_parameter():
