@@ -1,5 +1,8 @@
 """Reproducible experiment runner: config parsing, seeding, artifacts, manifests.
 
+An experiment's flags are its runner's keyword parameters, typed by their
+defaults; the parser, the INI loader and `--help` all read them from there.
+
 Exit codes: 0 ok, 1 numeric failure, 2 config error.
 """
 from __future__ import annotations
@@ -7,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -96,26 +100,32 @@ class ArtifactWriter:
         return path
 
 
-def _family_from_config(cfg: dict):
-    name = cfg.get("family", "doubling")
+def _family(name: str, kappa: float, b0: float):
     kwargs = {}
     if name in ("pm", "lsv"):
-        kwargs["kappa"] = float(cfg.get("kappa", 0.5))
+        kwargs["kappa"] = kappa
     if name == "breakpoint":
-        kwargs["b0"] = float(cfg.get("b0", 0.4))
+        kwargs["b0"] = b0
     return family_by_name(name, **kwargs)
 
 
-def _phi0_from_config(cfg: dict, n_cells: int) -> GridDensity:
-    kind = cfg.get("phi0", "uniform")
+def _phi0(kind: str, cells: int) -> GridDensity:
     if kind == "uniform":
-        return GridDensity.uniform(n_cells)
+        return GridDensity.uniform(cells)
     if kind == "half":
-        return GridDensity.indicator(0.0, 0.5, n_cells, height=2.0)
+        return GridDensity.indicator(0.0, 0.5, cells, height=2.0)
     raise ConfigError(f"phi0: unknown initial density {kind!r}")
 
 
-def _positive(cfg: dict, key: str, value: float) -> float:
+def _deltas(text: str) -> list:
+    deltas = [float(d) for d in text.split(",")]
+    for d in deltas:
+        if d < 0:
+            raise ConfigError(f"deltas: must be nonnegative, got {d}")
+    return deltas
+
+
+def _positive(key: str, value):
     if value <= 0:
         raise ConfigError(f"{key}: must be positive, got {value}")
     return value
@@ -123,13 +133,13 @@ def _positive(cfg: dict, key: str, value: float) -> float:
 
 # --- experiment runners ------------------------------------------------------
 
-def run_invariant(cfg: dict, writer: ArtifactWriter) -> int:
-    family = _family_from_config(cfg)
-    gamma = float(cfg.get("gamma", 0.0))
-    cells = int(_positive(cfg, "cells", float(cfg.get("cells", 4096))))
-    op = build_ulam(instantiate(family, gamma), cells,
-                    quadrature=int(cfg.get("quadrature", 32)))
-    phi = fixed_density(op, tol=float(cfg.get("tol", 1e-12)))
+def run_invariant(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
+                  b0=0.4, gamma=0.0, cells=4096, quadrature=32,
+                  tol=1e-12) -> int:
+    family = _family(family, kappa, b0)
+    cells = _positive("cells", cells)
+    op = build_ulam(instantiate(family, gamma), cells, quadrature=quadrature)
+    phi = fixed_density(op, tol=tol)
     applied = op.apply(phi)
     residual = l1_distance(applied, phi)
     writer.write_csv("invariant_density.csv", ["cell", "value"],
@@ -142,20 +152,14 @@ def run_invariant(cfg: dict, writer: ArtifactWriter) -> int:
     return 0
 
 
-def run_stability(cfg: dict, writer: ArtifactWriter) -> int:
-    family = _family_from_config(cfg)
-    gamma_hat = float(cfg.get("gamma_hat", 0.1))
-    deltas = [float(d) for d in str(cfg.get("deltas", "0.02,0.01,0.005")).split(",")]
-    for d in deltas:
-        if d < 0:
-            raise ConfigError(f"deltas: must be nonnegative, got {d}")
-    cells = int(cfg.get("cells", 1024))
-    n = int(cfg.get("n", 2000))
-    n_seqs = int(cfg.get("sequences", 20))
-    seed = int(cfg.get("seed", 0))
-    phi0 = _phi0_from_config(cfg, cells)
-    table = stability_experiment(family, gamma_hat, deltas, phi0, n, n_seqs,
-                                 seed, checkpoint_every=int(cfg.get("checkpoint", 50)))
+def run_stability(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
+                  b0=0.4, gamma_hat=0.1, deltas="0.02,0.01,0.005", cells=1024,
+                  n=2000, sequences=20, seed=0, phi0="uniform",
+                  checkpoint=50) -> int:
+    family = _family(family, kappa, b0)
+    table = stability_experiment(family, gamma_hat, _deltas(deltas),
+                                 _phi0(phi0, cells), n, sequences, seed,
+                                 checkpoint_every=checkpoint)
     rows = [(r.delta, r.worst_post_transient, r.stationary_distance,
              r.n_sequences) for r in table.rows]
     writer.write_csv("stability.csv",
@@ -166,18 +170,14 @@ def run_stability(cfg: dict, writer: ArtifactWriter) -> int:
     return 0
 
 
-def run_evolve(cfg: dict, writer: ArtifactWriter) -> int:
-    family = _family_from_config(cfg)
-    gamma_hat = float(cfg.get("gamma_hat", 0.1))
-    delta = float(cfg.get("delta", 0.01))
-    cells = int(cfg.get("cells", 1024))
-    n = int(cfg.get("n", 1000))
-    seed = int(cfg.get("seed", 0))
-    phi0 = _phi0_from_config(cfg, cells)
+def run_evolve(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
+               b0=0.4, gamma_hat=0.1, delta=0.01, cells=1024, n=1000, seed=0,
+               phi0="uniform", checkpoint=50) -> int:
+    family = _family(family, kappa, b0)
+    phi0 = _phi0(phi0, cells)
     ref = fixed_density(build_ulam(instantiate(family, gamma_hat), cells))
     seq = ParameterSequence.iid(gamma_hat, delta, seed)
-    trace = evolve_density(family, seq, phi0, n,
-                           checkpoint_every=int(cfg.get("checkpoint", 50)),
+    trace = evolve_density(family, seq, phi0, n, checkpoint_every=checkpoint,
                            reference=ref, track_seminorm=True)
     rows = list(zip(trace.steps.tolist(), trace.masses.tolist(),
                     trace.distances.tolist(), trace.seminorms.tolist()))
@@ -188,17 +188,14 @@ def run_evolve(cfg: dict, writer: ArtifactWriter) -> int:
     return 0
 
 
-def run_adversarial(cfg: dict, writer: ArtifactWriter) -> int:
-    kappa = float(cfg.get("kappa", 0.5))
-    eps = _positive(cfg, "eps", float(cfg.get("eps", 0.1)))
-    n_max = int(cfg.get("n", 10000))
-    first_gap = int(cfg.get("first_gap", 64))
-    cells = int(cfg.get("cells", 1024))
+def run_adversarial(writer: ArtifactWriter, *, kappa=0.5, eps=0.1, n=10000,
+                    first_gap=64, cells=1024) -> int:
+    eps = _positive("eps", eps)
     family = pm_family(kappa=kappa)
-    schedule = doubling_gap_schedule(first_gap, n_max)
-    run = adversarial_demo(family, eps, schedule, n_max=n_max, n_cells=cells)
-    stride = max(n_max // 2000, 1)
-    keep = np.arange(0, n_max, stride)
+    schedule = doubling_gap_schedule(first_gap, n)
+    run = adversarial_demo(family, eps, schedule, n_max=n, n_cells=cells)
+    stride = max(n // 2000, 1)
+    keep = np.arange(0, n, stride)
     rows = list(zip(run.steps[keep].tolist(), run.mass_low[keep].tolist(),
                     run.dist_plus[keep].tolist()))
     writer.write_csv("adversarial_curve.csv",
@@ -213,20 +210,16 @@ def run_adversarial(cfg: dict, writer: ArtifactWriter) -> int:
     return 0
 
 
-def run_birkhoff(cfg: dict, writer: ArtifactWriter) -> int:
-    family = _family_from_config(cfg)
-    gamma_hat = float(cfg.get("gamma_hat", 0.1))
-    delta = float(cfg.get("delta", 0.01))
-    cells = int(cfg.get("cells", 1024))
-    n = int(cfg.get("n", 100000))
-    points = int(cfg.get("points", 100))
-    seed = int(cfg.get("seed", 0))
-    eps_band = float(cfg.get("band_eps", 0.05))
-    psi = observable(cfg.get("psi", "x"), cells)
+def run_birkhoff(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
+                 b0=0.4, gamma_hat=0.1, delta=0.01, cells=1024, n=100000,
+                 points=100, seed=0, band_eps=0.05, psi="x", covariance="0",
+                 i_max=4, j_max=14, ensemble=10000, lp="0", balls=64) -> int:
+    family = _family(family, kappa, b0)
+    psi = observable(psi, cells)
     seq = ParameterSequence.iid(gamma_hat, delta, seed)
     result = birkhoff_averages(family, seq, points, psi, n, seed=seed)
     phi_hat = fixed_density(build_ulam(instantiate(family, gamma_hat), cells))
-    band = quasi_birkhoff_band(psi, phi_hat, eps_band)
+    band = quasi_birkhoff_band(psi, phi_hat, band_eps)
     check = band_pass_check(result, band)
     writer.write_csv("birkhoff_averages.csv",
                      ["point", "average", "tail_min", "tail_max", "inside"],
@@ -241,10 +234,9 @@ def run_birkhoff(cfg: dict, writer: ArtifactWriter) -> int:
         "pass_fraction": check.fraction,
         "wilson": list(check.wilson), "n": n, "points": points,
     })
-    if cfg.get("covariance", "0") not in ("0", "false", "False"):
-        window = (int(cfg.get("i_max", 4)), int(cfg.get("j_max", 14)))
-        cov = covariance_decay(family, seq, psi, window,
-                               ensemble=int(cfg.get("ensemble", 10000)),
+    if covariance not in ("0", "false", "False"):
+        window = (i_max, j_max)
+        cov = covariance_decay(family, seq, psi, window, ensemble=ensemble,
                                seed=seed)
         lln = lln_summability(cov)
         writer.write_csv("covariance.csv", ["i", "j", "R", "se"],
@@ -255,11 +247,10 @@ def run_birkhoff(cfg: dict, writer: ArtifactWriter) -> int:
             "verdict": lln.verdict, "q_fit": cov.q_fit, "c_fit": cov.c_fit,
             "partial_sum": lln.partial_sum, "closed_form": lln.closed_form,
         })
-    if cfg.get("lp", "0") not in ("0", "false", "False"):
+    if lp not in ("0", "false", "False"):
         rng = substream(seed, "lp-orbit-start")
         orbit = orbit_points(family, seq, rng.uniform(0, 1, 1), n, seed=seed)
-        report = lp_distance(orbit[:, 0], phi_hat,
-                             ball_count=int(cfg.get("balls", 64)))
+        report = lp_distance(orbit[:, 0], phi_hat, ball_count=balls)
         writer.write_json("lp_estimate.json", {
             "estimate": report.estimate, "ball_radius": report.ball_radius,
             "ball_count": report.ball_count,
@@ -267,15 +258,11 @@ def run_birkhoff(cfg: dict, writer: ArtifactWriter) -> int:
     return 0
 
 
-def run_cone(cfg: dict, writer: ArtifactWriter) -> int:
-    family = _family_from_config(cfg)
-    gamma = float(cfg.get("gamma", 0.0))
-    cells = int(cfg.get("cells", 256))
-    cone = ConeParams(a=float(cfg.get("a", 2.0)), nu=float(cfg.get("nu", 0.5)),
-                      rho0=float(cfg.get("rho0", 0.25)),
-                      lam=float(cfg.get("lam", 0.75)))
-    seed = int(cfg.get("seed", 0))
-    samples = int(cfg.get("samples", 100))
+def run_cone(writer: ArtifactWriter, *, family="doubling", kappa=0.5, b0=0.4,
+             gamma=0.0, cells=256, a=2.0, nu=0.5, rho0=0.25, lam=0.75, seed=0,
+             samples=100) -> int:
+    family = _family(family, kappa, b0)
+    cone = ConeParams(a=a, nu=nu, rho0=rho0, lam=lam)
     op = build_ulam(instantiate(family, gamma), cells)
     image = cone_image_check(op, cone, samples=samples, seed=seed)
     contraction = contraction_and_diameter([op], cone, pairs=samples, seed=seed)
@@ -295,27 +282,21 @@ def run_cone(cfg: dict, writer: ArtifactWriter) -> int:
     return 0
 
 
-def run_network(cfg: dict, writer: ArtifactWriter) -> int:
-    family = _family_from_config(cfg)
-    gamma = float(cfg.get("gamma", 0.0))
-    n_nodes = int(cfg.get("nodes", 8))
-    alpha_c = float(cfg.get("alpha_c", 0.01))
-    steps = int(cfg.get("n", 10000))
-    ensemble = int(cfg.get("ensemble", 10000))
-    seed = int(cfg.get("seed", 0))
-    kind = cfg.get("schedule", "bursty")
-    schedule = gen_schedule(kind, n_nodes, steps, seed=seed,
-                            p=float(cfg.get("p", 0.9)),
-                            fail_rate=float(cfg.get("fail_rate", 0.05)),
-                            period=int(cfg.get("period", 2)))
-    h_name = cfg.get("coupling", "diffusive")
+def run_network(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
+                b0=0.4, gamma=0.0, nodes=8, alpha_c=0.01, n=10000,
+                ensemble=10000, seed=0, schedule="bursty", p=0.9,
+                fail_rate=0.05, period=2, coupling="diffusive",
+                bins=64) -> int:
+    family = _family(family, kappa, b0)
+    schedule = gen_schedule(schedule, nodes, n, seed=seed, p=p,
+                            fail_rate=fail_rate, period=period)
     system = NetworkSystem(node_map=instantiate(family, gamma),
-                           n_nodes=n_nodes, alpha_c=alpha_c, h_name=h_name)
-    summary = simulate_ensemble(system, schedule, ensemble, steps, seed=seed,
-                                n_bins=int(cfg.get("bins", 64)))
+                           n_nodes=nodes, alpha_c=alpha_c, h_name=coupling)
+    summary = simulate_ensemble(system, schedule, ensemble, n, seed=seed,
+                                n_bins=bins)
     rows = []
     for c, t in enumerate(summary.checkpoints.tolist()):
-        for node in range(n_nodes):
+        for node in range(nodes):
             for b in range(summary.n_bins):
                 rows.append((t, node, b, int(summary.counts[c, node, b])))
     writer.write_csv("network_marginals.csv", ["step", "node", "bin", "count"],
@@ -331,17 +312,13 @@ def run_network(cfg: dict, writer: ArtifactWriter) -> int:
     return 0
 
 
-def run_ly_fit(cfg: dict, writer: ArtifactWriter) -> int:
-    family = _family_from_config(cfg)
-    gamma = float(cfg.get("gamma", 0.0))
-    cells = int(cfg.get("cells", 512))
-    alpha = float(cfg.get("alpha", 0.5))
-    n_test = int(cfg.get("n_test", 100))
-    seed = int(cfg.get("seed", 0))
+def run_ly_fit(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
+               b0=0.4, gamma=0.0, cells=512, alpha=0.5, n_test=100, seed=0,
+               powers=10) -> int:
+    family = _family(family, kappa, b0)
     rng = substream(seed, "ly-test-set")
     test_set = [random_step_density(cells, rng) for _ in range(n_test)]
-    fit = lasota_yorke_fit(family, gamma, alpha, test_set,
-                           n_powers=int(cfg.get("powers", 10)))
+    fit = lasota_yorke_fit(family, gamma, alpha, test_set, n_powers=powers)
     writer.write_json("ly_fit.json", {
         "eta_hat": fit.eta_hat, "c_hat": fit.c_hat,
         "c_least_squares": fit.c_least_squares,
@@ -352,28 +329,23 @@ def run_ly_fit(cfg: dict, writer: ArtifactWriter) -> int:
     return 0
 
 
-def run_perturb_probe(cfg: dict, writer: ArtifactWriter) -> int:
-    family = _family_from_config(cfg)
-    gamma_hat = float(cfg.get("gamma_hat", 0.0))
-    deltas = [float(d) for d in str(cfg.get("deltas", "0.02,0.01")).split(",")]
-    n_max = int(cfg.get("n", 30))
-    cells = int(cfg.get("cells", 512))
-    seeds = int(cfg.get("seeds", 10))
-    phi0 = _phi0_from_config({**cfg, "phi0": cfg.get("phi0", "half")}, cells)
+def run_perturb_probe(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
+                      b0=0.4, gamma_hat=0.0, deltas="0.02,0.01", n=30,
+                      cells=512, seeds=10, phi0="half") -> int:
+    family = _family(family, kappa, b0)
+    phi0 = _phi0(phi0, cells)
     rows = []
     fits = {}
-    for delta in deltas:
-        if delta < 0:
-            raise ConfigError(f"deltas: must be nonnegative, got {delta}")
+    for delta in _deltas(deltas):
         curves = []
         for s in range(seeds):
-            probe = perturbation_probe(family, gamma_hat, delta, n_max, phi0,
+            probe = perturbation_probe(family, gamma_hat, delta, n, phi0,
                                        seq_seed=s)
             curves.append(probe.curve)
         mean_curve = np.mean(curves, axis=0)
         spread = np.std(curves, axis=0)
-        for n, (m, sd) in enumerate(zip(mean_curve, spread)):
-            rows.append((delta, n, float(m), float(sd)))
+        for k, (m, sd) in enumerate(zip(mean_curve, spread)):
+            rows.append((delta, k, float(m), float(sd)))
         norm_alpha = quasi_holder_seminorm(
             phi0, min(family.holder_exponent, 1.0)).norm_alpha
         env = fit_decay_envelope(mean_curve, norm_alpha)
@@ -413,39 +385,45 @@ EXPERIMENTS = {
     "perturb-probe": run_perturb_probe,
 }
 
-_COMMON_FLAGS = {
-    "family": str, "kappa": float, "b0": float, "gamma": float,
-    "gamma_hat": float, "delta": float, "deltas": str, "cells": int,
-    "n": int, "seed": int, "sequences": int, "points": int, "psi": str,
-    "phi0": str, "eps": float, "first_gap": int, "nodes": int,
-    "alpha_c": float, "ensemble": int, "schedule": str, "p": float,
-    "fail_rate": float, "alpha": float, "n_test": int, "seeds": int,
-    "a": float, "nu": float, "rho0": float, "lam": float, "samples": int,
-    "quadrature": int, "checkpoint": int, "band_eps": float, "powers": int,
-    "covariance": str, "lp": str, "balls": int, "bins": int,
-    "coupling": str, "period": int, "i_max": int, "j_max": int, "tol": float,
-}
+
+def flags(experiment: str) -> dict:
+    """{flag name: default} of an experiment: its runner's keyword parameters."""
+    params = inspect.signature(EXPERIMENTS[experiment]).parameters.values()
+    return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
 
 
 def load_config(path: str | None, section: str) -> dict:
     """Key-value config: a [common] section plus one section per experiment.
 
-    Keys are the flag names (underscored); any other key is rejected, as an
-    unknown flag is on the command line.
+    Keys are flag names (underscored) and values are converted to the flag's
+    type. A key in [<section>] must be a flag of that experiment; a key in
+    [common] must be a flag of some experiment, and is skipped by the
+    experiments that do not take it.
     """
     if path is None:
         return {}
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file {path!r} not found")
+    own = flags(section)
+    allowed = {"common": set().union(*map(flags, EXPERIMENTS)),
+               section: set(own)}
     cfg = {}
-    for sect in ("common", section):
-        if parser.has_section(sect):
-            cfg.update(dict(parser.items(sect)))
-    unknown = sorted(set(cfg) - set(_COMMON_FLAGS))
-    if unknown:
-        raise ConfigError(f"config file {path!r}: unknown keys {unknown}")
+    for sect, keys in allowed.items():
+        items = dict(parser.items(sect)) if parser.has_section(sect) else {}
+        unknown = sorted(set(items) - keys)
+        if unknown:
+            raise ConfigError(f"config file {path!r}: unknown keys {unknown} "
+                              f"in [{sect}]")
+        for key, text in items.items():
+            if key not in own:
+                continue
+            typ = type(own[key])
+            try:
+                cfg[key] = typ(text)
+            except ValueError:
+                raise ConfigError(f"config file {path!r}: {key} = {text!r} is "
+                                  f"not a valid {typ.__name__}") from None
     return cfg
 
 
@@ -459,33 +437,31 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out", default=None, help="output directory")
-        for flag, typ in _COMMON_FLAGS.items():
+        for flag, default in flags(kind).items():
             p.add_argument(f"--{flag.replace('_', '-')}", dest=flag,
-                           type=typ, default=None)
+                           type=type(default), default=argparse.SUPPRESS,
+                           help=f"default {default!r}")
     return parser
 
 
 def run(experiment: str, cfg: dict, outdir: str) -> int:
     writer = ArtifactWriter(outdir, {"experiment": experiment, **cfg})
     start = time.perf_counter()
-    status = EXPERIMENTS[experiment](cfg, writer)
+    status = EXPERIMENTS[experiment](writer, **cfg)
     writer.timings["total"] = round(1000.0 * (time.perf_counter() - start), 3)
     writer.finish()
     return status
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    experiment = args.pop("experiment")
+    config, out = args.pop("config"), args.pop("out")
     try:
-        cfg = load_config(args.config, args.experiment)
-        for flag in _COMMON_FLAGS:
-            val = getattr(args, flag, None)
-            if val is not None:
-                cfg[flag] = val
+        cfg = {**load_config(config, experiment), **args}
         out_root = os.environ.get(ENV_OUT_ROOT, ".")
-        outdir = args.out or os.path.join(out_root, f"out-{args.experiment}")
-        return run(args.experiment, cfg, outdir)
+        outdir = out or os.path.join(out_root, f"out-{experiment}")
+        return run(experiment, cfg, outdir)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

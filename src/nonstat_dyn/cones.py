@@ -239,20 +239,20 @@ class ContractionReport:
 
 def contraction_and_diameter(ops: Sequence[UlamOperator], cone: ConeParams,
                              pairs: int = 100, seed: int = 0,
-                             tolerance: float = 0.05,
-                             include_uniform: bool = True) -> ContractionReport:
+                             tolerance: float = 0.05) -> ContractionReport:
     """Sampled contraction ratio of the projective metric and sampled image
     diameter, with the q <= 1 - exp(-D) consistency check.
 
     The same sampled pairs are pushed through every operator, so the spread
     of the per-operator ratios reflects operator differences rather than
-    sampling noise."""
+    sampling noise. The first pair compares a sample with the uniform
+    density."""
     rng = substream(seed, "cone-contraction")
     n = ops[0].n_cells
     pair_list = []
     for p in range(pairs):
         phi1 = sample_cone_density(n, cone, rng)
-        if include_uniform and p == 0:
+        if p == 0:
             phi2 = GridDensity.uniform(n)
         else:
             phi2 = sample_cone_density(n, cone, rng)

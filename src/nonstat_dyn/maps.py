@@ -150,11 +150,18 @@ def _integer_crossings(piece: Piece) -> list:
 
 
 def _solve_lift(piece: Piece, target: float, lo: float, hi: float) -> float:
-    """Solve lift(x) = target on [lo, hi]: exact for affine lifts, else bisection."""
+    """Solve lift(x) = target on [lo, hi]: exact for affine lifts, else bisection.
+
+    When lift - target has the same sign at both ends (a root at an end,
+    displaced by round-off), the end with the smaller residual is returned.
+    """
     if piece.affine is not None:
         a, b = piece.affine
         return (target - b) / a
     flo = float(piece.lift(np.float64(lo))) - target
+    fhi = float(piece.lift(np.float64(hi))) - target
+    if flo * fhi > 0:
+        return lo if abs(flo) <= abs(fhi) else hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = float(piece.lift(np.float64(mid))) - target

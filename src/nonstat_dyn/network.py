@@ -75,17 +75,8 @@ def _complete(n: int) -> np.ndarray:
     return (np.ones((n, n)) - np.eye(n)).astype(np.uint8)
 
 
-def _ring(n: int) -> np.ndarray:
-    a = np.zeros((n, n), dtype=np.uint8)
-    for i in range(n):
-        a[i, (i + 1) % n] = 1
-        a[i, (i - 1) % n] = 1
-    return a
-
-
 def gen_schedule(kind: str, n_nodes: int, horizon: int, seed: int = 0,
-                 base: str = "complete", p: float = 0.9,
-                 fail_rate: float = 0.05, period: int = 2,
+                 p: float = 0.9, fail_rate: float = 0.05, period: int = 2,
                  edge: Optional[tuple] = None,
                  explicit: Optional[np.ndarray] = None) -> AdjacencySchedule:
     """Adjacency schedules: 'static', 'periodic-failure' (one edge toggling
@@ -93,7 +84,7 @@ def gen_schedule(kind: str, n_nodes: int, horizon: int, seed: int = 0,
     failed for geometric runs with persistence p), or 'explicit'."""
     if n_nodes < 2:
         raise ValueError("n_nodes must be at least 2")
-    base_mat = _complete(n_nodes) if base == "complete" else _ring(n_nodes)
+    base_mat = _complete(n_nodes)
     if kind == "static":
         mats = np.repeat(base_mat[None, :, :], horizon, axis=0)
     elif kind == "periodic-failure":

@@ -111,7 +111,6 @@ class EvolutionTrace:
     distances: Optional[np.ndarray]      # L1 distance to the reference, per checkpoint
     seminorms: Optional[np.ndarray]
     final: GridDensity
-    checkpoints: tuple = ()      # checkpoint densities when requested
 
 
 def _as_gammas(seq, n: int) -> np.ndarray:
@@ -127,17 +126,16 @@ def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
                    checkpoint_every: int = 50,
                    reference: Optional[GridDensity] = None,
                    track_seminorm: bool = False, alpha: Optional[float] = None,
-                   eps0: float = DEFAULT_EPS0, quadrature: int = 32,
-                   unsafe: bool = False,
-                   keep_densities: bool = False) -> EvolutionTrace:
+                   eps0: float = DEFAULT_EPS0,
+                   quadrature: int = 32) -> EvolutionTrace:
     """Push phi0 through L_{gamma_n} ... L_{gamma_1}, recording mass, distance
     to a reference density, and (optionally) the oscillation seminorm at
     checkpoints."""
     gammas = _as_gammas(seq, n)
     if alpha is None:
         alpha = min(family.holder_exponent, 1.0)
-    operator = operator_cache(family, phi0.n_cells, quadrature, unsafe=unsafe)
-    steps, masses, dists, semis, snaps = [0], [phi0.mass], [], [], []
+    operator = operator_cache(family, phi0.n_cells, quadrature)
+    steps, masses, dists, semis = [0], [phi0.mass], [], []
 
     def record(k, vals):
         steps.append(k)
@@ -147,15 +145,11 @@ def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
         if track_seminorm:
             semis.append(quasi_holder_seminorm(
                 GridDensity(np.clip(vals, 0.0, None)), alpha, eps0).seminorm)
-        if keep_densities:
-            snaps.append(GridDensity(np.clip(vals, 0.0, None)))
 
     if reference is not None:
         dists.append(float(np.mean(np.abs(phi0.values - reference.values))))
     if track_seminorm:
         semis.append(quasi_holder_seminorm(phi0, alpha, eps0).seminorm)
-    if keep_densities:
-        snaps.append(phi0)
     cur = phi0
     for k in range(1, n + 1):
         cur = operator(float(gammas[k - 1])).apply(cur)
@@ -165,8 +159,7 @@ def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
         steps=np.array(steps), masses=np.array(masses),
         distances=np.array(dists) if reference is not None else None,
         seminorms=np.array(semis) if track_seminorm else None,
-        final=GridDensity(np.clip(cur.values, 0.0, None)),
-        checkpoints=tuple(snaps))
+        final=GridDensity(np.clip(cur.values, 0.0, None)))
 
 
 def post_transient_worst(distances: np.ndarray) -> tuple:

@@ -131,24 +131,11 @@ def operator_cache(family: MapFamily, n_cells: int, quadrature: int = 32,
     return operator
 
 
-def apply_sequence(ops: Sequence[UlamOperator], phi: GridDensity,
-                   record_every: Optional[int] = None):
-    """Compose operators in time order: L_{gamma_n} ... L_{gamma_1} phi.
-
-    With `record_every`, a list of intermediate densities (including start
-    and end) is returned alongside the result.
-    """
-    snapshots = []
-    out = phi
-    if record_every:
-        snapshots.append(out)
-    for k, op in enumerate(ops, start=1):
-        out = op.apply(out)
-        if record_every and k % record_every == 0:
-            snapshots.append(out)
-    if record_every:
-        return out, snapshots
-    return out
+def apply_sequence(ops: Sequence[UlamOperator], phi: GridDensity) -> GridDensity:
+    """Compose operators in time order: L_{gamma_n} ... L_{gamma_1} phi."""
+    for op in ops:
+        phi = op.apply(phi)
+    return phi
 
 
 # --- averaging over a perturbation law -----------------------------------

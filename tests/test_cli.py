@@ -1,10 +1,18 @@
 import hashlib
+import inspect
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from nonstat_dyn.cli import main, random_step_density
+from nonstat_dyn.cli import (EXPERIMENTS, build_parser, main,
+                             random_step_density)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def artifact_hashes(outdir):
@@ -80,13 +88,49 @@ def test_reruns_byte_identical(tmp_path):
 
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "exp.ini"
-    cfg.write_text("[common]\nfamily = doubling\ncells = 64\n"
+    cfg.write_text("[common]\nfamily = doubling\ncells = 64\nseed = 3\n"
                    "[invariant]\ngamma = 0.0\n")
     out = tmp_path / "cfgrun"
     assert main(["invariant", "--config", str(cfg), "--cells", "32",
                  "--out", str(out)]) == 0
     manifest = json.load(open(out / "run_manifest.json"))
     assert manifest["config"]["cells"] == 32  # flags win
+    assert "seed" not in manifest["config"]  # invariant takes no seed
+
+
+def test_flag_of_another_experiment_is_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["adversarial", "--family", "doubling",
+              "--out", str(tmp_path / "adv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "adv").exists()
+
+
+@pytest.mark.parametrize("entry,named", [
+    ("n = 5", "['n']"),              # a flag of other experiments only
+    ("cells = many", "cells = 'many'"),
+])
+def test_bad_config_entry_is_config_error(tmp_path, capsys, entry, named):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[invariant]\n{entry}\n")
+    status = main(["invariant", "--config", str(cfg),
+                   "--out", str(tmp_path / "bad")])
+    assert status == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+def test_config_values_typed_like_flags(tmp_path):
+    cfg = tmp_path / "typed.ini"
+    cfg.write_text("[invariant]\ncells = 64\n")
+    a, b = tmp_path / "ini", tmp_path / "flag"
+    assert main(["invariant", "--config", str(cfg), "--out", str(a)]) == 0
+    assert main(["invariant", "--cells", "64", "--out", str(b)]) == 0
+    ma = json.load(open(a / "run_manifest.json"))
+    mb = json.load(open(b / "run_manifest.json"))
+    assert ma["config"] == mb["config"] == {"experiment": "invariant",
+                                           "cells": 64}
+    assert ma["run_id"] == mb["run_id"]
 
 
 def test_misspelt_config_key_is_config_error(tmp_path, capsys):
@@ -136,6 +180,24 @@ def test_network_reads_family_parameters(tmp_path):
                      "--n", "20", "--out", str(out)]) == 0
         return json.load(open(out / "network_summary.json"))["data"]["max_distance"]
     assert max_distance("0.3") != max_distance("0.7")
+
+
+def test_readme_commands_parse():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(l) for l in lines if l.startswith("nonstat-dyn ")]
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
+
+
+def test_flags_have_scalar_defaults():
+    for runner in EXPERIMENTS.values():
+        params = inspect.signature(runner).parameters.values()
+        for p in params:
+            if p.kind is p.KEYWORD_ONLY:
+                assert type(p.default) in (int, float, str), (runner, p.name)
 
 
 def test_random_step_density_properties():

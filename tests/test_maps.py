@@ -110,6 +110,18 @@ def test_preimage_roundtrip_all_families(name):
                 assert min(abs(fy - x), 1 - abs(fy - x)) < 1e-10
 
 
+@pytest.mark.parametrize("name,gamma", [("pm", 0.05), ("pm", 0.3),
+                                        ("circle", 0.3)])
+def test_preimages_of_branch_ends(name, gamma):
+    # these instances have a branch starting where the lift crosses an
+    # integer, so round-off leaves the root finder with no sign change
+    inst = instantiate(ALL_FAMILIES[name][0], gamma)
+    for x in np.linspace(0.0, 1.0, 200, endpoint=False):
+        for br in inst.branches:
+            if br.covers(float(x)):
+                assert abs(br.forward(br.inverse(float(x))) - x) <= 1e-10
+
+
 @pytest.mark.parametrize("name", sorted(ALL_FAMILIES))
 def test_expansion_hypothesis_all_families(name):
     fam, gammas = ALL_FAMILIES[name]
