@@ -10,7 +10,7 @@ import numpy as np
 
 from .densities import (DEFAULT_EPS0, GridDensity, cell_centers,
                         quasi_holder_seminorm)
-from .maps import MapFamily, instantiate
+from .maps import MapFamily, instantiate, mod1
 from .seeding import substream
 from .sequences import _as_gammas
 from .transfer import CACHE_SIZE, operator_cache
@@ -69,8 +69,8 @@ def observable(name: str, n_cells: int) -> Observable:
 def _step_points(instance_cache, gamma, x, dither: float, rng) -> np.ndarray:
     fx = instance_cache(gamma).evaluate(x)
     if dither > 0:
-        fx = fx + rng.uniform(-0.5 * dither, 0.5 * dither, x.shape)
-    return fx % 1.0
+        fx += rng.uniform(-0.5 * dither, 0.5 * dither, x.shape)
+    return mod1(fx)
 
 
 def _instance_cache(family: MapFamily):
@@ -342,11 +342,11 @@ def lp_distance(empirical, mu_ref: GridDensity, ball_count: int = 64,
         raise ValueError("ball_count must be at least 8")
     if isinstance(empirical, tuple):
         points, weights = empirical
-        points = np.asarray(points, dtype=float) % 1.0
+        points = mod1(np.asarray(points, dtype=float))
         weights = np.asarray(weights, dtype=float)
         weights = weights / weights.sum()
     else:
-        points = np.asarray(empirical, dtype=float) % 1.0
+        points = mod1(np.asarray(empirical, dtype=float))
         if points.size == 0:
             raise ValueError("empirical sample must be nonempty")
         weights = np.full(points.size, 1.0 / points.size)

@@ -212,8 +212,8 @@ def run_adversarial(writer: ArtifactWriter, *, kappa=0.5, eps=0.1, n=10000,
 
 def run_birkhoff(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                  b0=0.4, gamma_hat=0.1, delta=0.01, cells=1024, n=100000,
-                 points=100, seed=0, band_eps=0.05, psi="x", covariance="0",
-                 i_max=4, j_max=14, ensemble=10000, lp="0", balls=64) -> int:
+                 points=100, seed=0, band_eps=0.05, psi="x", covariance=0,
+                 i_max=4, j_max=14, ensemble=10000, lp=0, balls=64) -> int:
     family = _family(family, kappa, b0)
     psi = observable(psi, cells)
     seq = ParameterSequence.iid(gamma_hat, delta, seed)
@@ -234,7 +234,7 @@ def run_birkhoff(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
         "pass_fraction": check.fraction,
         "wilson": list(check.wilson), "n": n, "points": points,
     })
-    if covariance not in ("0", "false", "False"):
+    if covariance:
         window = (i_max, j_max)
         cov = covariance_decay(family, seq, psi, window, ensemble=ensemble,
                                seed=seed)
@@ -247,7 +247,7 @@ def run_birkhoff(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
             "verdict": lln.verdict, "q_fit": cov.q_fit, "c_fit": cov.c_fit,
             "partial_sum": lln.partial_sum, "closed_form": lln.closed_form,
         })
-    if lp not in ("0", "false", "False"):
+    if lp:
         rng = substream(seed, "lp-orbit-start")
         orbit = orbit_points(family, seq, rng.uniform(0, 1, 1), n, seed=seed)
         report = lp_distance(orbit[:, 0], phi_hat, ball_count=balls)
@@ -427,12 +427,24 @@ def load_config(path: str | None, section: str) -> dict:
     return cfg
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reports a flag its experiment does not take with its own usage line;
+    argparse would pass it up to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonstat-dyn",
         description="Transfer-operator experiments for nonautonomously "
                     "perturbed expanding maps")
-    sub = parser.add_subparsers(dest="experiment", required=True)
+    sub = parser.add_subparsers(dest="experiment", required=True,
+                                parser_class=_SubcommandParser)
     for kind in EXPERIMENTS:
         p = sub.add_parser(kind)
         p.add_argument("--config", default=None, help="INI config file")

@@ -11,6 +11,7 @@ from .seeding import substream
 from .transfer import UlamOperator
 
 PROPORTIONAL_TOL = 1e-12
+GATHER_BLOCK = 1 << 15   # cell pairs per gathered block: 256 KiB per array
 
 
 @dataclass(frozen=True)
@@ -61,11 +62,23 @@ def _offsets(n: int, rho0: float, circle: bool, strict: bool) -> np.ndarray:
     return np.arange(1, k_max + 1)
 
 
-def _pair_values(values: np.ndarray, k: int, circle: bool):
-    """(v at x, v at y) for all pairs with y = x + k cells."""
-    if circle:
-        return values, np.roll(values, -k)
-    return values[:-k], values[k:]
+def _partner_blocks(n: int, shifts: np.ndarray, circle: bool):
+    """Blocks of at most GATHER_BLOCK pairs (x, y = x + shift cells), one
+    row per shift: yields (rows, partner, valid) with partner[r, i] the
+    cell paired with cell i. On the circle partners wrap and valid is
+    None. On the interval partners past an end are clipped to it and
+    valid marks the pairs inside [0, n); callers drop the rest, so the
+    pairs are exactly those of one slice per offset."""
+    cells = np.arange(n)
+    step = max(1, GATHER_BLOCK // n)
+    for lo in range(0, len(shifts), step):
+        rows = slice(lo, lo + step)
+        partner = cells + shifts[rows, None]
+        if circle:
+            yield rows, np.remainder(partner, n, out=partner), None
+        else:
+            valid = (partner >= 0) & (partner < n)
+            yield rows, np.clip(partner, 0, n - 1, out=partner), valid
 
 
 def log_holder_constant(phi: GridDensity, nu: float, rho0: float) -> float:
@@ -74,11 +87,16 @@ def log_holder_constant(phi: GridDensity, nu: float, rho0: float) -> float:
         return np.inf
     logs = np.log(phi.values)
     n = phi.n_cells
+    ks = _offsets(n, rho0, phi.circle, strict=False)
+    # scalar powers, one per offset: an array power may round differently
+    scale = np.array([(min(k / n, 1.0 - k / n) if phi.circle else k / n) ** nu
+                      for k in ks])
     worst = 0.0
-    for k in _offsets(n, rho0, phi.circle, strict=False):
-        d = min(k / n, 1.0 - k / n) if phi.circle else k / n
-        a, b = _pair_values(logs, int(k), phi.circle)
-        worst = max(worst, float(np.max(np.abs(a - b))) / d ** nu)
+    for rows, partner, valid in _partner_blocks(n, ks, phi.circle):
+        gaps = np.abs(logs - logs[partner])
+        if valid is not None:
+            gaps[~valid] = 0.0
+        worst = max(worst, np.max(gaps.max(axis=1) / scale[rows]))
     return worst
 
 
@@ -111,31 +129,32 @@ def _holder_alpha(phi1: GridDensity, phi2: GridDensity, cone: ConeParams) -> flo
     v1, v2 = phi1.values, phi2.values
     n = phi1.n_cells
     alpha = float(np.min(v2 / v1))
+    # scalar exp and power, one per offset: array ones may round differently
+    ks, factors = [], []
     for k in _offsets(n, cone.rho0, phi1.circle, strict=True):
         d = min(k / n, 1.0 - k / n) if phi1.circle else k / n
-        if d <= 0 or d >= cone.rho0:
-            continue
-        e = np.exp(cone.a * d ** cone.nu)
-        for sign in (1, -1):
-            kk = int(k) * sign
-            if phi1.circle:
-                x1, y1 = v1, np.roll(v1, -kk)
-                x2, y2 = v2, np.roll(v2, -kk)
-            else:
-                if sign == 1:
-                    x1, y1, x2, y2 = v1[:-k], v1[k:], v2[:-k], v2[k:]
-                else:
-                    x1, y1, x2, y2 = v1[k:], v1[:-k], v2[k:], v2[:-k]
-            den = e * x1 - y1
-            num = e * x2 - y2
-            # vanishing denominators with positive numerators give +inf
-            # ratios and never bind the infimum; negative numerators there
-            # mean phi2 leaves the cone, i.e. alpha <= 0
-            mask = den > PROPORTIONAL_TOL
-            if np.any(mask):
-                alpha = min(alpha, float(np.min(num[mask] / den[mask])))
-            if np.any((~mask) & (num < -PROPORTIONAL_TOL)):
-                return 0.0
+        if 0 < d < cone.rho0:
+            ks.append(int(k))
+            factors.append(np.exp(cone.a * d ** cone.nu))
+    # every offset in both directions: y = x + k and y = x - k cells
+    shifts = np.array(ks + [-k for k in ks], dtype=np.int64)
+    factors = np.array(factors + factors)
+    for rows, partner, valid in _partner_blocks(n, shifts, phi1.circle):
+        e = factors[rows, None]
+        den = e * v1 - v1[partner]
+        num = e * v2 - v2[partner]
+        # vanishing denominators with positive numerators give +inf ratios
+        # and never bind the infimum; negative numerators there mean phi2
+        # leaves the cone, i.e. alpha <= 0
+        mask = den > PROPORTIONAL_TOL
+        bad = ~mask & (num < -PROPORTIONAL_TOL)
+        if valid is not None:
+            mask &= valid
+            bad &= valid
+        if np.any(bad):
+            return 0.0
+        if np.any(mask):
+            alpha = min(alpha, float(np.min(num[mask] / den[mask])))
     return alpha
 
 

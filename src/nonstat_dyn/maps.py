@@ -19,6 +19,19 @@ BISECT_TOL = 1e-13
 MIN_BRANCH_WIDTH = 1e-12
 
 
+def mod1(y):
+    """y mod 1 as y - floor(y).
+
+    For float64 this equals `y % 1.0` bit for bit: integers and -0.0 give
+    +0.0, and a tiny negative such as -1e-17 gives 1.0 in both forms,
+    since y + 1 rounds up. The difference is written over the floor, so an
+    array costs one allocation, and it takes a fraction of the time of `%`.
+    """
+    floor = np.floor(y)
+    return np.subtract(y, floor,
+                       out=floor if isinstance(floor, np.ndarray) else None)
+
+
 def circle_distance(x, y):
     d = np.abs(np.asarray(x, dtype=float) - y)
     return np.minimum(d, 1.0 - d)
@@ -111,7 +124,7 @@ class MapInstance:
         """Vectorized map evaluation, values in [0, 1)."""
         x = np.asarray(x, dtype=float)
         if len(self.pieces) == 1:
-            return self.pieces[0].lift(x) % 1.0
+            return mod1(self.pieces[0].lift(x))
         uppers = np.array([p.hi for p in self.pieces[:-1]])
         idx = np.searchsorted(uppers, x, side="right")
         out = np.empty_like(x)
@@ -119,7 +132,7 @@ class MapInstance:
             mask = idx == k
             if np.any(mask):
                 out[mask] = p.lift(x[mask])
-        return out % 1.0
+        return mod1(out)
 
     def min_abs_derivative(self, n_grid: int = 4096) -> float:
         best = np.inf

@@ -7,7 +7,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .densities import GridDensity
-from .maps import MapInstance
+from .maps import MapInstance, mod1
 from .seeding import substream
 from .transfer import build_ulam, fixed_density
 
@@ -143,27 +143,47 @@ class NetworkSystem:
                 f"= {budget:.4g} <= 1; reduce alpha_c")
 
 
+def _diffusive_sum(x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Rows of sum_j A_ij sin(2 pi (x_j - x_i)) / (2 pi).
+
+    The sine is expanded so the pairwise sum becomes two node-space matmuls
+    instead of an (ensemble, n, n) tensor. The in-place steps evaluate
+    (c * (s @ A.T) - s * (c @ A.T)) / TWO_PI in that order, with
+    s, c = sin, cos(2 pi x)."""
+    c = TWO_PI * x
+    s = np.sin(c)
+    np.cos(c, out=c)
+    total = s @ A.T
+    total *= c
+    cos_sum = c @ A.T
+    cos_sum *= s
+    total -= cos_sum
+    total /= TWO_PI
+    return total
+
+
 def step_network(system: NetworkSystem, state: np.ndarray, t: int,
                  schedule: AdjacencySchedule) -> np.ndarray:
     """One synchronous update x_i <- f(x_i) + alpha_c sum_j A_ij(t) h(x_j, x_i), mod 1.
 
     `state` has shape (n_nodes,) or (ensemble, n_nodes)."""
     x = np.atleast_2d(np.asarray(state, dtype=float))
-    fx = system.node_map.evaluate(x.ravel()).reshape(x.shape)
-    if system.alpha_c != 0.0 and system.h is not None:
+    coupled = system.alpha_c != 0.0 and system.h is not None
+    if coupled:
+        # summed before f(x) is evaluated, so that at most five
+        # ensemble-sized arrays are alive at once
         A = schedule.matrix_at(t).astype(float)
         if system.h is diffusive_coupling:
-            # sin(2 pi (xj - xi)) expanded so the pairwise sum becomes two
-            # node-space matmuls instead of an (ensemble, n, n) tensor
-            s = np.sin(TWO_PI * x)
-            c = np.cos(TWO_PI * x)
-            coupling = (c * (s @ A.T) - s * (c @ A.T)) / TWO_PI
+            coupling = _diffusive_sum(x, A)
         else:
             xj = x[:, None, :]                  # broadcast as h's first slot
             xi = x[:, :, None]
             coupling = np.einsum("ij,eij->ei", A, system.h(xj, xi))
-        fx = fx + system.alpha_c * coupling
-    out = fx % 1.0
+        coupling *= system.alpha_c
+    fx = system.node_map.evaluate(x.ravel()).reshape(x.shape)
+    if coupled:
+        fx += coupling
+    out = mod1(fx)
     return out if np.asarray(state).ndim == 2 else out[0]
 
 
@@ -218,7 +238,8 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
     for t in range(n_steps):
         x = step_network(system, x, t, schedule)
         if dither > 0:
-            x = (x + rng.uniform(-0.5 * dither, 0.5 * dither, x.shape)) % 1.0
+            x += rng.uniform(-0.5 * dither, 0.5 * dither, x.shape)
+            x = mod1(x)
         if (t + 1) % checkpoint_every == 0 or t + 1 == n_steps:
             record(t + 1, x)
     counts = np.array(counts)

@@ -106,6 +106,36 @@ def test_flag_of_another_experiment_is_usage_error(tmp_path):
     assert not (tmp_path / "adv").exists()
 
 
+def test_unknown_flag_reported_with_subcommand_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["adversarial", "--family", "doubling"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nonstat-dyn adversarial ")
+    assert "--first-gap" in err
+    assert "unrecognized arguments: --family doubling" in err
+
+
+def test_birkhoff_switches_are_int_flags(tmp_path):
+    for argv in (["--covariance", "no"], ["--lp", "off"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["birkhoff", *argv, "--out", str(tmp_path / "b")])
+        assert exc.value.code == 2
+    assert not (tmp_path / "b").exists()
+    out = tmp_path / "off"
+    assert main(["birkhoff", "--n", "200", "--points", "5", "--cells", "64",
+                 "--covariance", "0", "--lp", "0", "--out", str(out)]) == 0
+    assert sorted(artifact_hashes(out)) == ["birkhoff_averages.csv",
+                                            "birkhoff_band.json"]
+    on = tmp_path / "on"
+    assert main(["birkhoff", "--n", "200", "--points", "5", "--cells", "64",
+                 "--covariance", "1", "--ensemble", "200", "--j-max", "4",
+                 "--lp", "1", "--out", str(on)]) == 0
+    assert sorted(artifact_hashes(on)) == [
+        "birkhoff_averages.csv", "birkhoff_band.json", "covariance.csv",
+        "lln_verdict.json", "lp_estimate.json"]
+
+
 @pytest.mark.parametrize("entry,named", [
     ("n = 5", "['n']"),              # a flag of other experiments only
     ("cells = many", "cells = 'many'"),

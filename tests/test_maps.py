@@ -6,8 +6,8 @@ from nonstat_dyn.birkhoff import orbit_points
 from nonstat_dyn.maps import (ExpansionError, boundary_complexity,
                               branch_preimages, breakpoint_family,
                               circle_family, doubling_family, family_by_name,
-                              instantiate, lsv_family, pm_family, tent_family,
-                              validate_family)
+                              instantiate, lsv_family, mod1, pm_family,
+                              tent_family, validate_family)
 from nonstat_dyn.sequences import ParameterSequence
 
 ALL_FAMILIES = {
@@ -216,3 +216,20 @@ def test_tent_has_decreasing_branch():
     inst = instantiate(tent_family(), 0.0)
     assert any(not br.increasing for br in inst.branches)
     assert inst.min_abs_derivative() == 2.0
+
+
+def test_mod1_matches_remainder_bitwise():
+    rng = np.random.default_rng(12)
+    edges = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 1e16, -1e16,
+                      5e-324, -5e-324, -1e-17, -1e-300, -2.0 ** -54,
+                      -2.0 ** -53, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53),
+                      0.5, -0.5, 123456.75, -123456.75])
+    values = np.concatenate([
+        edges,
+        rng.uniform(-4.0, 4.0, 400_000),
+        rng.uniform(-1e-15, 1e-15, 100_000),
+        np.ldexp(rng.uniform(-1.0, 1.0, 500_000), rng.integers(-60, 60, 500_000)),
+    ])
+    expected = (values % 1.0).view(np.uint64)
+    assert np.array_equal(mod1(values).view(np.uint64), expected)
+    assert mod1(-1e-17) == 1.0 == -1e-17 % 1.0

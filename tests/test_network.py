@@ -1,7 +1,11 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nonstat_dyn.maps import circle_family, doubling_family, instantiate
+from nonstat_dyn.maps import (circle_family, doubling_family, instantiate,
+                              pm_family)
 from nonstat_dyn.network import (NetworkSystem, diffusive_coupling,
                                  gen_schedule, histogram_noise_floor,
                                  simulate_ensemble, step_network)
@@ -137,3 +141,77 @@ def test_coupled_marginals_stay_close():
     system = NetworkSystem(node_map=node, n_nodes=8, alpha_c=0.01)
     summary = simulate_ensemble(system, sched, 2000, 500, seed=6, n_bins=32)
     assert summary.max_distance.max() < 0.15
+
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def test_coupled_ensemble_bits_pinned():
+    # digests recorded with the out-of-place step and `% 1.0` wraps; the
+    # in-place step and mod1 must not change a bit
+    node = instantiate(doubling_family(), 0.0)
+    sched = gen_schedule("bursty", 4, horizon=200, seed=3, p=0.9,
+                         fail_rate=0.05)
+    system = NetworkSystem(node_map=node, n_nodes=4, alpha_c=0.05)
+    summary = simulate_ensemble(system, sched, 500, 200, seed=3, n_bins=16)
+    assert summary.counts.shape == (20, 4, 16)
+    assert digest(summary.counts) == (
+        "48b37250a22d43870a734b47f08590cd38c2ee35cfd572dce700706557ed2e8b")
+    assert digest(summary.distances) == (
+        "b14787e0c7b5f339512465ff05fe1c157106801485285ad2de9961b6b513a9f6")
+
+
+@pytest.mark.parametrize("h_name,expected", [
+    ("diffusive",
+     "3fc1056df50906e1a5ce44721e22128ebd350a98c7884dd69bad3c9b14ded92d"),
+    ("generic",
+     "e03e57e53a08b035e1c222a20168e4b3ceae91455c4e31c5afe58a674ca53567"),
+])
+def test_step_states_bits_pinned(h_name, expected):
+    # "generic" is the same sine coupling as another function, which takes
+    # the einsum branch instead of the two-matmul one
+    kwargs = {}
+    if h_name == "generic":
+        kwargs = {"h": lambda xj, xi: np.sin(2 * np.pi * (xj - xi)) / (2 * np.pi),
+                  "h_name": "sine"}
+    system = NetworkSystem(node_map=instantiate(pm_family(0.5), 0.1),
+                           n_nodes=4, alpha_c=0.02, **kwargs)
+    sched = gen_schedule("bursty", 4, horizon=30, seed=4, p=0.8, fail_rate=0.2)
+    x = substream(4, "pin").uniform(0.0, 1.0, (50, 4))
+    states = []
+    for t in range(30):
+        x = step_network(system, x, t, sched)
+        states.append(x)
+    assert digest(np.array(states)) == expected
+
+
+def test_diffusive_step_equals_expression():
+    node = instantiate(pm_family(0.5), 0.1)
+    sched = gen_schedule("bursty", 5, horizon=4, seed=8, p=0.8, fail_rate=0.3)
+    system = NetworkSystem(node_map=node, n_nodes=5, alpha_c=0.02)
+    x = substream(8, "expr").uniform(0.0, 1.0, (300, 5))
+    for t in range(4):
+        A = sched.matrix_at(t).astype(float)
+        s, c = np.sin(2 * np.pi * x), np.cos(2 * np.pi * x)
+        coupling = (c * (s @ A.T) - s * (c @ A.T)) / (2 * np.pi)
+        want = (node.evaluate(x.ravel()).reshape(x.shape)
+                + 0.02 * coupling) % 1.0
+        got = step_network(system, x, t, sched)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        x = got
+
+
+def test_ensemble_memory_bounded():
+    # 10^4 x 8 states are 625 KiB; the out-of-place step peaked at 3.7 MiB
+    node = instantiate(doubling_family(), 0.0)
+    sched = gen_schedule("bursty", 8, horizon=40, seed=1)
+    system = NetworkSystem(node_map=node, n_nodes=8, alpha_c=0.01)
+    tracemalloc.start()
+    try:
+        simulate_ensemble(system, sched, 10_000, 40, seed=1,
+                          checkpoint_every=40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.7 * 2 ** 20
