@@ -14,6 +14,11 @@ PROPORTIONAL_TOL = 1e-12
 GATHER_BLOCK = 1 << 15   # cell pairs per gathered block: 256 KiB per array
 
 
+class ConeExitError(ArithmeticError):
+    """Every sampled pair's images left the cone, so no contraction ratio
+    can be measured."""
+
+
 @dataclass(frozen=True)
 class ConeParams:
     """Cone of positive functions whose logarithm is locally nu-Holder with
@@ -291,8 +296,12 @@ def contraction_and_diameter(ops: Sequence[UlamOperator], cone: ConeParams,
             diameter = max(diameter, after.theta)
             worst_ratio = max(worst_ratio, after.theta / theta_in)
         per_op.append(worst_ratio)
-    if used == 0:
+    if not pair_list:
         raise ValueError("no valid pairs: all sampled pairs were proportional")
+    if used == 0:
+        raise ConeExitError(
+            f"no finite image distances: all {len(pair_list)} sampled pairs "
+            "left the cone under every operator (infinite Hilbert distance)")
     q_hat = max(per_op)
     bound_ok = q_hat <= 1.0 - np.exp(-diameter) + tolerance
     return ContractionReport(q_hat=q_hat, diameter_hat=diameter,

@@ -36,6 +36,18 @@ class GridDensity:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _trusted(cls, values: np.ndarray, circle: bool = True,
+                 density: bool = True) -> "GridDensity":
+        """Wrap a fresh, valid 1-D float array computed in this package and
+        owned by the caller: no copy and no sign scan."""
+        values.flags.writeable = False
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "values", values)
+        object.__setattr__(phi, "circle", circle)
+        object.__setattr__(phi, "density", density)
+        return phi
+
     @property
     def n_cells(self) -> int:
         return self.values.size

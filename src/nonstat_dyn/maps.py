@@ -98,11 +98,14 @@ class MapFamily:
     `gamma_range` is the declared uniformly-expanding range; parameters in
     `structural_range` outside it can only be instantiated with the unsafe
     flag (used by the alternating-perturbation counterexample).
+    `min_expansion(gamma)` is min |F_gamma'| in closed form, exact on the
+    structural range; it decides uniform expansion.
     """
 
     name: str
     gamma_range: tuple
     pieces_for: Callable[[float], Sequence[Piece]]
+    min_expansion: Callable[[float], float]
     holder_exponent: float = 1.0
     eps0: float = 0.05
     structural_range: Optional[tuple] = None
@@ -134,16 +137,9 @@ class MapInstance:
                 out[mask] = p.lift(x[mask])
         return mod1(out)
 
-    def min_abs_derivative(self, n_grid: int = 4096) -> float:
-        best = np.inf
-        for p in self.pieces:
-            xs = np.linspace(p.lo, p.hi, n_grid, endpoint=False)
-            best = min(best, float(np.min(np.abs(p.dlift(xs)))))
-        return best
-
-    def contraction_factor(self, n_grid: int = 4096) -> float:
+    def contraction_factor(self) -> float:
         """sup over the domain of 1/|F'|; below one iff uniformly expanding."""
-        return 1.0 / self.min_abs_derivative(n_grid)
+        return 1.0 / self.family.min_expansion(self.gamma)
 
 
 # --- instantiation -------------------------------------------------------
@@ -223,7 +219,7 @@ def instantiate(family: MapFamily, gamma: float, unsafe: bool = False) -> MapIns
     instance = MapInstance(family=family, gamma=gamma, pieces=pieces,
                            unsafe=unsafe and not in_range)
     if not unsafe:
-        min_d = instance.min_abs_derivative()
+        min_d = family.min_expansion(gamma)
         if min_d <= 1.0 or not in_range:
             raise ExpansionError(
                 f"{family.name}: uniform expansion hypothesis violated at "
@@ -264,7 +260,9 @@ def doubling_family(gamma_lo: float = -0.9, gamma_hi: float = 2.0) -> MapFamily:
                       lambda x, a=a: np.full_like(np.asarray(x, dtype=float), a),
                       affine=(a, 0.0))]
     return MapFamily(name="doubling", gamma_range=(gamma_lo, gamma_hi),
-                     pieces_for=pieces_for, holder_exponent=1.0)
+                     pieces_for=pieces_for,
+                     min_expansion=lambda gamma: abs(2.0 + gamma),
+                     holder_exponent=1.0)
 
 
 def pm_family(kappa: float = 0.5, gamma_min: float = 1e-6,
@@ -295,7 +293,9 @@ def pm_family(kappa: float = 0.5, gamma_min: float = 1e-6,
 
     return MapFamily(name=f"pm(kappa={kappa})",
                      gamma_range=(gamma_min, gamma_max),
-                     pieces_for=pieces_for, holder_exponent=kappa,
+                     pieces_for=pieces_for,
+                     min_expansion=lambda gamma: 1.0 + gamma,   # f'(0)
+                     holder_exponent=kappa,
                      structural_range=(-0.99, gamma_max))
 
 
@@ -331,7 +331,9 @@ def lsv_family(kappa: float = 0.5, gamma_min: float = 1e-6,
 
     return MapFamily(name=f"lsv(kappa={kappa})",
                      gamma_range=(gamma_min, gamma_max),
-                     pieces_for=pieces_for, holder_exponent=kappa,
+                     pieces_for=pieces_for,
+                     min_expansion=lambda gamma: 1.0 + gamma,   # f'(0)
+                     holder_exponent=kappa,
                      structural_range=(-0.99, gamma_max))
 
 
@@ -358,8 +360,13 @@ def breakpoint_family(b0: float = 0.4) -> MapFamily:
                   affine=(a2, -a2 * b)),
         ]
 
+    def min_expansion(gamma):
+        b = b0 + gamma
+        return min(1.0 / b, 1.0 / (1.0 - b))
+
     return MapFamily(name=f"breakpoint(b0={b0})", gamma_range=(lo, hi),
-                     pieces_for=pieces_for, holder_exponent=1.0)
+                     pieces_for=pieces_for, min_expansion=min_expansion,
+                     holder_exponent=1.0)
 
 
 def tent_family() -> MapFamily:
@@ -376,6 +383,7 @@ def tent_family() -> MapFamily:
                   affine=(-2.0 * top, 2.0 * top)),
         ]
     return MapFamily(name="tent", gamma_range=(-0.5, 0.5), pieces_for=pieces_for,
+                     min_expansion=lambda gamma: abs(2.0 + gamma),
                      holder_exponent=1.0)
 
 
@@ -398,7 +406,9 @@ def circle_family(gamma_abs_max: float = 0.95) -> MapFamily:
         return [Piece(0.0, 1.0, lift, dlift)]
 
     return MapFamily(name="circle", gamma_range=(-gamma_abs_max, gamma_abs_max),
-                     pieces_for=pieces_for, holder_exponent=1.0)
+                     pieces_for=pieces_for,
+                     min_expansion=lambda gamma: 2.0 - abs(gamma),
+                     holder_exponent=1.0)
 
 
 BUILTIN_FAMILIES = {
@@ -478,7 +488,7 @@ def validate_family(family: MapFamily, gamma1: float, gamma2: float,
     alpha = min(family.holder_exponent, 1.0)
     distortion = max(_distortion_estimate(inst1, alpha),
                      _distortion_estimate(inst2, alpha))
-    s_pair = (inst1.contraction_factor(grid), inst2.contraction_factor(grid))
+    s_pair = (inst1.contraction_factor(), inst2.contraction_factor())
     return ValidationReport(c1_distance=c1, domain_symdiff=symdiff,
                             distortion_c=distortion, s_gamma=s_pair,
                             piece_count=len(inst1.pieces))

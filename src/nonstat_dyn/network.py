@@ -135,7 +135,7 @@ class NetworkSystem:
         if self.h_name == "zero":
             object.__setattr__(self, "h", None)
             return
-        min_deriv = self.node_map.min_abs_derivative()
+        min_deriv = self.node_map.family.min_expansion(self.node_map.gamma)
         budget = min_deriv - abs(self.alpha_c) * (self.n_nodes - 1) * self.lip_h
         if budget <= 1.0:
             raise ValueError(

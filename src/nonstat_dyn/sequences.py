@@ -144,7 +144,8 @@ def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
             dists.append(float(np.mean(np.abs(vals - reference.values))))
         if track_seminorm:
             semis.append(quasi_holder_seminorm(
-                GridDensity(np.clip(vals, 0.0, None)), alpha, eps0).seminorm)
+                GridDensity._trusted(np.clip(vals, 0.0, None)), alpha,
+                eps0).seminorm)
 
     if reference is not None:
         dists.append(float(np.mean(np.abs(phi0.values - reference.values))))
@@ -159,7 +160,7 @@ def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
         steps=np.array(steps), masses=np.array(masses),
         distances=np.array(dists) if reference is not None else None,
         seminorms=np.array(semis) if track_seminorm else None,
-        final=GridDensity(np.clip(cur.values, 0.0, None)))
+        final=GridDensity._trusted(np.clip(cur.values, 0.0, None)))
 
 
 def post_transient_worst(distances: np.ndarray) -> tuple:

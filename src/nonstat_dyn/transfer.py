@@ -26,6 +26,12 @@ class NonConvergenceError(RuntimeError):
     """An iterative solver failed to reach the requested tolerance."""
 
 
+def _freeze(mat: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.flags.writeable = False
+    return mat
+
+
 @dataclass(frozen=True)
 class UlamOperator:
     """Finite-rank transfer operator on cell averages.
@@ -46,9 +52,18 @@ class UlamOperator:
         mat.sum_duplicates()
         if np.any(mat.data < 0):
             raise ValueError("operator matrix must be entrywise nonnegative")
-        for arr in (mat.data, mat.indices, mat.indptr):
-            arr.flags.writeable = False
+        _freeze(mat)
         object.__setattr__(self, "matrix", mat)
+
+    @classmethod
+    def _trusted(cls, matrix: scipy.sparse.csr_array,
+                 provenance: str) -> "UlamOperator":
+        """Wrap a square, canonical, nonnegative CSR matrix built in this
+        package and owned by the caller: no copy and no re-validation."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "matrix", _freeze(matrix))
+        object.__setattr__(op, "provenance", provenance)
+        return op
 
     @property
     def n_cells(self) -> int:
@@ -58,11 +73,20 @@ class UlamOperator:
         if phi.n_cells != self.n_cells:
             raise GridMismatchError(
                 f"grid mismatch: operator {self.n_cells}, density {phi.n_cells}")
-        return GridDensity(self.matrix @ phi.values, circle=phi.circle,
-                           density=phi.density)
+        # the product is fresh, and nonnegative whenever phi is
+        return GridDensity._trusted(self.matrix @ phi.values, circle=phi.circle,
+                                    density=phi.density)
 
     def column_sum_error(self) -> float:
         return float(np.max(np.abs(self.matrix.sum(axis=0) - 1.0)))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _chord_grid(nq: int) -> np.ndarray:
+    """Read-only k / nq for k = 0..nq; each piece's chord nodes are a slice."""
+    grid = np.arange(nq + 1) / nq
+    grid.flags.writeable = False
+    return grid
 
 
 def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> UlamOperator:
@@ -73,20 +97,24 @@ def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> Ula
     n_cells times the measure of the points of cell j whose interpolated
     image lies in cell i (mod 1), computed exactly by cutting each piece at
     the cell edges and at the interpolant's preimages of the cell edges.
-    The rule is exact for affine branches, columns sum to one, and entries
-    are continuous in the map parameter, unlike point binning.
+    Both cut lists are sorted, so one merge labels every interval: each
+    cell edge passed moves it to the next source cell, each level passed to
+    the next target cell.  The rule is exact for affine branches, columns
+    sum to one, and entries are continuous in the map parameter, unlike
+    point binning.
     """
     if n_cells < 2:
         raise ValueError("n_cells must be at least 2")
     if quadrature < 1:
         raise ValueError("quadrature must be at least 1")
     n, nq = n_cells, n_cells * quadrature
-    targets, sources, weights = [], [], []
+    grid = _chord_grid(nq)
+    keys, weights = [], []
     for piece in instance.pieces:
         # chord nodes: the n*quadrature grid inside the piece plus its ends
         k0 = int(np.ceil(piece.lo * nq - 1e-12))
         k1 = int(np.floor(piece.hi * nq + 1e-12))
-        inner = np.arange(k0, k1 + 1) / nq
+        inner = grid[k0:k1 + 1]
         chunks = [inner]
         if inner.size == 0 or piece.lo < inner[0] - 1e-15:
             chunks.insert(0, np.array([piece.lo]))
@@ -100,24 +128,35 @@ def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> Ula
         preimages = (np.interp(levels, ys, xs) if up
                      else np.interp(levels, ys[::-1], xs[::-1]))
         edges = np.arange(np.floor(xs[0] * n) + 1.0, np.ceil(xs[-1] * n)) / n
-        cuts = np.sort(np.concatenate([xs[:1], edges, xs[-1:], preimages]))
+        inner_cuts = np.concatenate([edges, preimages])
+        order = np.argsort(inner_cuts, kind="stable")
+        cuts = np.concatenate([xs[:1], inner_cuts[order], xs[-1:]])
         width = np.diff(cuts)
         keep = width > 1e-15
-        mid = 0.5 * (cuts[:-1] + cuts[1:])[keep]
-        sources.append(np.minimum((mid * n).astype(np.int64), n - 1))
-        targets.append(np.floor(np.interp(mid, xs, ys)).astype(np.int64) % n)
+        # key = target * n + source of each interval before wrapping the
+        # target mod n: an edge adds 1, a level n (or -n on a decreasing piece)
+        target = int(np.floor(ys[0]) if up else np.ceil(ys[0]) - 1.0)
+        step = np.where(order < edges.size, 1, n if up else -n)
+        key = np.concatenate(([0], np.cumsum(step)))
+        key += target * n + int(np.floor(xs[0] * n))
+        keys.append(key[keep])
         weights.append(width[keep] * n)
-    # sum entries met more than once (cells straddling a piece boundary)
-    # and lay them out row by row
-    keys, where = np.unique(np.concatenate(targets) * n + np.concatenate(sources),
-                            return_inverse=True)
-    data = np.bincount(where, weights=np.concatenate(weights))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=n))))
-    mat = scipy.sparse.csr_array((data, keys % n, indptr), shape=(n, n))
+    # lay entries out row by row; an entry met more than once (a cell
+    # straddling a piece boundary) is summed in the order it was met
+    keys = np.concatenate(keys)
+    keys %= n * n
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    data = np.add.reduceat(np.concatenate(weights)[order], starts)
+    keys = keys[starts]
+    rows = keys // n
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    mat = scipy.sparse.csr_array((data, keys - rows * n, indptr), shape=(n, n))
     tag = "unsafe " if instance.unsafe else ""
     prov = (f"{tag}{instance.family.name} gamma={instance.gamma!r} "
             f"n={n_cells} chord-{quadrature}")
-    return UlamOperator(matrix=mat, provenance=prov)
+    return UlamOperator._trusted(mat, prov)
 
 
 def operator_cache(family: MapFamily, n_cells: int, quadrature: int = 32,
@@ -173,8 +212,8 @@ class AveragingLaw:
             atoms = np.asarray(self.atoms, dtype=float)
             weights = (np.full(atoms.size, 1.0 / atoms.size) if self.weights is None
                        else np.asarray(self.weights, dtype=float))
-            if abs(weights.sum() - 1.0) > 1e-12:
-                raise ValueError("atom weights must sum to 1")
+            if abs(weights.sum() - 1.0) > 1e-12 or np.any(weights < 0):
+                raise ValueError("atom weights must be nonnegative and sum to 1")
             return atoms, weights
         if self.law == "sample":
             if self.n_samples < 1:
@@ -203,7 +242,7 @@ def averaged_operator(family: MapFamily, nu: AveragingLaw, n_cells: int,
         acc = acc + w * member.matrix
     prov = (f"averaged({nu.law} center={nu.center!r} radius={nu.radius!r} "
             f"k={nodes.size}) {family.name} n={n_cells}")
-    return UlamOperator(matrix=acc, provenance=prov)
+    return UlamOperator._trusted(acc, prov)
 
 
 # --- fixed densities and spectra -----------------------------------------

@@ -194,6 +194,15 @@ def test_cone_subcommand(tmp_path):
     assert rep["contraction"]["q_hat"] < 1.0
 
 
+def test_cone_images_leaving_cone_exit_numeric_failure(tmp_path, capsys):
+    assert main(["cone", "--family", "pm", "--gamma", "0.1", "--cells", "1024",
+                 "--samples", "10", "--seed", "3",
+                 "--out", str(tmp_path / "cone")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: no finite image distances")
+    assert "left the cone" in err
+
+
 def test_ly_fit_subcommand(tmp_path):
     out = tmp_path / "ly"
     assert main(["ly-fit", "--family", "doubling", "--cells", "128",

@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nonstat_dyn.cones import (PROPORTIONAL_TOL, ConeParams, _holder_alpha,
-                               _offsets, cone_image_check, cone_membership,
-                               contraction_and_diameter, log_holder_constant,
-                               sample_cone_density, theta_holder, theta_plus)
+from nonstat_dyn.cones import (PROPORTIONAL_TOL, ConeExitError, ConeParams,
+                               _holder_alpha, _offsets, cone_image_check,
+                               cone_membership, contraction_and_diameter,
+                               log_holder_constant, sample_cone_density,
+                               theta_holder, theta_plus)
 from nonstat_dyn.densities import GridDensity
 from nonstat_dyn.maps import circle_family, doubling_family, instantiate, \
     pm_family
@@ -173,6 +174,15 @@ def test_contraction_rejects_proportional_pairs_only():
     with pytest.raises(ValueError):
         # zero pairs sampled means no usable ratios
         contraction_and_diameter([op], cone, pairs=0, seed=10)
+
+
+def test_contraction_images_leaving_cone_is_numeric_failure():
+    # every image pair has an infinite Hilbert distance: not a config error
+    op = build_ulam(instantiate(pm_family(0.5), 0.1), 1024)
+    with pytest.raises(ConeExitError, match="left the cone") as err:
+        contraction_and_diameter([op], CONE, pairs=10, seed=3)
+    assert isinstance(err.value, ArithmeticError)
+    assert not isinstance(err.value, ValueError)
 
 
 def test_theta_plus_exponential_convergence_toward_uniform():

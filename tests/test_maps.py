@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,61 @@ ALL_FAMILIES = {
     "tent": (tent_family(), (-0.1, 0.0, 0.1)),
     "circle": (circle_family(), (-0.3, 0.0, 0.3)),
 }
+
+
+def scan_min_abs_derivative(pieces, n_grid=4096):
+    """min |F'| sampled on n_grid points per piece: the oracle for the
+    closed forms that families declare as `min_expansion`."""
+    best = np.inf
+    for p in pieces:
+        xs = np.linspace(p.lo, p.hi, n_grid, endpoint=False)
+        best = min(best, float(np.min(np.abs(p.dlift(xs)))))
+    return best
+
+
+# parameters where the pieces are defined and strictly monotone, most of
+# them outside the declared expanding range
+EXPANSION_GRIDS = {
+    "doubling": (doubling_family(), np.linspace(-1.5, 3.0, 46)),
+    "pm": (pm_family(0.5), np.linspace(-0.99, 1.5, 84)),
+    "pm_kappa": (pm_family(0.3), np.linspace(-0.99, 1.5, 84)),
+    "lsv": (lsv_family(0.5), np.linspace(-0.99, 1.5, 84)),
+    "breakpoint": (breakpoint_family(), np.linspace(-0.39, 0.59, 50)),
+    "tent": (tent_family(), np.linspace(-1.5, 1.5, 61)),
+    "circle": (circle_family(), np.linspace(-1.9, 1.9, 77)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPANSION_GRIDS))
+def test_declared_expansion_matches_scan(name):
+    fam, gammas = EXPANSION_GRIDS[name]
+    for gamma in gammas:
+        scan = scan_min_abs_derivative(fam.pieces_for(gamma))
+        assert abs(fam.min_expansion(gamma) - scan) <= 1e-12, gamma
+
+
+@pytest.mark.parametrize("name", sorted(EXPANSION_GRIDS))
+def test_instantiate_verdicts_follow_scan(name):
+    # the rule instantiate applied with the scan: inside the structural
+    # range, expanding iff in the declared range and min |F'| > 1
+    fam, gammas = EXPANSION_GRIDS[name]
+    lo, hi = fam.structural_range or fam.gamma_range
+    for gamma in [float(g) for g in gammas] + [lo, hi]:
+        if not lo <= gamma <= hi:
+            for unsafe in (False, True):
+                with pytest.raises(ExpansionError, match="structurally"):
+                    instantiate(fam, gamma, unsafe=unsafe)
+            continue
+        scan = scan_min_abs_derivative(fam.pieces_for(gamma))
+        in_range = fam.gamma_range[0] <= gamma <= fam.gamma_range[1]
+        instantiate(fam, gamma, unsafe=True)
+        if in_range and scan > 1.0:
+            inst = instantiate(fam, gamma)
+            assert inst.contraction_factor() == 1.0 / scan
+        else:
+            with pytest.raises(ExpansionError,
+                               match=re.escape(f"min |F'| = {scan:.6g} ")):
+                instantiate(fam, gamma)
 
 
 def test_doubling_two_branches_slope_two():
@@ -48,7 +105,7 @@ def test_step_loops_never_cut_branches(monkeypatch):
 
 def test_pm_accepts_expanding_parameter():
     inst = instantiate(pm_family(0.5), 0.1)
-    assert inst.min_abs_derivative() >= 1.1 - 1e-12
+    assert inst.contraction_factor() == 1.0 / 1.1
 
 
 def test_pm_rejects_contracting_parameter():
@@ -61,7 +118,7 @@ def test_pm_rejects_contracting_parameter():
 def test_pm_unsafe_flag_allows_contracting_parameter():
     inst = instantiate(pm_family(0.5), -0.05, unsafe=True)
     assert inst.unsafe
-    assert inst.min_abs_derivative() < 1.0
+    assert inst.contraction_factor() > 1.0
 
 
 def test_instantiate_deterministic():
@@ -129,7 +186,7 @@ def test_expansion_hypothesis_all_families(name):
         inst = instantiate(fam, gamma)
         s = inst.contraction_factor()
         assert s < 1.0
-        assert inst.min_abs_derivative() >= 1.0 / s - 1e-9
+        assert scan_min_abs_derivative(inst.pieces) >= 1.0 / s - 1e-9
 
 
 def test_validate_identical_parameters_zero_distance():
@@ -215,7 +272,7 @@ def test_breakpoint_piece_count_stable():
 def test_tent_has_decreasing_branch():
     inst = instantiate(tent_family(), 0.0)
     assert any(not br.increasing for br in inst.branches)
-    assert inst.min_abs_derivative() == 2.0
+    assert scan_min_abs_derivative(inst.pieces) == 2.0
 
 
 def test_mod1_matches_remainder_bitwise():

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from nonstat_dyn.sequences import (ParameterSequence, adversarial_demo,
                                    doubling_gap_schedule, evolve_density,
                                    gen_sequence, post_transient_worst,
                                    stability_experiment)
-from nonstat_dyn.transfer import build_ulam, fixed_density
+from nonstat_dyn.transfer import UlamOperator, build_ulam, fixed_density
 
 
 def test_constant_sequence():
@@ -120,6 +121,40 @@ def test_evolve_memory_bounded_in_horizon():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def test_evolve_steps_skip_scans_and_revalidation(monkeypatch):
+    # a new parameter at every step: the step must neither sample the map's
+    # derivative nor copy and re-check operators or densities it built itself
+    fam = pm_family(0.5)
+    calls = []
+
+    def pieces_for(gamma):
+        pieces = []
+        for p in fam.pieces_for(gamma):
+            def dlift(x, f=p.dlift):
+                calls.append("dlift")
+                return f(x)
+            pieces.append(dataclasses.replace(p, dlift=dlift))
+        return pieces
+
+    def counting(cls):
+        original = cls.__post_init__
+
+        def post_init(self):
+            calls.append(cls.__name__)
+            original(self)
+        monkeypatch.setattr(cls, "__post_init__", post_init)
+
+    seq = ParameterSequence.iid(0.1, 0.01, 0)
+    phi0 = GridDensity.uniform(128)
+    want = evolve_density(fam, seq, phi0, 50).final.values
+    counting(GridDensity)
+    counting(UlamOperator)
+    got = evolve_density(dataclasses.replace(fam, pieces_for=pieces_for),
+                         seq, phi0, 50).final.values
+    assert calls == []
+    assert np.array_equal(got, want)
 
 
 def test_post_transient_worst_picks_plateau():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from nonstat_dyn.densities import (GridDensity, l1_distance, l1_norm,
                                    quasi_holder_seminorm)
@@ -34,6 +35,96 @@ def affine_ulam_oracle(instance, n):
                 if ov > 0:
                     mat[c % n, j] += n * ov / abs(a)
     return mat
+
+
+def interp_ulam_oracle(instance, n_cells, quadrature=32):
+    """The chord-rule assembly read from an interp over the chord grid.
+
+    Targets come from interpolating every interval's midpoint and entries
+    are summed through np.unique; build_ulam must give the same CSR arrays
+    bit for bit."""
+    n, nq = n_cells, n_cells * quadrature
+    targets, sources, weights = [], [], []
+    for piece in instance.pieces:
+        k0 = int(np.ceil(piece.lo * nq - 1e-12))
+        k1 = int(np.floor(piece.hi * nq + 1e-12))
+        inner = np.arange(k0, k1 + 1) / nq
+        chunks = [inner]
+        if inner.size == 0 or piece.lo < inner[0] - 1e-15:
+            chunks.insert(0, np.array([piece.lo]))
+        if inner.size == 0 or piece.hi > inner[-1] + 1e-15:
+            chunks.append(np.array([piece.hi]))
+        xs = np.concatenate(chunks)
+        ys = np.asarray(piece.lift(xs), dtype=float) * n
+        up = ys[-1] >= ys[0]
+        levels = np.arange(np.floor(min(ys[0], ys[-1])) + 1.0,
+                           np.ceil(max(ys[0], ys[-1])))
+        preimages = (np.interp(levels, ys, xs) if up
+                     else np.interp(levels, ys[::-1], xs[::-1]))
+        edges = np.arange(np.floor(xs[0] * n) + 1.0, np.ceil(xs[-1] * n)) / n
+        cuts = np.sort(np.concatenate([xs[:1], edges, xs[-1:], preimages]))
+        width = np.diff(cuts)
+        keep = width > 1e-15
+        mid = 0.5 * (cuts[:-1] + cuts[1:])[keep]
+        sources.append(np.minimum((mid * n).astype(np.int64), n - 1))
+        targets.append(np.floor(np.interp(mid, xs, ys)).astype(np.int64) % n)
+        weights.append(width[keep] * n)
+    keys, where = np.unique(np.concatenate(targets) * n + np.concatenate(sources),
+                            return_inverse=True)
+    data = np.bincount(where, weights=np.concatenate(weights))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=n))))
+    mat = scipy.sparse.csr_array((data, keys % n, indptr), shape=(n, n))
+    return UlamOperator(matrix=mat).matrix
+
+
+ORACLE_GRID = {
+    "doubling": (doubling_family(), (-0.05, 1.0), False),
+    "pm": (pm_family(0.5), (0.05, 0.3), False),
+    "pm_unsafe": (pm_family(0.5), (-0.5, -0.1, -0.05), True),
+    "lsv": (lsv_family(0.5), (0.1, 0.3), False),
+    "breakpoint": (breakpoint_family(), (0.0, 0.1), False),
+    "tent": (tent_family(), (-0.1, 0.1), False),
+    "circle": (circle_family(), (-0.3, 0.3), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRID))
+def test_merged_assembly_matches_interp_oracle_bitwise(name):
+    family, gammas, unsafe = ORACLE_GRID[name]
+    for gamma in gammas:
+        inst = instantiate(family, gamma, unsafe=unsafe)
+        for n in (2, 3, 7, 100, 333, 2048):
+            for q in (1, 3, 32):
+                got = build_ulam(inst, n, q).matrix
+                want = interp_ulam_oracle(inst, n, q)
+                for field in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, field),
+                                          getattr(want, field)), (gamma, n, q, field)
+
+
+def test_built_operators_are_canonical_positive_and_frozen():
+    ops = [build_ulam(instantiate(fam, gammas[0], unsafe=unsafe), 333, 3)
+           for fam, gammas, unsafe in ORACLE_GRID.values()]
+    ops.append(averaged_operator(pm_family(0.5), AveragingLaw(
+        center=0.1, radius=0.02, law="uniform", n_samples=4), 100))
+    for op in ops:
+        mat = op.matrix
+        assert mat.has_canonical_format
+        assert np.all(mat.data > 0)
+        for arr in (mat.data, mat.indices, mat.indptr):
+            assert not arr.flags.writeable
+    phi = op.apply(GridDensity.uniform(100))
+    assert not phi.values.flags.writeable
+
+
+def test_public_constructors_reject_negative_entries():
+    with pytest.raises(ValueError, match="nonnegative"):
+        UlamOperator(matrix=np.array([[1.0, 0.5], [0.0, -0.5]]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        GridDensity(np.array([1.0, -0.5]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        AveragingLaw(center=0.1, law="atoms", atoms=(0.05, 0.15),
+                     weights=(1.5, -0.5)).nodes()
 
 
 def test_doubling_two_cell_matrix_exact():
