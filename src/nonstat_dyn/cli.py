@@ -13,6 +13,7 @@ import hashlib
 import inspect
 import json
 import os
+import resource
 import sys
 import time
 
@@ -58,10 +59,15 @@ class ArtifactWriter:
         self.run_id = hashlib.sha256(blob).hexdigest()[:16]
         self.checksums: dict = {}
         self.timings: dict = {}
-        os.makedirs(outdir, exist_ok=True)
 
     def path(self, name: str) -> str:
         return os.path.join(self.outdir, name)
+
+    def _create(self, name: str):
+        """Open an artifact for writing; the directory is made by the first
+        write, so a run that fails before writing leaves no directory."""
+        os.makedirs(self.outdir, exist_ok=True)
+        return open(self.path(name), "w")
 
     def _register(self, name: str):
         with open(self.path(name), "rb") as fh:
@@ -74,13 +80,13 @@ class ArtifactWriter:
         lines.append(",".join(header))
         for row in rows:
             lines.append(",".join(_fmt(v) for v in row))
-        with open(self.path(name), "w") as fh:
+        with self._create(name) as fh:
             fh.write("\n".join(lines) + "\n")
         self._register(name)
 
     def write_json(self, name: str, obj):
         payload = {"manifest": self.run_id, "data": obj}
-        with open(self.path(name), "w") as fh:
+        with self._create(name) as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
             fh.write("\n")
         self._register(name)
@@ -92,12 +98,19 @@ class ArtifactWriter:
             "config": self.config,
             "artifacts": self.checksums,
             "timings_ms": self.timings,
+            "peak_rss_mb": _peak_rss_mb(),
         }
-        path = self.path("run_manifest.json")
-        with open(path, "w") as fh:
+        with self._create("run_manifest.json") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=1)
             fh.write("\n")
-        return path
+        return self.path("run_manifest.json")
+
+
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere
+    return round(peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10), 3)
 
 
 def _family(name: str, kappa: float, b0: float):
@@ -458,9 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(experiment: str, cfg: dict, outdir: str) -> int:
     writer = ArtifactWriter(outdir, {"experiment": experiment, **cfg})
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     status = EXPERIMENTS[experiment](writer, **cfg)
     writer.timings["total"] = round(1000.0 * (time.perf_counter() - start), 3)
+    writer.timings["cpu"] = round(1000.0 * (time.process_time() - cpu_start), 3)
     writer.finish()
     return status
 

@@ -61,6 +61,9 @@ def test_manifest_lists_artifacts(tmp_path):
     for name, digest in manifest["artifacts"].items():
         with open(out / name, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
+    # where the run's CPU time and memory went, in the manifest only
+    assert manifest["timings_ms"]["cpu"] >= 0
+    assert manifest["peak_rss_mb"] >= 0
 
 
 def test_csv_rows_carry_manifest_id(tmp_path):
@@ -201,6 +204,8 @@ def test_cone_images_leaving_cone_exit_numeric_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: no finite image distances")
     assert "left the cone" in err
+    # a run that fails before its first artifact leaves no directory behind
+    assert not (tmp_path / "cone").exists()
 
 
 def test_ly_fit_subcommand(tmp_path):

@@ -1,15 +1,17 @@
 import hashlib
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from nonstat_dyn.maps import (circle_family, doubling_family, instantiate,
-                              pm_family)
+                              mod1, pm_family)
 from nonstat_dyn.network import (NetworkSystem, diffusive_coupling,
                                  gen_schedule, histogram_noise_floor,
                                  simulate_ensemble, step_network)
 from nonstat_dyn.seeding import substream
+from nonstat_dyn.transfer import build_ulam, fixed_density
 
 
 def test_static_complete_schedule():
@@ -215,3 +217,75 @@ def test_ensemble_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 3.7 * 2 ** 20
+
+
+def serial_simulate_oracle(system, schedule, ensemble, n_steps, seed=0,
+                           n_bins=64, checkpoint_every=None, dither=1e-12):
+    """simulate_ensemble's counts and distances from one step_network call
+    over all rows per step, on one thread."""
+    if checkpoint_every is None:
+        checkpoint_every = max(n_steps // 20, 1)
+    x = substream(seed, "network-init").uniform(0.0, 1.0,
+                                                (ensemble, system.n_nodes))
+    rng = substream(seed, "network-dither")
+    invariant = fixed_density(build_ulam(system.node_map, n_bins)).values
+    counts, dists = [], []
+    for t in range(n_steps):
+        x = step_network(system, x, t, schedule)
+        if dither > 0:
+            x += rng.uniform(-0.5 * dither, 0.5 * dither, x.shape)
+            x = mod1(x)
+        if (t + 1) % checkpoint_every == 0 or t + 1 == n_steps:
+            cnt = np.array([np.bincount(np.minimum((x[:, i] * n_bins).astype(int),
+                                                   n_bins - 1), minlength=n_bins)
+                            for i in range(system.n_nodes)])
+            counts.append(cnt)
+            dists.append([float(np.mean(np.abs(c * (n_bins / ensemble)
+                                               - invariant))) for c in cnt])
+    return np.array(counts), np.array(dists)
+
+
+def sine(xj, xi):
+    return np.sin(2 * np.pi * (xj - xi)) / (2 * np.pi)
+
+
+@pytest.mark.parametrize("ensemble", [1, 2, 7, 10001])
+@pytest.mark.parametrize("coupling", [
+    {"alpha_c": 0.02},
+    {"alpha_c": 0.02, "h": sine, "h_name": "sine"},    # the einsum branch
+    {"alpha_c": 0.0},
+])
+def test_two_thread_ensemble_equals_serial_oracle(ensemble, coupling):
+    # an ensemble of 1 leaves one half empty; odd ensembles split unevenly
+    system = NetworkSystem(node_map=instantiate(pm_family(0.5), 0.1),
+                           n_nodes=4, **coupling)
+    sched = gen_schedule("bursty", 4, horizon=12, seed=5, p=0.8, fail_rate=0.2)
+    for dither in (1e-12, 0.0):
+        summary = simulate_ensemble(system, sched, ensemble, 12, seed=11,
+                                    n_bins=16, checkpoint_every=4,
+                                    dither=dither)
+        counts, dists = serial_simulate_oracle(system, sched, ensemble, 12,
+                                               seed=11, n_bins=16,
+                                               checkpoint_every=4,
+                                               dither=dither)
+        assert np.array_equal(summary.counts, counts)
+        assert np.array_equal(summary.distances, dists)
+
+
+def test_ensemble_failure_raises_and_leaks_no_thread():
+    seen = set()
+
+    def recording_sine(xj, xi):
+        seen.add(threading.get_ident())
+        return sine(xj, xi)
+
+    system = NetworkSystem(node_map=instantiate(doubling_family(), 0.0),
+                           n_nodes=4, alpha_c=0.02, h=recording_sine,
+                           h_name="sine")
+    sched = gen_schedule("static", 4, horizon=5)
+    before = threading.active_count()
+    with pytest.raises(IndexError, match=r"^schedule horizon 5 exceeded at t=5$"):
+        simulate_ensemble(system, sched, 100, 10, seed=1)
+    assert threading.active_count() == before
+    # the main thread and exactly one worker advanced the rows
+    assert len(seen) == 2 and threading.get_ident() in seen
