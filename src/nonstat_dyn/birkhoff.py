@@ -13,7 +13,7 @@ from .densities import (DEFAULT_EPS0, GridDensity, cell_centers,
 from .maps import MapFamily, instantiate, mod1
 from .seeding import substream
 from .sequences import _as_gammas
-from .transfer import CACHE_SIZE, operator_cache
+from .transfer import CACHE_SIZE, operator_cache, step_blocks
 
 DEFAULT_DITHER = 1e-12
 
@@ -243,12 +243,13 @@ def covariance_decay(family: MapFamily, seq, psi: Observable, window: tuple,
         samples[k] = psi.fn(x)
     # spectral means: int psi L_{gamma_k} ... L_{gamma_1} 1 dm
     operator = operator_cache(family, n_cells, quadrature)
-    dens = GridDensity.uniform(n_cells)
     means_spectral = np.empty(j_max + 1)
     means_spectral[0] = float(np.mean(psi.values))
-    for k in range(1, j_max + 1):
-        dens = operator(float(gammas[k - 1])).apply(dens)
-        means_spectral[k] = float(np.mean(psi.values * dens.values))
+    k = 1
+    for rows in step_blocks(map(operator, map(float, gammas)),
+                            np.ones(n_cells)):
+        means_spectral[k:k + len(rows)] = (psi.values * rows).mean(axis=1)
+        k += len(rows)
     means_ens = samples.mean(axis=1)
     centered = samples - means_ens[:, None]
     idx = np.arange(j_max + 1)

@@ -187,6 +187,12 @@ def run_evolve(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                b0=0.4, gamma_hat=0.1, delta=0.01, cells=1024, n=1000, seed=0,
                phi0="uniform", checkpoint=50) -> int:
     family = _family(family, kappa, b0)
+    lo, hi = family.gamma_range
+    ball = (gamma_hat - abs(delta), gamma_hat + abs(delta))
+    if not (lo <= ball[0] and ball[1] <= hi):
+        raise ConfigError(
+            f"gamma_hat, delta: the ball [{ball[0]!r}, {ball[1]!r}] is not "
+            f"inside {family.name}'s parameter range [{lo!r}, {hi!r}]")
     phi0 = _phi0(phi0, cells)
     ref = fixed_density(build_ulam(instantiate(family, gamma_hat), cells))
     seq = ParameterSequence.iid(gamma_hat, delta, seed)

@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 #: default locality scale for oscillation-based seminorms
 DEFAULT_EPS0 = 0.05
@@ -109,11 +108,10 @@ def l1_norm(phi: GridDensity) -> float:
 
 
 def _window_osc(values: np.ndarray, lo: int, hi: int, circle: bool) -> np.ndarray:
-    """osc over cells [i+lo, i+hi] for every i, with wrap or edge clipping."""
-    n = values.size
+    """osc over cells [i+lo, i+hi] for every i along the last axis, with
+    wrap or edge clipping."""
+    from scipy.ndimage import maximum_filter1d, minimum_filter1d
     size = hi - lo + 1
-    if size >= n and circle:
-        return np.full(n, values.max() - values.min())
     mode = "wrap" if circle else "nearest"
     origin = lo + size // 2
     mx = maximum_filter1d(values, size=size, mode=mode, origin=origin)
@@ -128,26 +126,31 @@ def osc_integral(phi: GridDensity, eps: float) -> float:
     by B_eps(x) is piecewise constant in x, so the integral reduces to a
     weighted sum of three sliding-window oscillations.
     """
-    n = phi.n_cells
+    return float(_osc_integrals(phi.values, eps, phi.circle))
+
+
+def _osc_integrals(v: np.ndarray, eps: float, circle: bool) -> np.ndarray:
+    """`osc_integral` of each row of v (or of v itself when 1-D)."""
+    n = v.shape[-1]
     if eps <= 0:
         raise ValueError("eps must be positive")
     if eps * n < 1.0 - 1e-12:
         raise ValueError(
             f"eps={eps} is below the grid resolution 1/{n}; use a finer grid")
-    v = phi.values
     q = int(np.floor(eps * n + 1e-12))
     r = eps * n - q
     if r < 1e-12:
-        return float(np.mean(_window_osc(v, -q, q, phi.circle)))
+        return np.mean(_window_osc(v, -q, q, circle), axis=-1)
     if r <= 0.5:
-        oa = _window_osc(v, -q - 1, q, phi.circle)
-        om = _window_osc(v, -q, q, phi.circle)
-        ob = _window_osc(v, -q, q + 1, phi.circle)
-        return float(np.mean(r * oa + (1.0 - 2.0 * r) * om + r * ob))
-    oa = _window_osc(v, -q - 1, q, phi.circle)
-    om = _window_osc(v, -q - 1, q + 1, phi.circle)
-    ob = _window_osc(v, -q, q + 1, phi.circle)
-    return float(np.mean((1.0 - r) * oa + (2.0 * r - 1.0) * om + (1.0 - r) * ob))
+        oa = _window_osc(v, -q - 1, q, circle)
+        om = _window_osc(v, -q, q, circle)
+        ob = _window_osc(v, -q, q + 1, circle)
+        return np.mean(r * oa + (1.0 - 2.0 * r) * om + r * ob, axis=-1)
+    oa = _window_osc(v, -q - 1, q, circle)
+    om = _window_osc(v, -q - 1, q + 1, circle)
+    ob = _window_osc(v, -q, q + 1, circle)
+    return np.mean((1.0 - r) * oa + (2.0 * r - 1.0) * om + (1.0 - r) * ob,
+                   axis=-1)
 
 
 @dataclass(frozen=True)
@@ -173,15 +176,8 @@ def quasi_holder_seminorm(phi: GridDensity, alpha: float,
     `n_eps` points between one cell width and `eps0`, so the reported value
     is a lower bound of the true seminorm.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
-    if n_eps < 4:
-        raise ValueError("n_eps must be at least 4")
-    n = phi.n_cells
-    if eps0 * n < 1.0 - 1e-12:
-        raise ValueError(f"eps0={eps0} below grid resolution 1/{n}; use a finer grid")
-    eps_values = np.geomspace(1.0 / n, eps0, n_eps)
-    per_eps = np.array([osc_integral(phi, e) / e ** alpha for e in eps_values])
+    eps_values, per_eps = _scaled_osc(phi.values, alpha, eps0, n_eps,
+                                      phi.circle)
     seminorm = float(per_eps.max())
     l1 = l1_norm(phi)
     norm_alpha = seminorm + l1
@@ -190,3 +186,25 @@ def quasi_holder_seminorm(phi: GridDensity, alpha: float,
                           per_eps=per_eps, seminorm=seminorm, l1=l1,
                           norm_alpha=norm_alpha, ess_sup_bound=bound)
 
+
+def seminorms(rows: np.ndarray, alpha: float, eps0: float = DEFAULT_EPS0,
+              circle: bool = True) -> np.ndarray:
+    """`quasi_holder_seminorm(...).seminorm` of each row of a 2-D block of
+    cell values, bit for bit, with one filter pass per window for the block."""
+    return _scaled_osc(rows, alpha, eps0, 16, circle)[1].max(axis=0)
+
+
+def _scaled_osc(values: np.ndarray, alpha: float, eps0: float, n_eps: int,
+                circle: bool) -> tuple:
+    """(eps grid, eps^{-alpha} * osc_integral at each eps, one column per row
+    of a 2-D `values`)."""
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError("alpha must lie in (0, 1]")
+    if n_eps < 4:
+        raise ValueError("n_eps must be at least 4")
+    n = values.shape[-1]
+    if eps0 * n < 1.0 - 1e-12:
+        raise ValueError(f"eps0={eps0} below grid resolution 1/{n}; use a finer grid")
+    eps_values = np.geomspace(1.0 / n, eps0, n_eps)
+    return eps_values, np.array([_osc_integrals(values, e, circle) / e ** alpha
+                                 for e in eps_values])

@@ -1,6 +1,7 @@
 """Perturbation-sequence generation and nonautonomous density-evolution experiments."""
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -8,11 +9,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .densities import (DEFAULT_EPS0, GridDensity, l1_distance,
-                        quasi_holder_seminorm)
+                        quasi_holder_seminorm, seminorms)
 from .maps import MapFamily, instantiate
 from .seeding import substream
 from .transfer import (AveragingLaw, averaged_operator, build_ulam,
-                       fixed_density, operator_cache)
+                       fixed_density, operator_cache, step_blocks)
 
 
 @dataclass(frozen=True)
@@ -132,35 +133,34 @@ def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
     to a reference density, and (optionally) the oscillation seminorm at
     checkpoints."""
     gammas = _as_gammas(seq, n)
+    if checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be positive")
     if alpha is None:
         alpha = min(family.holder_exponent, 1.0)
     operator = operator_cache(family, phi0.n_cells, quadrature)
-    steps, masses, dists, semis = [0], [phi0.mass], [], []
-
-    def record(k, vals):
-        steps.append(k)
-        masses.append(float(vals.mean()))
-        if reference is not None:
-            dists.append(float(np.mean(np.abs(vals - reference.values))))
-        if track_seminorm:
-            semis.append(quasi_holder_seminorm(
-                GridDensity._trusted(np.clip(vals, 0.0, None)), alpha,
-                eps0).seminorm)
-
+    steps, masses, dists, semis = [[0]], [[phi0.mass]], [], []
     if reference is not None:
-        dists.append(float(np.mean(np.abs(phi0.values - reference.values))))
+        dists.append([float(np.mean(np.abs(phi0.values - reference.values)))])
     if track_seminorm:
-        semis.append(quasi_holder_seminorm(phi0, alpha, eps0).seminorm)
-    cur = phi0
-    for k in range(1, n + 1):
-        cur = operator(float(gammas[k - 1])).apply(cur)
-        if k % checkpoint_every == 0 or k == n:
-            record(k, cur.values)
+        semis.append([quasi_holder_seminorm(phi0, alpha, eps0).seminorm])
+    last, k = phi0.values, 0
+    for rows in step_blocks(map(operator, map(float, gammas)), phi0.values):
+        last = rows[-1]
+        ks = np.arange(k + 1, k + 1 + len(rows))
+        k += len(rows)
+        keep = (ks % checkpoint_every == 0) | (ks == n)
+        picked = rows[keep]
+        steps.append(ks[keep])
+        masses.append(picked.mean(axis=1))
+        if reference is not None:
+            dists.append(np.abs(picked - reference.values).mean(axis=1))
+        if track_seminorm and len(picked):
+            semis.append(seminorms(np.clip(picked, 0.0, None), alpha, eps0))
     return EvolutionTrace(
-        steps=np.array(steps), masses=np.array(masses),
-        distances=np.array(dists) if reference is not None else None,
-        seminorms=np.array(semis) if track_seminorm else None,
-        final=GridDensity._trusted(np.clip(cur.values, 0.0, None)))
+        steps=np.concatenate(steps), masses=np.concatenate(masses),
+        distances=np.concatenate(dists) if reference is not None else None,
+        seminorms=np.concatenate(semis) if track_seminorm else None,
+        final=GridDensity._trusted(np.clip(last, 0.0, None)))
 
 
 def post_transient_worst(distances: np.ndarray) -> tuple:
@@ -247,14 +247,15 @@ class AdversarialRun:
     reached_return: bool         # some +eps block end with dist_plus < 0.1
 
 
-def _mass_below(values: np.ndarray, w: float) -> float:
-    n = values.size
+def _mass_below(rows: np.ndarray, w: float) -> np.ndarray:
+    """Mass in [0, w) of each row of a block of densities."""
+    n = rows.shape[-1]
     full = int(np.floor(w * n))
-    mass = values[:full].sum() / n
+    mass = rows[:, :full].sum(axis=1) / n
     frac = w * n - full
     if full < n and frac > 0:
-        mass += values[full] * frac / n
-    return float(mass)
+        mass += rows[:, full] * frac / n
+    return mass
 
 
 def adversarial_demo(family: MapFamily, eps: float, k_schedule,
@@ -279,15 +280,20 @@ def adversarial_demo(family: MapFamily, eps: float, k_schedule,
         phi0 = GridDensity.uniform(n_cells)
     phi_plus = fixed_density(build_ulam(instantiate(family, eps),
                                         phi0.n_cells, quadrature))
-    gammas = gen_sequence(spec, n_max)
     operator = operator_cache(family, phi0.n_cells, quadrature, unsafe=True)
-    cur = phi0
+    # one operator per block of the schedule, repeated lazily: no array of
+    # n_max parameters
+    ops = itertools.chain.from_iterable(
+        itertools.repeat(operator(eps if j % 2 == 0 else -eps),
+                         min(hi, n_max) - lo)
+        for j, (lo, hi) in enumerate(zip(ks, ks[1:])) if lo < n_max)
     mass_low = np.empty(n_max)
     dist_plus = np.empty(n_max)
-    for k in range(n_max):
-        cur = operator(float(gammas[k])).apply(cur)
-        mass_low[k] = _mass_below(cur.values, w)
-        dist_plus[k] = float(np.mean(np.abs(cur.values - phi_plus.values)))
+    k = 0
+    for rows in step_blocks(ops, phi0.values):
+        mass_low[k:k + len(rows)] = _mass_below(rows, w)
+        dist_plus[k:k + len(rows)] = np.abs(rows - phi_plus.values).mean(axis=1)
+        k += len(rows)
     block_ends = tuple((k, "+" if j % 2 == 0 else "-")
                        for j, k in enumerate(ks[1:]) if k <= n_max)
     reached_conc = any(kind == "-" and mass_low[k - 1] > 0.9

@@ -4,6 +4,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +51,32 @@ def test_invalid_gamma_is_config_error(tmp_path):
     status = main(["invariant", "--family", "pm", "--gamma", "-0.05",
                    "--cells", "64", "--out", str(tmp_path / "bad2")])
     assert status == 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_evolve_ball_outside_range_is_config_error_before_any_step(
+        tmp_path, capsys, seed):
+    # [0.0099 - 0.01, 0.0099 + 0.01] reaches below pm's range; whether a draw
+    # lands there depends on the seed, so the ball itself is checked first
+    out = tmp_path / "ev"
+    assert main(["evolve", "--family", "pm", "--gamma-hat", "0.0099",
+                 "--delta", "0.01", "--cells", "64", "--n", "100",
+                 "--seed", str(seed), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[-9.99999999999994e-05, 0.0199]" in err
+    assert "range [1e-06, 1.0]" in err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_solver_modules_unloaded():
+    # scipy's optimize, sparse.linalg and ndimage load on first use, so that
+    # every experiment does not pay for them at start-up
+    code = ("import sys, nonstat_dyn.cli; print([m for m in ('scipy.optimize', "
+            "'scipy.sparse.linalg', 'scipy.ndimage') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.strip() == "[]"
 
 
 def test_manifest_lists_artifacts(tmp_path):
