@@ -138,6 +138,16 @@ def _deltas(text: str) -> list:
     return deltas
 
 
+def _check_balls(family, gamma_hat: float, deltas) -> None:
+    """Every ball [gamma_hat - |delta|, gamma_hat + |delta|] lies inside the
+    family's parameter range, checked before any step."""
+    for delta in deltas:
+        try:
+            family.check_ball(gamma_hat, delta)
+        except ValueError as exc:
+            raise ConfigError(f"gamma_hat, delta: {exc}") from None
+
+
 def _positive(key: str, value):
     if value <= 0:
         raise ConfigError(f"{key}: must be positive, got {value}")
@@ -170,7 +180,9 @@ def run_stability(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                   n=2000, sequences=20, seed=0, phi0="uniform",
                   checkpoint=50) -> int:
     family = _family(family, kappa, b0)
-    table = stability_experiment(family, gamma_hat, _deltas(deltas),
+    deltas = _deltas(deltas)
+    _check_balls(family, gamma_hat, deltas)
+    table = stability_experiment(family, gamma_hat, deltas,
                                  _phi0(phi0, cells), n, sequences, seed,
                                  checkpoint_every=checkpoint)
     rows = [(r.delta, r.worst_post_transient, r.stationary_distance,
@@ -187,12 +199,7 @@ def run_evolve(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                b0=0.4, gamma_hat=0.1, delta=0.01, cells=1024, n=1000, seed=0,
                phi0="uniform", checkpoint=50) -> int:
     family = _family(family, kappa, b0)
-    lo, hi = family.gamma_range
-    ball = (gamma_hat - abs(delta), gamma_hat + abs(delta))
-    if not (lo <= ball[0] and ball[1] <= hi):
-        raise ConfigError(
-            f"gamma_hat, delta: the ball [{ball[0]!r}, {ball[1]!r}] is not "
-            f"inside {family.name}'s parameter range [{lo!r}, {hi!r}]")
+    _check_balls(family, gamma_hat, [delta])
     phi0 = _phi0(phi0, cells)
     ref = fixed_density(build_ulam(instantiate(family, gamma_hat), cells))
     seq = ParameterSequence.iid(gamma_hat, delta, seed)
@@ -234,6 +241,7 @@ def run_birkhoff(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                  points=100, seed=0, band_eps=0.05, psi="x", covariance=0,
                  i_max=4, j_max=14, ensemble=10000, lp=0, balls=64) -> int:
     family = _family(family, kappa, b0)
+    _check_balls(family, gamma_hat, [delta])
     psi = observable(psi, cells)
     seq = ParameterSequence.iid(gamma_hat, delta, seed)
     result = birkhoff_averages(family, seq, points, psi, n, seed=seed)
@@ -352,10 +360,12 @@ def run_perturb_probe(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                       b0=0.4, gamma_hat=0.0, deltas="0.02,0.01", n=30,
                       cells=512, seeds=10, phi0="half") -> int:
     family = _family(family, kappa, b0)
+    deltas = _deltas(deltas)
+    _check_balls(family, gamma_hat, deltas)
     phi0 = _phi0(phi0, cells)
     rows = []
     fits = {}
-    for delta in _deltas(deltas):
+    for delta in deltas:
         curves = []
         for s in range(seeds):
             probe = perturbation_probe(family, gamma_hat, delta, n, phi0,

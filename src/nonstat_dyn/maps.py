@@ -54,6 +54,9 @@ class Piece:
     lift: Callable
     dlift: Callable
     affine: Optional[tuple] = None   # (slope, intercept) when lift(x) = slope*x + intercept
+    # (slope, shape) when lift(x) = slope*x + shape(x) with a gamma-free shape
+    # shared by the family's instances; assembly evaluates it once per grid
+    split: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,16 @@ class MapFamily:
     holder_exponent: float = 1.0
     eps0: float = 0.05
     structural_range: Optional[tuple] = None
+
+    def check_ball(self, gamma_hat: float, delta: float) -> None:
+        """Raise ValueError unless [gamma_hat - |delta|, gamma_hat + |delta|]
+        lies inside `gamma_range`, so no draw from the ball is out of range."""
+        lo, hi = self.gamma_range
+        ball = (float(gamma_hat - abs(delta)), float(gamma_hat + abs(delta)))
+        if not (lo <= ball[0] and ball[1] <= hi):
+            raise ValueError(
+                f"the ball [{ball[0]!r}, {ball[1]!r}] is not inside "
+                f"{self.name}'s parameter range [{lo!r}, {hi!r}]")
 
 
 @dataclass(frozen=True)
@@ -265,6 +278,34 @@ def doubling_family(gamma_lo: float = -0.9, gamma_hi: float = 2.0) -> MapFamily:
                      holder_exponent=1.0)
 
 
+# The gamma-free parts of the intermittent lifts: one function per kappa, so a
+# family made again shares the values assembly has cached for the last one.
+# Each writes its result over its one temporary (a product of two floats is
+# the same in either order), so the cached values cost no second array.
+
+@functools.lru_cache(maxsize=8)
+def _pm_shape(kappa: float) -> Callable:
+    if kappa != 0.5:
+        return lambda x: np.power(x, 1.0 + kappa)
+
+    def shape(x):   # x * sqrt(x)
+        out = np.sqrt(x)
+        out *= x
+        return out
+    return shape
+
+
+@functools.lru_cache(maxsize=8)
+def _lsv_shape(kappa: float) -> Callable:
+    scale = 2.0 ** kappa
+
+    def shape(x):   # scale * x^(1 + kappa)
+        out = np.power(x, 1.0 + kappa)
+        out *= scale
+        return out
+    return shape
+
+
 def pm_family(kappa: float = 0.5, gamma_min: float = 1e-6,
               gamma_max: float = 1.0) -> MapFamily:
     """Perturbed intermittent-type circle maps f_gamma(x) = x + x^(1+kappa) + gamma x mod 1.
@@ -275,21 +316,19 @@ def pm_family(kappa: float = 0.5, gamma_min: float = 1e-6,
     if not (0.0 < kappa < 1.0):
         raise ValueError("kappa must lie in (0, 1)")
 
+    shape = _pm_shape(kappa)
+
     def pieces_for(gamma):
         c = 1.0 + gamma
-        if kappa == 0.5:
-            def lift(x, c=c):
-                x = np.asarray(x, dtype=float)
-                return c * x + x * np.sqrt(x)
-        else:
-            def lift(x, c=c):
-                x = np.asarray(x, dtype=float)
-                return c * x + np.power(x, 1.0 + kappa)
+
+        def lift(x, c=c):
+            x = np.asarray(x, dtype=float)
+            return c * x + shape(x)
 
         def dlift(x, c=c):
             x = np.asarray(x, dtype=float)
             return c + (1.0 + kappa) * np.power(x, kappa)
-        return [Piece(0.0, 1.0, lift, dlift)]
+        return [Piece(0.0, 1.0, lift, dlift, split=(c, shape))]
 
     return MapFamily(name=f"pm(kappa={kappa})",
                      gamma_range=(gamma_min, gamma_max),
@@ -309,13 +348,14 @@ def lsv_family(kappa: float = 0.5, gamma_min: float = 1e-6,
     if not (0.0 < kappa < 1.0):
         raise ValueError("kappa must lie in (0, 1)")
     scale = 2.0 ** kappa
+    shape = _lsv_shape(kappa)
 
     def pieces_for(gamma):
         c = 1.0 + gamma
 
         def lift_l(x, c=c):
             x = np.asarray(x, dtype=float)
-            return c * x + scale * np.power(x, 1.0 + kappa)
+            return c * x + shape(x)
 
         def dlift_l(x, c=c):
             x = np.asarray(x, dtype=float)
@@ -323,7 +363,7 @@ def lsv_family(kappa: float = 0.5, gamma_min: float = 1e-6,
 
         a = 2.0 + gamma
         return [
-            Piece(0.0, 0.5, lift_l, dlift_l),
+            Piece(0.0, 0.5, lift_l, dlift_l, split=(c, shape)),
             Piece(0.5, 1.0, lambda x, a=a: a * x - 1.0,
                   lambda x, a=a: np.full_like(np.asarray(x, dtype=float), a),
                   affine=(a, -1.0)),

@@ -12,8 +12,8 @@ from .densities import (DEFAULT_EPS0, GridDensity, l1_distance,
                         quasi_holder_seminorm, seminorms)
 from .maps import MapFamily, instantiate
 from .seeding import substream
-from .transfer import (AveragingLaw, averaged_operator, build_ulam,
-                       fixed_density, operator_cache, step_blocks)
+from .transfer import (STEP_BLOCK, AveragingLaw, averaged_operator,
+                       build_ulam, fixed_density, operator_cache, step_blocks)
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,9 @@ def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
         dists.append([float(np.mean(np.abs(phi0.values - reference.values)))])
     if track_seminorm:
         semis.append([quasi_holder_seminorm(phi0, alpha, eps0).seminorm])
+    # clipped checkpoint rows wait here for one seminorm pass per full buffer
+    pending = np.empty((STEP_BLOCK, phi0.n_cells)) if track_seminorm else None
+    held = 0
     last, k = phi0.values, 0
     for rows in step_blocks(map(operator, map(float, gammas)), phi0.values):
         last = rows[-1]
@@ -155,7 +158,13 @@ def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
         if reference is not None:
             dists.append(np.abs(picked - reference.values).mean(axis=1))
         if track_seminorm and len(picked):
-            semis.append(seminorms(np.clip(picked, 0.0, None), alpha, eps0))
+            if held + len(picked) > STEP_BLOCK:
+                semis.append(seminorms(pending[:held], alpha, eps0))
+                held = 0
+            np.clip(picked, 0.0, None, out=pending[held:held + len(picked)])
+            held += len(picked)
+    if held:
+        semis.append(seminorms(pending[:held], alpha, eps0))
     return EvolutionTrace(
         steps=np.concatenate(steps), masses=np.concatenate(masses),
         distances=np.concatenate(dists) if reference is not None else None,
@@ -200,10 +209,14 @@ def stability_experiment(family: MapFamily, gamma_hat: float,
                          checkpoint_every: int = 50, quadrature: int = 32,
                          stationary_nodes: int = 64) -> StabilityTable:
     """Worst post-transient deviation over random sequences per delta, plus
-    the stationary-density deviation of the uniform averaged operator."""
+    the stationary-density deviation of the uniform averaged operator.
+
+    Every delta-ball around gamma_hat must lie inside the family's range."""
     deltas = list(delta_list)
     if any(d < 0 for d in deltas):
         raise ValueError("deltas must be nonnegative")
+    for delta in deltas:
+        family.check_ball(gamma_hat, delta)
     ref_op = build_ulam(instantiate(family, gamma_hat), phi0.n_cells, quadrature)
     phi_hat = fixed_density(ref_op)
     rows = []
@@ -212,8 +225,6 @@ def stability_experiment(family: MapFamily, gamma_hat: float,
         for s in range(n_seqs):
             child = substream(seed, "stability", repr(delta), s)
             gammas = child.uniform(gamma_hat - delta, gamma_hat + delta, n)
-            lo, hi = family.gamma_range
-            gammas = np.clip(gammas, lo, hi)
             trace = evolve_density(family, gammas, phi0, n,
                                    checkpoint_every=checkpoint_every,
                                    reference=phi_hat, quadrature=quadrature)

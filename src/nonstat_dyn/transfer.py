@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -19,6 +20,10 @@ from .seeding import substream
 #: revisiting more distinct parameters rebuild, so memory stays bounded in
 #: the horizon.
 CACHE_SIZE = 32
+
+#: Gamma-free lift parts whose chord-node values assembly keeps: one per
+#: (shape, grid, piece), ~130 KiB each at 512 cells and quadrature 32.
+SHAPE_CACHE_SIZE = 8
 
 #: Densities per block of `step_blocks`: 128 KiB of rows at 1024 cells.
 #: Measured on the adversarial demo (pm, 1024 cells, 10^4 steps), blocks of
@@ -95,6 +100,27 @@ def _chord_grid(nq: int) -> np.ndarray:
     return grid
 
 
+def _chord_nodes(nq: int, lo: float, hi: float) -> np.ndarray:
+    """The chord grid inside [lo, hi] plus the ends not on it: a read-only
+    view of the cached grid when both ends are chord nodes."""
+    grid = _chord_grid(nq)
+    xs = grid[math.ceil(lo * nq - 1e-12):math.floor(hi * nq + 1e-12) + 1]
+    chunks = [xs]
+    if xs.size == 0 or lo < xs[0] - 1e-15:
+        chunks.insert(0, [lo])
+    if xs.size == 0 or hi > xs[-1] + 1e-15:
+        chunks.append([hi])
+    return xs if len(chunks) == 1 else np.concatenate(chunks)
+
+
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _shape_values(shape, nq: int, lo: float, hi: float) -> np.ndarray:
+    """Read-only values of a piece's gamma-free lift part at its chord nodes."""
+    vals = np.asarray(shape(_chord_nodes(nq, lo, hi)), dtype=float)
+    vals.flags.writeable = False
+    return vals
+
+
 def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> UlamOperator:
     """Discretize the transfer operator of a realized map by the chord rule.
 
@@ -107,27 +133,24 @@ def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> Ula
     cell edge passed moves it to the next source cell, each level passed to
     the next target cell.  The rule is exact for affine branches, columns
     sum to one, and entries are continuous in the map parameter, unlike
-    point binning.
+    point binning.  A piece that declares its lift as slope*x + shape(x)
+    reads the shape's values at its chord nodes from a cache.
     """
     if n_cells < 2:
         raise ValueError("n_cells must be at least 2")
     if quadrature < 1:
         raise ValueError("quadrature must be at least 1")
     n, nq = n_cells, n_cells * quadrature
-    grid = _chord_grid(nq)
     keys, weights = [], []
     for piece in instance.pieces:
-        # chord nodes: the n*quadrature grid inside the piece plus its ends
-        k0 = int(np.ceil(piece.lo * nq - 1e-12))
-        k1 = int(np.floor(piece.hi * nq + 1e-12))
-        inner = grid[k0:k1 + 1]
-        chunks = [inner]
-        if inner.size == 0 or piece.lo < inner[0] - 1e-15:
-            chunks.insert(0, np.array([piece.lo]))
-        if inner.size == 0 or piece.hi > inner[-1] + 1e-15:
-            chunks.append(np.array([piece.hi]))
-        xs = np.concatenate(chunks)
-        ys = np.asarray(piece.lift(xs), dtype=float) * n   # in target cells
+        xs = _chord_nodes(nq, piece.lo, piece.hi)
+        if piece.split is None:
+            ys = np.asarray(piece.lift(xs), dtype=float) * n   # in target cells
+        else:
+            slope, shape = piece.split
+            ys = slope * xs
+            ys += _shape_values(shape, nq, piece.lo, piece.hi)
+            ys *= n
         up = ys[-1] >= ys[0]
         levels = np.arange(np.floor(min(ys[0], ys[-1])) + 1.0,
                            np.ceil(max(ys[0], ys[-1])))
@@ -137,28 +160,36 @@ def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> Ula
         inner_cuts = np.concatenate([edges, preimages])
         order = np.argsort(inner_cuts, kind="stable")
         cuts = np.concatenate([xs[:1], inner_cuts[order], xs[-1:]])
-        width = np.diff(cuts)
+        width = cuts[1:] - cuts[:-1]
         keep = width > 1e-15
         # key = target * n + source of each interval before wrapping the
-        # target mod n: an edge adds 1, a level n (or -n on a decreasing piece)
+        # target mod n: an edge adds 1, a level n (or -n on a decreasing
+        # piece), from the first interval's key
         target = int(np.floor(ys[0]) if up else np.ceil(ys[0]) - 1.0)
-        step = np.where(order < edges.size, 1, n if up else -n)
-        key = np.concatenate(([0], np.cumsum(step)))
-        key += target * n + int(np.floor(xs[0] * n))
+        key = np.empty(order.size + 1, dtype=np.int64)
+        key[0] = target * n + int(np.floor(xs[0] * n))
+        key[1:] = np.where(order < edges.size, 1, n if up else -n)
+        np.cumsum(key, out=key)
         keys.append(key[keep])
         weights.append(width[keep] * n)
     # lay entries out row by row; an entry met more than once (a cell
-    # straddling a piece boundary) is summed in the order it was met
+    # straddling a piece boundary, or an image wrapping onto a target cell
+    # twice on a small grid) is summed in the order it was met
     keys = np.concatenate(keys)
     keys %= n * n
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    data = np.add.reduceat(np.concatenate(weights)[order], starts)
-    keys = keys[starts]
+    data = np.concatenate(weights)[order]
+    new = keys[1:] != keys[:-1]
+    if not new.all():
+        starts = np.flatnonzero(np.concatenate(([True], new)))
+        data = np.add.reduceat(data, starts)
+        keys = keys[starts]
     rows = keys // n
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    mat = scipy.sparse.csr_array((data, keys - rows * n, indptr), shape=(n, n))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = np.subtract(keys, rows * n, dtype=np.int32, casting="unsafe")
+    mat = scipy.sparse.csr_array((data, indices, indptr), shape=(n, n))
     tag = "unsafe " if instance.unsafe else ""
     prov = (f"{tag}{instance.family.name} gamma={instance.gamma!r} "
             f"n={n_cells} chord-{quadrature}")
@@ -474,13 +505,12 @@ def perturbation_probe(family: MapFamily, gamma_hat: float, delta: float,
                        quadrature: int = 32) -> PerturbationProbe:
     """Deviation curve between one random perturbed composition and the
     constant composition at gamma_hat, with a fitted geometric envelope
-    C s^n ||phi||_alpha."""
+    C s^n ||phi||_alpha.  The delta-ball must lie inside the family's range."""
+    family.check_ball(gamma_hat, delta)
     if alpha is None:
         alpha = min(family.holder_exponent, 1.0)
     rng = substream(seq_seed, "perturbation-probe")
     gammas = rng.uniform(gamma_hat - delta, gamma_hat + delta, n_max)
-    lo, hi = family.gamma_range
-    gammas = np.clip(gammas, lo, hi)
     operator = operator_cache(family, phi.n_cells, quadrature)
     base = operator(float(gamma_hat))
     curve = np.zeros(n_max + 1)

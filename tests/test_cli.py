@@ -68,6 +68,27 @@ def test_evolve_ball_outside_range_is_config_error_before_any_step(
     assert not out.exists()
 
 
+BALL_OUTSIDE_RANGE = {
+    "stability": ["--deltas", "0.01", "--n", "100", "--sequences", "2"],
+    "perturb-probe": ["--deltas", "0.01", "--n", "20", "--seeds", "2"],
+    "birkhoff": ["--delta", "0.01", "--n", "100", "--points", "5"],
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(BALL_OUTSIDE_RANGE))
+def test_ball_outside_range_is_config_error(tmp_path, capsys, experiment):
+    # at 0.0099 +- 0.01 some draws fall below pm's range; clipping them to
+    # its end would run a different law, so the ball is rejected up front
+    out = tmp_path / experiment
+    assert main([experiment, "--family", "pm", "--gamma-hat", "0.0099",
+                 "--cells", "64", *BALL_OUTSIDE_RANGE[experiment],
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "gamma_hat, delta: the ball [-9.99999999999994e-05, 0.0199]" in err
+    assert "range [1e-06, 1.0]" in err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_solver_modules_unloaded():
     # scipy's optimize, sparse.linalg and ndimage load on first use, so that
     # every experiment does not pay for them at start-up

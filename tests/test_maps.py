@@ -290,3 +290,41 @@ def test_mod1_matches_remainder_bitwise():
     expected = (values % 1.0).view(np.uint64)
     assert np.array_equal(mod1(values).view(np.uint64), expected)
     assert mod1(-1e-17) == 1.0 == -1e-17 % 1.0
+
+
+SPLIT_FAMILIES = {
+    "pm0.5": pm_family(0.5), "pm0.3": pm_family(0.3),
+    "lsv0.5": lsv_family(0.5), "lsv0.3": lsv_family(0.3),
+    "lsv0.7": lsv_family(0.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_FAMILIES))
+def test_declared_split_matches_lift_bitwise(name):
+    # pm at kappa 0.3 and lsv take the np.power path, pm at 0.5 the sqrt one
+    from nonstat_dyn.transfer import _chord_nodes
+    family = SPLIT_FAMILIES[name]
+    rng = np.random.default_rng(7)
+    split_pieces = 0
+    for gamma in (1e-6, 0.05, 0.1, 0.3, 1.0):
+        for piece in instantiate(family, gamma).pieces:
+            if piece.split is None:
+                continue
+            split_pieces += 1
+            slope, shape = piece.split
+            xs = [_chord_nodes(n * q, piece.lo, piece.hi)
+                  for n in (2, 3, 7, 100, 333, 2048) for q in (1, 3, 32)]
+            xs.append(rng.uniform(piece.lo, piece.hi, 10001))
+            for x in xs:
+                assert np.array_equal(slope * x + shape(x), piece.lift(x))
+    assert split_pieces == 5
+
+
+def test_recreated_family_shares_its_shape():
+    # assembly caches a shape's values, so a family made again must hand
+    # out the same shape object
+    for make in (pm_family, lsv_family):
+        shapes = {make(0.5).pieces_for(0.1)[0].split[1] for _ in range(10)}
+        assert len(shapes) == 1
+    assert (pm_family(0.3).pieces_for(0.1)[0].split[1]
+            is not pm_family(0.5).pieces_for(0.1)[0].split[1])

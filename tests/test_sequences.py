@@ -226,3 +226,16 @@ def test_adversarial_demo_two_regimes_small():
     plus_ends = [k for k, kind in run.block_ends if kind == "+"]
     assert run.mass_low[minus_ends[-1] - 1] > 0.5
     assert run.dist_plus[plus_ends[-1] - 1] < 0.1
+
+
+def test_stability_ball_outside_range_rejected_before_any_step(monkeypatch):
+    from nonstat_dyn import sequences
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("an operator was built")
+    monkeypatch.setattr(sequences, "build_ulam", no_step)
+    monkeypatch.setattr(sequences, "operator_cache", no_step)
+    with pytest.raises(ValueError, match=r"ball \[-9.99999999999994e-05, "
+                                         r"0.0199\] is not inside"):
+        stability_experiment(pm_family(0.5), 0.0099, [0.0, 0.01],
+                             GridDensity.uniform(64), 50, 1, 0)

@@ -143,6 +143,35 @@ def test_evolve_density_matches_one_step_oracle(family, n):
     assert np.array_equal(trace.final.values, final)
 
 
+@pytest.mark.parametrize("checkpoint_every,n", [(1, 3 * B + 5), (2, 3 * B + 5),
+                                                (3, 2 * B), (50, 2000)])
+def test_checkpoint_seminorms_batched_match_one_step_oracle(
+        monkeypatch, checkpoint_every, n):
+    # more checkpoints than STEP_BLOCK: their rows are flushed through
+    # `seminorms` a buffer of at most STEP_BLOCK rows at a time
+    from nonstat_dyn import sequences
+    family = pm_family(0.5)
+    phi0 = step_density(64, n)
+    reference = fixed_density(build_ulam(instantiate(family, 0.1), 64))
+    gammas = gen_sequence(ParameterSequence.iid(0.1, 0.02, n), n)
+    sizes = []
+
+    def counting(rows, *args):
+        sizes.append(len(rows))
+        return seminorms(rows, *args)
+    monkeypatch.setattr(sequences, "seminorms", counting)
+    trace = evolve_density(family, gammas, phi0, n,
+                           checkpoint_every=checkpoint_every,
+                           reference=reference, track_seminorm=True, alpha=0.5)
+    _, _, _, semis, final = evolve_oracle(
+        family, gammas, phi0, n, checkpoint_every, reference, 0.5)
+    assert np.array_equal(trace.seminorms, semis)
+    assert np.array_equal(trace.final.values, final)
+    assert sum(sizes) == len(semis) - 1
+    assert max(sizes) <= B
+    assert len(sizes) == -(-sum(sizes) // B)
+
+
 def test_evolve_density_zero_steps_keeps_initial_state():
     phi0 = step_density(CELLS, 0)
     trace = evolve_density(pm_family(0.5), [], phi0, 0, track_seminorm=True)

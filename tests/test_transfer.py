@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -7,6 +9,7 @@ from nonstat_dyn.densities import (GridDensity, l1_distance, l1_norm,
 from nonstat_dyn.maps import (breakpoint_family, circle_family,
                               doubling_family, instantiate, lsv_family,
                               pm_family, tent_family)
+from nonstat_dyn import transfer
 from nonstat_dyn.transfer import (AveragingLaw, NonConvergenceError,
                                   UlamOperator, apply_sequence,
                                   averaged_operator, build_ulam,
@@ -100,6 +103,78 @@ def test_merged_assembly_matches_interp_oracle_bitwise(name):
                 for field in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(got, field),
                                           getattr(want, field)), (gamma, n, q, field)
+
+
+def strip_split(instance):
+    """The same instance with every piece's declared split removed, so
+    assembly evaluates the lift itself."""
+    return dataclasses.replace(instance, pieces=tuple(
+        dataclasses.replace(p, split=None) for p in instance.pieces))
+
+
+SPLIT_GRID = {**ORACLE_GRID,
+              "pm_kappa": (pm_family(0.3), (0.05, 0.3), False),
+              "lsv_kappa": (lsv_family(0.3), (0.1,), False)}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_GRID))
+def test_split_assembly_matches_lift_assembly_bitwise(name):
+    family, gammas, unsafe = SPLIT_GRID[name]
+    for gamma in gammas:
+        inst = instantiate(family, gamma, unsafe=unsafe)
+        plain = strip_split(inst)
+        for n in (2, 3, 7, 100, 333, 2048):
+            for q in (1, 3, 32):
+                got = build_ulam(inst, n, q).matrix
+                want = build_ulam(plain, n, q).matrix
+                for field in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, field),
+                                          getattr(want, field)), (gamma, n, q, field)
+
+
+def test_split_pieces_assemble_without_calling_lift():
+    calls = []
+
+    def counting(piece):
+        def lift(x, f=piece.lift):
+            calls.append(piece.lo)
+            return f(x)
+        return dataclasses.replace(piece, lift=lift)
+
+    for family in (pm_family(0.5), pm_family(0.3), lsv_family(0.5)):
+        inst = instantiate(family, 0.1)
+        counted = dataclasses.replace(
+            inst, pieces=tuple(map(counting, inst.pieces)))
+        for n, q in ((3, 3), (100, 32), (333, 1)):
+            build_ulam(counted, n, q)
+            build_ulam(strip_split(counted), n, q)
+    # the stripped pieces call every lift; lsv's affine right piece has no
+    # split, so its lift is called both ways
+    assert calls.count(0.0) == 9
+    assert calls.count(0.5) == 6
+
+
+def test_shape_cache_bounded_read_only_and_shared():
+    transfer._shape_values.cache_clear()
+    for _ in range(10):
+        build_ulam(instantiate(pm_family(0.5), 0.1), 64)
+    info = transfer._shape_values.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 9)
+    assert info.maxsize == transfer.SHAPE_CACHE_SIZE
+    for n in range(2, 2 * transfer.SHAPE_CACHE_SIZE + 2):
+        build_ulam(instantiate(pm_family(0.5), 0.1), n, 3)
+    assert (transfer._shape_values.cache_info().currsize
+            == transfer.SHAPE_CACHE_SIZE)
+    shape = pm_family(0.5).pieces_for(0.1)[0].split[1]
+    vals = transfer._shape_values(shape, 64 * 32, 0.0, 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        vals[0] = 1.0
+    # nodes whose ends are on the chord grid are a view of it, not a copy
+    nodes = transfer._chord_nodes(64 * 32, 0.0, 0.5)
+    assert np.shares_memory(nodes, transfer._chord_grid(64 * 32))
+    assert not nodes.flags.writeable
+    assert not np.shares_memory(transfer._chord_nodes(9, 0.0, 0.5),
+                                transfer._chord_grid(9))
 
 
 def test_built_operators_are_canonical_positive_and_frozen():
@@ -381,6 +456,21 @@ def test_perturbation_probe_bounded_and_shrinking():
         assert means[delta].max() < 0.2
     assert means[0.01].mean() < means[0.02].mean()
     assert means[0.005].mean() < means[0.01].mean()
+
+
+def test_perturbation_probe_ball_must_lie_in_range(monkeypatch):
+    phi = GridDensity.uniform(64)
+    # a ball reaching an end of the range exactly is inside it
+    probe = perturbation_probe(doubling_family(), 0.0, 0.9, 5, phi, seq_seed=0)
+    assert probe.deltas_used.min() >= -0.9
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("an operator was built")
+    monkeypatch.setattr(transfer, "operator_cache", no_step)
+    for gamma_hat, delta in ((0.0099, 0.01), (0.0099, -0.01), (0.995, 0.01)):
+        with pytest.raises(ValueError, match="is not inside"):
+            perturbation_probe(pm_family(0.5), gamma_hat, delta, 5, phi,
+                               seq_seed=0)
 
 
 def test_probe_dominated_by_envelope():
