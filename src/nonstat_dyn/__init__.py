@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .densities import (DEFAULT_EPS0, GridDensity, GridMismatchError,
                         l1_distance, l1_norm, osc_integral,
                         quasi_holder_seminorm)
-from .maps import (BranchSpec, MapFamily, MapInstance, ValidationReport,
+from .maps import (MapFamily, MapInstance, ValidationReport,
                    boundary_complexity, branch_preimages, circle_family,
                    doubling_family, family_by_name, instantiate, lsv_family,
                    pm_family, breakpoint_family, tent_family, validate_family)
@@ -14,8 +14,8 @@ from .transfer import (AveragingLaw, NonConvergenceError, SpectralSummary,
                        build_ulam, fixed_density, lasota_yorke_fit,
                        perturbation_probe, spectral_summary)
 from .cones import (ConeParams, HilbertDistanceReport, cone_image_check,
-                    cone_membership, contraction_and_diameter,
-                    sample_cone_density, theta_holder, theta_plus)
+                    contraction_and_diameter, sample_cone_density,
+                    theta_holder, theta_plus)
 from .sequences import (EvolutionTrace, ParameterSequence, adversarial_demo,
                         doubling_gap_schedule, evolve_density, gen_sequence,
                         post_transient_worst, stability_experiment)

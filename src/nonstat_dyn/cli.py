@@ -182,6 +182,7 @@ def run_stability(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
     family = _family(family, kappa, b0)
     deltas = _deltas(deltas)
     _check_balls(family, gamma_hat, deltas)
+    sequences = _positive("sequences", sequences)
     table = stability_experiment(family, gamma_hat, deltas,
                                  _phi0(phi0, cells), n, sequences, seed,
                                  checkpoint_every=checkpoint)
@@ -242,6 +243,7 @@ def run_birkhoff(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                  i_max=4, j_max=14, ensemble=10000, lp=0, balls=64) -> int:
     family = _family(family, kappa, b0)
     _check_balls(family, gamma_hat, [delta])
+    points = _positive("points", points)
     psi = observable(psi, cells)
     seq = ParameterSequence.iid(gamma_hat, delta, seed)
     result = birkhoff_averages(family, seq, points, psi, n, seed=seed)
@@ -315,10 +317,11 @@ def run_network(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                 fail_rate=0.05, period=2, coupling="diffusive",
                 bins=64) -> int:
     family = _family(family, kappa, b0)
+    n = _positive("n", n)
+    system = NetworkSystem(node_map=instantiate(family, gamma),
+                           n_nodes=nodes, alpha_c=alpha_c, coupling=coupling)
     schedule = gen_schedule(schedule, nodes, n, seed=seed, p=p,
                             fail_rate=fail_rate, period=period)
-    system = NetworkSystem(node_map=instantiate(family, gamma),
-                           n_nodes=nodes, alpha_c=alpha_c, h_name=coupling)
     summary = simulate_ensemble(system, schedule, ensemble, n, seed=seed,
                                 n_bins=bins)
     rows = []
@@ -362,6 +365,7 @@ def run_perturb_probe(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
     family = _family(family, kappa, b0)
     deltas = _deltas(deltas)
     _check_balls(family, gamma_hat, deltas)
+    seeds = _positive("seeds", seeds)
     phi0 = _phi0(phi0, cells)
     rows = []
     fits = {}

@@ -28,25 +28,16 @@ class ConeParams:
     nu: float
     rho0: float
     lam: float = 0.75
-    kind: str = "holder"   # "holder" for C(a, nu), "positive" for the positive cone
 
     def __post_init__(self):
-        if self.kind == "holder":
-            if self.a <= 0:
-                raise ValueError("a must be positive")
-            if not (0.0 < self.nu <= 1.0):
-                raise ValueError("nu must lie in (0, 1]")
+        if self.a <= 0:
+            raise ValueError("a must be positive")
+        if not (0.0 < self.nu <= 1.0):
+            raise ValueError("nu must lie in (0, 1]")
         if self.rho0 <= 0:
             raise ValueError("rho0 must be positive")
         if not (0.0 < self.lam < 1.0):
             raise ValueError("lam must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    member: bool
-    positive: bool
-    a_min: float     # smallest constant a' with phi in C(a', nu)
 
 
 @dataclass(frozen=True)
@@ -103,18 +94,6 @@ def log_holder_constant(phi: GridDensity, nu: float, rho0: float) -> float:
             gaps[~valid] = 0.0
         worst = max(worst, np.max(gaps.max(axis=1) / scale[rows]))
     return worst
-
-
-def cone_membership(phi: GridDensity, cone: ConeParams) -> MembershipReport:
-    """Check membership in the cone and report the minimal Holder constant."""
-    positive = bool(np.all(phi.values > 0))
-    if cone.kind == "positive":
-        return MembershipReport(member=positive, positive=positive,
-                                a_min=0.0 if positive else np.inf)
-    if not positive:
-        return MembershipReport(member=False, positive=False, a_min=np.inf)
-    a_min = log_holder_constant(phi, cone.nu, cone.rho0)
-    return MembershipReport(member=a_min <= cone.a, positive=True, a_min=a_min)
 
 
 def theta_plus(phi1: GridDensity, phi2: GridDensity) -> HilbertDistanceReport:

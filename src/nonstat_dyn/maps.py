@@ -1,10 +1,10 @@
-"""Parameterized families of expanding circle maps with explicit branch structure.
+"""Parameterized families of expanding circle maps, given by analytic pieces.
 
 A family is described by analytic *pieces*: monotone lifts g_i on subintervals
 of [0,1) whose mod-1 reduction is the map.  A realized instance is its
-pieces; on first use of `MapInstance.branches` each piece is cut at the
-integer crossings of its lift into injective *branches* with known image
-intervals, exact or root-solved inverses, and derivatives.
+pieces.  An injective *branch* is a piece and an integer offset m: the points
+where m <= lift < m + 1, mapped by lift - m, with its image read from the
+lift's values at the piece's ends and its inverse solved on the whole piece.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 BISECT_TOL = 1e-13
-MIN_BRANCH_WIDTH = 1e-12
 
 
 def mod1(y):
@@ -60,41 +59,6 @@ class Piece:
 
 
 @dataclass(frozen=True)
-class BranchSpec:
-    """Maximal subinterval of a piece on which the mod-1 map is injective."""
-
-    piece: Piece
-    lo: float
-    hi: float
-    offset: int
-    increasing: bool
-    img_lo: float
-    img_hi: float
-
-    def forward(self, x):
-        return self.piece.lift(x) - self.offset
-
-    def deriv(self, x):
-        return self.piece.dlift(x)
-
-    def covers(self, y: float) -> bool:
-        return self.img_lo - 1e-12 <= y < self.img_hi - 1e-12
-
-    def inverse(self, y: float) -> float:
-        """Solve forward(x) = y on [lo, hi]; exact for affine lifts."""
-        target = y + self.offset
-        x = _solve_lift(self.piece, target, self.lo, self.hi)
-        if self.piece.affine is not None:
-            return x
-        for _ in range(3):  # Newton polish
-            d = self.piece.dlift(x)
-            if d == 0:
-                break
-            x = min(max(x - (self.piece.lift(x) - target) / d, self.lo), self.hi)
-        return x
-
-
-@dataclass(frozen=True)
 class MapFamily:
     """A parameterized collection {F_gamma} of piecewise monotone circle maps.
 
@@ -131,11 +95,6 @@ class MapInstance:
     pieces: tuple
     unsafe: bool = False
 
-    @functools.cached_property
-    def branches(self) -> tuple:
-        """Injective branches, cut from the pieces on first access."""
-        return _cut_branches(self.pieces)
-
     def evaluate(self, x):
         """Vectorized map evaluation, values in [0, 1)."""
         x = np.asarray(x, dtype=float)
@@ -156,65 +115,6 @@ class MapInstance:
 
 
 # --- instantiation -------------------------------------------------------
-
-def _integer_crossings(piece: Piece) -> list:
-    """Sorted points in (lo, hi) where the lift crosses an integer."""
-    glo = float(piece.lift(np.float64(piece.lo)))
-    ghi = float(piece.lift(np.float64(piece.hi)))
-    a, b = (glo, ghi) if glo <= ghi else (ghi, glo)
-    cuts = []
-    m = math.floor(a) + 1
-    while m < b - 1e-12:
-        if m > a + 1e-12:
-            cuts.append(_solve_lift(piece, float(m), piece.lo, piece.hi))
-        m += 1
-    return sorted(cuts)
-
-
-def _solve_lift(piece: Piece, target: float, lo: float, hi: float) -> float:
-    """Solve lift(x) = target on [lo, hi]: exact for affine lifts, else bisection.
-
-    When lift - target has the same sign at both ends (a root at an end,
-    displaced by round-off), the end with the smaller residual is returned.
-    """
-    if piece.affine is not None:
-        a, b = piece.affine
-        return (target - b) / a
-    flo = float(piece.lift(np.float64(lo))) - target
-    fhi = float(piece.lift(np.float64(hi))) - target
-    if flo * fhi > 0:
-        return lo if abs(flo) <= abs(fhi) else hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = float(piece.lift(np.float64(mid))) - target
-        if (fmid <= 0) == (flo <= 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi - lo < BISECT_TOL:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _cut_branches(pieces: Sequence[Piece]) -> tuple:
-    branches = []
-    for piece in pieces:
-        cuts = [piece.lo] + _integer_crossings(piece) + [piece.hi]
-        for c0, c1 in zip(cuts[:-1], cuts[1:]):
-            if c1 - c0 < MIN_BRANCH_WIDTH:
-                continue
-            v0 = float(piece.lift(np.float64(c0)))
-            v1 = float(piece.lift(np.float64(c1)))
-            mid = float(piece.lift(np.float64(0.5 * (c0 + c1))))
-            offset = math.floor(mid)
-            lo_v, hi_v = (v0, v1) if v0 <= v1 else (v1, v0)
-            img_lo = min(max(lo_v - offset, 0.0), 1.0)
-            img_hi = min(max(hi_v - offset, 0.0), 1.0)
-            branches.append(BranchSpec(
-                piece=piece, lo=c0, hi=c1, offset=offset,
-                increasing=v1 >= v0, img_lo=img_lo, img_hi=img_hi))
-    return tuple(branches)
-
 
 def instantiate(family: MapFamily, gamma: float, unsafe: bool = False) -> MapInstance:
     """Realize F_gamma; rejects parameters outside the expanding range.
@@ -241,25 +141,76 @@ def instantiate(family: MapFamily, gamma: float, unsafe: bool = False) -> MapIns
     return instance
 
 
+# --- branches: a piece and an integer offset ---------------------------
+
+def _solve_lift(piece: Piece, target: float) -> float:
+    """Solve lift(x) = target on the whole monotone piece: exact for affine
+    lifts, else bisection and a Newton polish. With no sign change (a root
+    at an end, moved by round-off), the end of smaller residual is polished."""
+    if piece.affine is not None:
+        a, b = piece.affine
+        return (target - b) / a
+    lo, hi = piece.lo, piece.hi
+    flo = float(piece.lift(np.float64(lo))) - target
+    fhi = float(piece.lift(np.float64(hi))) - target
+    if flo * fhi > 0:
+        x = lo if abs(flo) <= abs(fhi) else hi
+    else:
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            fmid = float(piece.lift(np.float64(mid))) - target
+            if (fmid <= 0) == (flo <= 0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+            if hi - lo < BISECT_TOL:
+                break
+        x = 0.5 * (lo + hi)
+    for _ in range(3):  # Newton polish
+        d = piece.dlift(x)
+        if d == 0:
+            break
+        x = min(max(x - (piece.lift(x) - target) / d, piece.lo), piece.hi)
+    return x
+
+
+def _end_values(piece: Piece) -> tuple:
+    """The lift's values at the piece's two ends."""
+    return (float(piece.lift(np.float64(piece.lo))),
+            float(piece.lift(np.float64(piece.hi))))
+
+
+def _branches(piece: Piece):
+    """The piece's branches in order of x: each is an integer offset m with
+    the image [img_lo, img_hi] of lift - m on the points where
+    m <= lift < m + 1, read from the lift's values at the piece's ends."""
+    v0, v1 = _end_values(piece)
+    a, b = min(v0, v1), max(v0, v1)
+    offsets = range(math.floor(a), math.ceil(b))
+    for m in (offsets if v0 <= v1 else reversed(offsets)):
+        yield m, min(max(a - m, 0.0), 1.0), min(max(b - m, 0.0), 1.0)
+
+
 def branch_preimages(instance: MapInstance, x: float) -> list:
     """All preimages of x with inverse Jacobians 1/|F'(y)|.
 
-    Each returned y satisfies F(y) = x to within 1e-10; the count is at
-    most the number of branches.
+    Each returned y satisfies F(y) = x to within 1e-10; there is at most one
+    per branch, and they come in order of y.
     """
     if not (0.0 <= x < 1.0):
         raise ValueError("query point must lie in [0, 1)")
     out = []
-    for idx, br in enumerate(instance.branches):
-        if not br.covers(x):
-            continue
-        y = br.inverse(x)
-        residual = abs(br.forward(y) - x)
-        if residual > 1e-10:
-            raise InverseBranchError(
-                f"branch {idx}: inverse solve residual {residual:.3e} at x={x}")
-        jac_inv = 1.0 / abs(float(br.deriv(np.float64(y))))
-        out.append((float(y), jac_inv))
+    for piece in instance.pieces:
+        for m, img_lo, img_hi in _branches(piece):
+            if not img_lo - 1e-12 <= x < img_hi - 1e-12:
+                continue
+            y = _solve_lift(piece, x + m)
+            residual = abs(piece.lift(y) - m - x)
+            if residual > 1e-10:
+                raise InverseBranchError(
+                    f"offset {m} on [{piece.lo}, {piece.hi}): inverse solve "
+                    f"residual {residual:.3e} at x={x}")
+            out.append((float(y), 1.0 / abs(float(piece.dlift(np.float64(y))))))
     return out
 
 
@@ -491,16 +442,16 @@ def _distortion_estimate(instance: MapInstance, alpha: float, n_z: int = 64) -> 
     """Holder constant of the inverse Jacobian along branch images (empirical)."""
     eps = instance.family.eps0 / 2.0
     worst = 0.0
-    for br in instance.branches:
-        width = br.img_hi - br.img_lo
-        if width < 4.0 * eps:
-            continue
-        zs = np.linspace(br.img_lo + eps, br.img_hi - eps, n_z)
-        for z in zs:
-            ys = [br.inverse(z - eps / 2), br.inverse(z), br.inverse(z + eps / 2)]
-            jacs = [1.0 / abs(float(br.deriv(np.float64(y)))) for y in ys]
-            num = max(jacs) - min(jacs)
-            worst = max(worst, num / (jacs[1] * eps ** alpha))
+    for piece in instance.pieces:
+        for m, img_lo, img_hi in _branches(piece):
+            if img_hi - img_lo < 4.0 * eps:
+                continue
+            for z in np.linspace(img_lo + eps, img_hi - eps, n_z):
+                ys = [_solve_lift(piece, w + m)
+                      for w in (z - eps / 2, z, z + eps / 2)]
+                jacs = [1.0 / abs(float(piece.dlift(np.float64(y)))) for y in ys]
+                num = max(jacs) - min(jacs)
+                worst = max(worst, num / (jacs[1] * eps ** alpha))
     return worst
 
 
@@ -571,6 +522,23 @@ def boundary_complexity(instance: MapInstance, eps_list: Sequence[float],
     z = (np.arange(fine) + 0.5) / fine
     from scipy.ndimage import uniform_filter1d
 
+    # each grid point's distance from the image ends of its branch: offset
+    # m = floor(lift(z)), forward value lift(z) - m in [0, 1)
+    dmin = np.full(fine, np.inf)
+    for piece in instance.pieces:
+        a, b = sorted(_end_values(piece))
+        mask = (z >= piece.lo) & (z < piece.hi)
+        lift = piece.lift(z[mask])
+        m = np.floor(lift)
+        img_lo = np.clip(a - m, 0.0, 1.0)
+        img_hi = np.clip(b - m, 0.0, 1.0)
+        fz = lift - m
+        d = np.minimum(circle_distance(fz, mod1(img_lo)),
+                       circle_distance(fz, mod1(img_hi)))
+        if periodic:
+            d[img_hi - img_lo >= 1.0 - 1e-9] = np.inf
+        dmin[mask] = d
+
     g_values = []
     for eps in eps_arr:
         window = 2.0 * max(1.0 - s, 1e-9) * eps
@@ -578,19 +546,7 @@ def boundary_complexity(instance: MapInstance, eps_list: Sequence[float],
         if window * fine < 2.0:
             raise ValueError(
                 f"eps={eps} unresolvable at fine={fine}; increase `fine`")
-        indic = np.zeros(fine)
-        for br in instance.branches:
-            if periodic and (br.img_hi - br.img_lo) >= 1.0 - 1e-9:
-                continue
-            mask = (z >= br.lo) & (z < br.hi)
-            if not np.any(mask):
-                continue
-            fz = br.forward(z[mask])
-            dmin = np.minimum(circle_distance(fz, br.img_lo % 1.0),
-                              circle_distance(fz, br.img_hi % 1.0))
-            vals = np.zeros(fine)
-            vals[mask] = (dmin < eps).astype(float)
-            indic += vals
+        indic = (dmin < eps).astype(float)
         counts = uniform_filter1d(indic, size=w_cells, mode="wrap") * w_cells
         g_values.append(float(counts.max()) / (window * fine))
     g_values = np.array(g_values)

@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -78,11 +78,11 @@ def _complete(n: int) -> np.ndarray:
 
 def gen_schedule(kind: str, n_nodes: int, horizon: int, seed: int = 0,
                  p: float = 0.9, fail_rate: float = 0.05, period: int = 2,
-                 edge: Optional[tuple] = None,
-                 explicit: Optional[np.ndarray] = None) -> AdjacencySchedule:
+                 edge: Optional[tuple] = None) -> AdjacencySchedule:
     """Adjacency schedules: 'static', 'periodic-failure' (one edge toggling
-    with the given period), 'bursty' (edges fail independently and stay
-    failed for geometric runs with persistence p), or 'explicit'."""
+    with the given period) or 'bursty' (edges fail independently and stay
+    failed for geometric runs with persistence p). A given stream of
+    matrices is an `AdjacencySchedule` made directly."""
     if n_nodes < 2:
         raise ValueError("n_nodes must be at least 2")
     base_mat = _complete(n_nodes)
@@ -111,8 +111,6 @@ def gen_schedule(kind: str, n_nodes: int, horizon: int, seed: int = 0,
             recover = (~state) & offdiag & (u >= p)
             state = (state & ~fail_now) | recover
             mats[t] = (state & offdiag).astype(np.uint8)
-    elif kind == "explicit":
-        mats = np.asarray(explicit, dtype=np.uint8)
     else:
         raise ValueError(f"unknown schedule kind {kind!r}")
     return AdjacencySchedule(n_nodes=n_nodes, kind=kind, matrices=mats)
@@ -121,26 +119,28 @@ def gen_schedule(kind: str, n_nodes: int, horizon: int, seed: int = 0,
 @dataclass(frozen=True)
 class NetworkSystem:
     """Identical expanding node maps with pairwise coupling of strength
-    alpha_c; construction enforces the per-node expansion budget
-    min |f'| - |alpha_c| * (n_nodes - 1) * Lip(h) > 1, the degree of the
-    complete graph bounding every schedule's in-degree."""
+    alpha_c, either "diffusive" (`diffusive_coupling`, Lipschitz 1) or
+    "zero" (none). For the diffusive coupling, construction enforces the
+    per-node expansion budget min |f'| - |alpha_c| * (n_nodes - 1) > 1, the
+    degree of the complete graph bounding every schedule's in-degree."""
 
     node_map: MapInstance
     n_nodes: int
     alpha_c: float
-    h: Callable = field(default=diffusive_coupling)
-    h_name: str = "diffusive"
-    lip_h: float = 1.0
+    coupling: str = "diffusive"
 
     def __post_init__(self):
-        if self.h_name == "zero":
-            object.__setattr__(self, "h", None)
+        known = ("diffusive", "zero")
+        if self.coupling not in known:
+            raise ValueError(
+                f"unknown coupling {self.coupling!r}; known: {list(known)}")
+        if self.coupling == "zero":
             return
         min_deriv = self.node_map.family.min_expansion(self.node_map.gamma)
-        budget = min_deriv - abs(self.alpha_c) * (self.n_nodes - 1) * self.lip_h
+        budget = min_deriv - abs(self.alpha_c) * (self.n_nodes - 1)
         if budget <= 1.0:
             raise ValueError(
-                f"coupling too strong: min |f'| - |alpha_c| * degree * Lip(h) "
+                f"coupling too strong: min |f'| - |alpha_c| * degree "
                 f"= {budget:.4g} <= 1; reduce alpha_c")
 
 
@@ -169,17 +169,11 @@ def step_network(system: NetworkSystem, state: np.ndarray, t: int,
 
     `state` has shape (n_nodes,) or (ensemble, n_nodes)."""
     x = np.atleast_2d(np.asarray(state, dtype=float))
-    coupled = system.alpha_c != 0.0 and system.h is not None
+    coupled = system.alpha_c != 0.0 and system.coupling == "diffusive"
     if coupled:
         # summed before f(x) is evaluated, so that at most five
         # ensemble-sized arrays are alive at once
-        A = schedule.matrix_at(t).astype(float)
-        if system.h is diffusive_coupling:
-            coupling = _diffusive_sum(x, A)
-        else:
-            xj = x[:, None, :]                  # broadcast as h's first slot
-            xi = x[:, :, None]
-            coupling = np.einsum("ij,eij->ei", A, system.h(xj, xi))
+        coupling = _diffusive_sum(x, schedule.matrix_at(t).astype(float))
         coupling *= system.alpha_c
     fx = system.node_map.evaluate(x.ravel()).reshape(x.shape)
     if coupled:
@@ -213,8 +207,8 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
     """Evolve an iid-uniform ensemble and compare per-node marginals against
     the uncoupled invariant density at every checkpoint.
 
-    The ensemble's two row halves are stepped on two threads, so a generic
-    coupling `system.h` is called from both at once, on disjoint rows."""
+    The ensemble's two row halves are stepped on two threads, each calling
+    `step_network` on its own rows."""
     if ensemble < 1:
         raise ValueError("ensemble must be positive")
     if schedule.n_nodes != system.n_nodes:

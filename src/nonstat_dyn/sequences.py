@@ -22,7 +22,7 @@ class ParameterSequence:
 
     kinds: 'constant' (gamma_hat forever), 'iid' (uniform in the delta-ball
     around gamma_hat, seeded), 'adversarial' (+eps / -eps blocks switching
-    at the k-schedule), 'explicit' (a fixed list).
+    at the k-schedule). A fixed list of parameters is passed as an array.
     """
 
     kind: str
@@ -31,10 +31,9 @@ class ParameterSequence:
     seed: int = 0
     eps: float = 0.0
     k_schedule: tuple = ()
-    values: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("constant", "iid", "adversarial", "explicit"):
+        if self.kind not in ("constant", "iid", "adversarial"):
             raise ValueError(f"unknown sequence kind {self.kind!r}")
         if self.kind == "adversarial":
             ks = tuple(int(k) for k in self.k_schedule)
@@ -57,10 +56,6 @@ class ParameterSequence:
         return ParameterSequence(kind="adversarial", eps=eps,
                                  k_schedule=tuple(k_schedule))
 
-    @staticmethod
-    def explicit(values) -> "ParameterSequence":
-        return ParameterSequence(kind="explicit",
-                                 values=tuple(float(v) for v in values))
 
 
 def gen_sequence(spec: ParameterSequence, n: int) -> np.ndarray:
@@ -73,10 +68,6 @@ def gen_sequence(spec: ParameterSequence, n: int) -> np.ndarray:
         rng = substream(spec.seed, "parameter-sequence")
         return rng.uniform(spec.gamma_hat - spec.delta,
                            spec.gamma_hat + spec.delta, n)
-    if spec.kind == "explicit":
-        if n > len(spec.values):
-            raise ValueError(f"explicit sequence has only {len(spec.values)} values")
-        return np.array(spec.values[:n])
     ks = spec.k_schedule
     if n > ks[-1]:
         raise ValueError(

@@ -54,7 +54,7 @@ class UlamOperator:
     """
 
     matrix: scipy.sparse.csr_array
-    provenance: str = "explicit"
+    provenance: str = "given"
 
     def __post_init__(self):
         mat = scipy.sparse.csr_array(self.matrix, dtype=float, copy=True)
@@ -256,14 +256,13 @@ class AveragingLaw:
 
     kinds: 'point' (Dirac at center), 'two_point' (center ± radius),
     'uniform' (midpoint quadrature on [center-radius, center+radius]),
-    'atoms' (explicit atoms/weights), 'sample' (iid uniform draws, seeded).
+    'atoms' (given atoms and weights).
     """
 
     center: float
     radius: float = 0.0
     law: str = "point"
     n_samples: int = 64
-    seed: Optional[int] = None
     atoms: Optional[tuple] = None
     weights: Optional[tuple] = None
 
@@ -286,13 +285,6 @@ class AveragingLaw:
             if abs(weights.sum() - 1.0) > 1e-12 or np.any(weights < 0):
                 raise ValueError("atom weights must be nonnegative and sum to 1")
             return atoms, weights
-        if self.law == "sample":
-            if self.n_samples < 1:
-                raise ValueError("n_samples must be positive")
-            rng = substream(self.seed or 0, "averaged-operator")
-            nodes = rng.uniform(self.center - self.radius,
-                                self.center + self.radius, self.n_samples)
-            return nodes, np.full(self.n_samples, 1.0 / self.n_samples)
         raise ValueError(f"unknown averaging law {self.law!r}")
 
 

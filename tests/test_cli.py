@@ -89,6 +89,33 @@ def test_ball_outside_range_is_config_error(tmp_path, capsys, experiment):
     assert not out.exists()
 
 
+ZERO_COUNTS = {
+    "stability --sequences 0": "sequences",
+    "perturb-probe --seeds 0": "seeds",
+    "network --n 0": "n",
+    "birkhoff --points 0": "points",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ZERO_COUNTS))
+def test_zero_count_is_config_error_before_any_step(tmp_path, capsys,
+                                                    command):
+    out = tmp_path / "zero"
+    assert main([*command.split(), "--out", str(out)]) == 2
+    assert (capsys.readouterr().err ==
+            f"config error: {ZERO_COUNTS[command]}: must be positive, got 0\n")
+    assert not out.exists()
+
+
+def test_unknown_coupling_is_config_error(tmp_path, capsys):
+    out = tmp_path / "net"
+    assert main(["network", "--coupling", "foo", "--nodes", "4",
+                 "--ensemble", "10", "--n", "5", "--out", str(out)]) == 2
+    assert "unknown coupling 'foo'; known: ['diffusive', 'zero']" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_solver_modules_unloaded():
     # scipy's optimize, sparse.linalg and ndimage load on first use, so that
     # every experiment does not pay for them at start-up

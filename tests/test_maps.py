@@ -3,14 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from nonstat_dyn import maps
-from nonstat_dyn.birkhoff import orbit_points
 from nonstat_dyn.maps import (ExpansionError, boundary_complexity,
                               branch_preimages, breakpoint_family,
-                              circle_family, doubling_family, family_by_name,
-                              instantiate, lsv_family, mod1, pm_family,
-                              tent_family, validate_family)
-from nonstat_dyn.sequences import ParameterSequence
+                              circle_distance, circle_family, doubling_family,
+                              family_by_name, instantiate, lsv_family, mod1,
+                              pm_family, tent_family, validate_family)
 
 ALL_FAMILIES = {
     "doubling": (doubling_family(), (-0.05, 0.0, 0.1)),
@@ -79,28 +76,10 @@ def test_instantiate_verdicts_follow_scan(name):
 
 def test_doubling_two_branches_slope_two():
     inst = instantiate(doubling_family(), 0.0)
-    assert len(inst.branches) == 2
-    for br in inst.branches:
-        assert br.piece.affine[0] == 2.0
-    assert [(br.lo, br.hi) for br in inst.branches] == [(0.0, 0.5), (0.5, 1.0)]
-
-
-def test_step_loops_never_cut_branches(monkeypatch):
-    cuts = []
-    original = maps._cut_branches
-
-    def counting(pieces):
-        cuts.append(len(pieces))
-        return original(pieces)
-
-    monkeypatch.setattr(maps, "_cut_branches", counting)
-    fam = pm_family(0.5)
-    orbit_points(fam, ParameterSequence.iid(0.1, 0.01, 0),
-                 np.linspace(0.0, 1.0, 8, endpoint=False), 50)
-    assert cuts == []
-    inst = instantiate(fam, 0.1)
-    assert inst.branches is inst.branches
-    assert len(cuts) == 1
+    for x in (0.0, 0.3, 0.9):
+        pre = branch_preimages(inst, x)
+        assert [y for y, _ in pre] == [x / 2, (x + 1) / 2]
+        assert [jac for _, jac in pre] == [0.5, 0.5]
 
 
 def test_pm_accepts_expanding_parameter():
@@ -125,8 +104,8 @@ def test_instantiate_deterministic():
     fam = pm_family(0.5)
     a = instantiate(fam, 0.1)
     b = instantiate(fam, 0.1)
-    assert [(br.lo, br.hi, br.offset) for br in a.branches] == \
-        [(br.lo, br.hi, br.offset) for br in b.branches]
+    for x in np.linspace(0.0, 1.0, 16, endpoint=False):
+        assert branch_preimages(a, float(x)) == branch_preimages(b, float(x))
 
 
 def test_doubling_preimages_of_half():
@@ -148,7 +127,8 @@ def test_lsv_preimages_forward_residual():
     inst = instantiate(lsv_family(0.5), 0.1)
     for x in np.linspace(0.01, 0.99, 23):
         pre = branch_preimages(inst, float(x))
-        assert 1 <= len(pre) <= len(inst.branches)
+        # the lifts run from 0 to 1.05 and from 0.05 to 1.1
+        assert len(pre) == (3 if x < 0.1 else 2)
         for y, jac in pre:
             fy = float(inst.evaluate(np.array([y]))[0])
             assert abs(fy - x) < 1e-10
@@ -171,12 +151,16 @@ def test_preimage_roundtrip_all_families(name):
                                         ("circle", 0.3)])
 def test_preimages_of_branch_ends(name, gamma):
     # these instances have a branch starting where the lift crosses an
-    # integer, so round-off leaves the root finder with no sign change
+    # integer, and one ending at the piece end's image
     inst = instantiate(ALL_FAMILIES[name][0], gamma)
-    for x in np.linspace(0.0, 1.0, 200, endpoint=False):
-        for br in inst.branches:
-            if br.covers(float(x)):
-                assert abs(br.forward(br.inverse(float(x))) - x) <= 1e-10
+    (piece,) = inst.pieces
+    end = float(mod1(piece.lift(np.float64(1.0))))
+    for x in list(np.linspace(0.0, 1.0, 200, endpoint=False)) + [end]:
+        pre = branch_preimages(inst, float(x))
+        assert len(pre) == (3 if x < end else 2)
+        for y, _ in pre:
+            fy = float(inst.evaluate(np.array([y]))[0])
+            assert float(circle_distance(fy, x)) <= 1e-10
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FAMILIES))
@@ -271,7 +255,9 @@ def test_breakpoint_piece_count_stable():
 
 def test_tent_has_decreasing_branch():
     inst = instantiate(tent_family(), 0.0)
-    assert any(not br.increasing for br in inst.branches)
+    rising, falling = inst.pieces
+    assert falling.lift(0.6) > falling.lift(0.7)
+    assert branch_preimages(inst, 0.4) == [(0.2, 0.5), (0.8, 0.5)]
     assert scan_min_abs_derivative(inst.pieces) == 2.0
 
 
@@ -328,3 +314,25 @@ def test_recreated_family_shares_its_shape():
         assert len(shapes) == 1
     assert (pm_family(0.3).pieces_for(0.1)[0].split[1]
             is not pm_family(0.5).pieces_for(0.1)[0].split[1])
+
+
+# the estimators' outputs on three families, pinned bit for bit (distortion
+# to 1e-12: its inverses are bisected on the whole piece)
+@pytest.mark.parametrize("family,gamma,expression", [
+    (pm_family(0.5), 0.09, 4.9790936463322595),
+    (doubling_family(), -0.05, 4.722318868083671),
+    (breakpoint_family(0.4), 0.0, 0.6),
+], ids=["pm", "doubling", "breakpoint"])
+def test_boundary_expression_pinned(family, gamma, expression):
+    eps0 = family.eps0
+    prof = boundary_complexity(instantiate(family, gamma),
+                               [eps0 / 4, eps0 / 2, eps0], periodic=True)
+    assert prof.expression == expression
+
+
+def test_validate_family_pinned():
+    rep = validate_family(pm_family(0.5), 0.09, 0.11)
+    assert rep.c1_distance == 0.020000000000000462
+    assert rep.domain_symdiff == 0.0
+    assert rep.s_gamma == (0.9174311926605504, 0.9009009009009008)
+    assert rep.distortion_c == pytest.approx(0.5159914533115624, rel=1e-12)

@@ -7,9 +7,11 @@ import pytest
 
 from nonstat_dyn.maps import (circle_family, doubling_family, instantiate,
                               mod1, pm_family)
-from nonstat_dyn.network import (NetworkSystem, diffusive_coupling,
-                                 gen_schedule, histogram_noise_floor,
-                                 simulate_ensemble, step_network)
+from nonstat_dyn import network
+from nonstat_dyn.network import (AdjacencySchedule, NetworkSystem,
+                                 diffusive_coupling, gen_schedule,
+                                 histogram_noise_floor, simulate_ensemble,
+                                 step_network)
 from nonstat_dyn.seeding import substream
 from nonstat_dyn.transfer import build_ulam, fixed_density
 
@@ -49,7 +51,7 @@ def test_schedule_validation():
         gen_schedule("nope", 4, horizon=10)
     bad = np.ones((2, 3, 3), dtype=np.uint8)
     with pytest.raises(ValueError):
-        gen_schedule("explicit", 3, horizon=2, explicit=bad)  # diagonal
+        AdjacencySchedule(n_nodes=3, kind="given", matrices=bad)  # diagonal
 
 
 def test_coupling_budget_enforced():
@@ -71,7 +73,7 @@ def test_uncoupled_step_is_plain_map():
 def test_zero_coupling_function_same_as_uncoupled():
     node = instantiate(doubling_family(), 0.0)
     sched = gen_schedule("static", 4, horizon=4)
-    a = NetworkSystem(node_map=node, n_nodes=4, alpha_c=0.05, h_name="zero")
+    a = NetworkSystem(node_map=node, n_nodes=4, alpha_c=0.05, coupling="zero")
     b = NetworkSystem(node_map=node, n_nodes=4, alpha_c=0.0)
     x = np.random.default_rng(0).uniform(0, 1, (10, 4))
     assert np.array_equal(step_network(a, x, 0, sched),
@@ -164,21 +166,13 @@ def test_coupled_ensemble_bits_pinned():
         "b14787e0c7b5f339512465ff05fe1c157106801485285ad2de9961b6b513a9f6")
 
 
-@pytest.mark.parametrize("h_name,expected", [
+@pytest.mark.parametrize("coupling,expected", [
     ("diffusive",
      "3fc1056df50906e1a5ce44721e22128ebd350a98c7884dd69bad3c9b14ded92d"),
-    ("generic",
-     "e03e57e53a08b035e1c222a20168e4b3ceae91455c4e31c5afe58a674ca53567"),
 ])
-def test_step_states_bits_pinned(h_name, expected):
-    # "generic" is the same sine coupling as another function, which takes
-    # the einsum branch instead of the two-matmul one
-    kwargs = {}
-    if h_name == "generic":
-        kwargs = {"h": lambda xj, xi: np.sin(2 * np.pi * (xj - xi)) / (2 * np.pi),
-                  "h_name": "sine"}
+def test_step_states_bits_pinned(coupling, expected):
     system = NetworkSystem(node_map=instantiate(pm_family(0.5), 0.1),
-                           n_nodes=4, alpha_c=0.02, **kwargs)
+                           n_nodes=4, alpha_c=0.02, coupling=coupling)
     sched = gen_schedule("bursty", 4, horizon=30, seed=4, p=0.8, fail_rate=0.2)
     x = substream(4, "pin").uniform(0.0, 1.0, (50, 4))
     states = []
@@ -245,14 +239,10 @@ def serial_simulate_oracle(system, schedule, ensemble, n_steps, seed=0,
     return np.array(counts), np.array(dists)
 
 
-def sine(xj, xi):
-    return np.sin(2 * np.pi * (xj - xi)) / (2 * np.pi)
-
-
 @pytest.mark.parametrize("ensemble", [1, 2, 7, 10001])
 @pytest.mark.parametrize("coupling", [
     {"alpha_c": 0.02},
-    {"alpha_c": 0.02, "h": sine, "h_name": "sine"},    # the einsum branch
+    {"alpha_c": 0.02, "coupling": "zero"},
     {"alpha_c": 0.0},
 ])
 def test_two_thread_ensemble_equals_serial_oracle(ensemble, coupling):
@@ -272,16 +262,17 @@ def test_two_thread_ensemble_equals_serial_oracle(ensemble, coupling):
         assert np.array_equal(summary.distances, dists)
 
 
-def test_ensemble_failure_raises_and_leaks_no_thread():
+def test_ensemble_failure_raises_and_leaks_no_thread(monkeypatch):
     seen = set()
+    step = network.step_network
 
-    def recording_sine(xj, xi):
+    def recording_step(*args):
         seen.add(threading.get_ident())
-        return sine(xj, xi)
+        return step(*args)
 
+    monkeypatch.setattr(network, "step_network", recording_step)
     system = NetworkSystem(node_map=instantiate(doubling_family(), 0.0),
-                           n_nodes=4, alpha_c=0.02, h=recording_sine,
-                           h_name="sine")
+                           n_nodes=4, alpha_c=0.02)
     sched = gen_schedule("static", 4, horizon=5)
     before = threading.active_count()
     with pytest.raises(IndexError, match=r"^schedule horizon 5 exceeded at t=5$"):

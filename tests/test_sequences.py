@@ -42,13 +42,6 @@ def test_iid_deterministic_and_supported():
     assert np.all(np.abs(a - 0.1) <= 0.01)
 
 
-def test_explicit_sequence_bounds():
-    spec = ParameterSequence.explicit([0.1, 0.2])
-    assert np.array_equal(gen_sequence(spec, 2), [0.1, 0.2])
-    with pytest.raises(ValueError):
-        gen_sequence(spec, 3)
-
-
 def test_doubling_gap_schedule():
     ks = doubling_gap_schedule(64, 10000)
     gaps = np.diff(ks)
