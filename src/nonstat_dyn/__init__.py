@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .densities import (DEFAULT_EPS0, GridDensity, GridMismatchError,
+from .densities import (EPS0, GridDensity, GridMismatchError,
                         l1_distance, l1_norm, osc_integral,
                         quasi_holder_seminorm)
 from .maps import (MapFamily, MapInstance, ValidationReport,

@@ -8,8 +8,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .densities import (DEFAULT_EPS0, GridDensity, cell_centers,
-                        quasi_holder_seminorm)
+from .densities import GridDensity, cell_centers, quasi_holder_seminorm
 from .maps import MapFamily, instantiate, mod1
 from .seeding import substream
 from .sequences import _as_gammas
@@ -44,9 +43,9 @@ class Observable:
     def norm_sup(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def seminorm(self, alpha: float, eps0: float = DEFAULT_EPS0) -> float:
+    def seminorm(self, alpha: float) -> float:
         grid = GridDensity(self.values, density=False)
-        return quasi_holder_seminorm(grid, alpha, eps0).seminorm
+        return quasi_holder_seminorm(grid, alpha).seminorm
 
 
 BUILTIN_OBSERVABLES = {
@@ -101,14 +100,14 @@ class BirkhoffResult:
     averages: np.ndarray       # (n_obs, points) final running averages
     tail_min: np.ndarray       # (n_obs, points) min running average, last 10%
     tail_max: np.ndarray
-    curve_steps: np.ndarray    # downsampled checkpoints
+    curve_steps: np.ndarray    # every max(n // 200, 1)-th step, and n
     curves: np.ndarray         # (n_obs, len(curve_steps), points)
     n: int
 
 
 def birkhoff_averages(family: MapFamily, seq, initial_points: int, psi,
-                      n: int, seed: int = 0, dither: float = DEFAULT_DITHER,
-                      curve_samples: int = 200) -> BirkhoffResult:
+                      n: int, seed: int = 0,
+                      dither: float = DEFAULT_DITHER) -> BirkhoffResult:
     """Running Birkhoff averages S_n(psi)(x)/n for Lebesgue-sampled points.
 
     `psi` may be a single Observable or a sequence of them; all observables
@@ -129,7 +128,7 @@ def birkhoff_averages(family: MapFamily, seq, initial_points: int, psi,
     tail_start = int(np.floor(0.9 * n))
     tail_min = np.full((len(obs), initial_points), np.inf)
     tail_max = np.full((len(obs), initial_points), -np.inf)
-    stride = max(n // curve_samples, 1)
+    stride = max(n // 200, 1)
     curve_steps, curves = [], []
 
     def snapshot(t):
@@ -222,8 +221,7 @@ class CovarianceTable:
 
 def covariance_decay(family: MapFamily, seq, psi: Observable, window: tuple,
                      ensemble: int = 10000, seed: int = 0,
-                     dither: float = DEFAULT_DITHER,
-                     quadrature: int = 32) -> CovarianceTable:
+                     dither: float = DEFAULT_DITHER) -> CovarianceTable:
     """Monte-Carlo covariances of psi_i = psi o F_{gamma_i} o ... o F_{gamma_1}
     over a Lebesgue ensemble, with spectrally computed means as cross-check,
     and a geometric fit |R_ij| <= C q^{|j-i|}."""
@@ -242,7 +240,7 @@ def covariance_decay(family: MapFamily, seq, psi: Observable, window: tuple,
         x = _step_points(cache, float(gammas[k - 1]), x, dither, rng)
         samples[k] = psi.fn(x)
     # spectral means: int psi L_{gamma_k} ... L_{gamma_1} 1 dm
-    operator = operator_cache(family, n_cells, quadrature)
+    operator = operator_cache(family, n_cells)
     means_spectral = np.empty(j_max + 1)
     means_spectral[0] = float(np.mean(psi.values))
     k = 1

@@ -182,6 +182,7 @@ def run_stability(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
     family = _family(family, kappa, b0)
     deltas = _deltas(deltas)
     _check_balls(family, gamma_hat, deltas)
+    n = _positive("n", n)
     sequences = _positive("sequences", sequences)
     table = stability_experiment(family, gamma_hat, deltas,
                                  _phi0(phi0, cells), n, sequences, seed,
@@ -201,6 +202,7 @@ def run_evolve(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                phi0="uniform", checkpoint=50) -> int:
     family = _family(family, kappa, b0)
     _check_balls(family, gamma_hat, [delta])
+    n = _positive("n", n)
     phi0 = _phi0(phi0, cells)
     ref = fixed_density(build_ulam(instantiate(family, gamma_hat), cells))
     seq = ParameterSequence.iid(gamma_hat, delta, seed)
@@ -218,6 +220,7 @@ def run_evolve(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
 def run_adversarial(writer: ArtifactWriter, *, kappa=0.5, eps=0.1, n=10000,
                     first_gap=64, cells=1024) -> int:
     eps = _positive("eps", eps)
+    n = _positive("n", n)
     family = pm_family(kappa=kappa)
     schedule = doubling_gap_schedule(first_gap, n)
     run = adversarial_demo(family, eps, schedule, n_max=n, n_cells=cells)
@@ -365,6 +368,7 @@ def run_perturb_probe(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
     family = _family(family, kappa, b0)
     deltas = _deltas(deltas)
     _check_balls(family, gamma_hat, deltas)
+    n = _positive("n", n)
     seeds = _positive("seeds", seeds)
     phi0 = _phi0(phi0, cells)
     rows = []

@@ -48,33 +48,23 @@ class HilbertDistanceReport:
     finite: bool
 
 
-def _offsets(n: int, rho0: float, circle: bool, strict: bool) -> np.ndarray:
-    if circle:
-        k_max = min(int(np.floor(rho0 * n + 1e-12)), n // 2)
-    else:
-        k_max = min(int(np.floor(rho0 * n + 1e-12)), n - 1)
+def _offsets(n: int, rho0: float, strict: bool) -> np.ndarray:
+    k_max = min(int(np.floor(rho0 * n + 1e-12)), n // 2)
     if strict and k_max >= 1 and abs(k_max / n - rho0) < 1e-15:
         k_max -= 1
     return np.arange(1, k_max + 1)
 
 
-def _partner_blocks(n: int, shifts: np.ndarray, circle: bool):
-    """Blocks of at most GATHER_BLOCK pairs (x, y = x + shift cells), one
-    row per shift: yields (rows, partner, valid) with partner[r, i] the
-    cell paired with cell i. On the circle partners wrap and valid is
-    None. On the interval partners past an end are clipped to it and
-    valid marks the pairs inside [0, n); callers drop the rest, so the
-    pairs are exactly those of one slice per offset."""
+def _partner_blocks(n: int, shifts: np.ndarray):
+    """Blocks of at most GATHER_BLOCK pairs (x, y = x + shift cells mod n),
+    one row per shift: yields (rows, partner) with partner[r, i] the cell
+    paired with cell i."""
     cells = np.arange(n)
     step = max(1, GATHER_BLOCK // n)
     for lo in range(0, len(shifts), step):
         rows = slice(lo, lo + step)
         partner = cells + shifts[rows, None]
-        if circle:
-            yield rows, np.remainder(partner, n, out=partner), None
-        else:
-            valid = (partner >= 0) & (partner < n)
-            yield rows, np.clip(partner, 0, n - 1, out=partner), valid
+        yield rows, np.remainder(partner, n, out=partner)
 
 
 def log_holder_constant(phi: GridDensity, nu: float, rho0: float) -> float:
@@ -83,15 +73,12 @@ def log_holder_constant(phi: GridDensity, nu: float, rho0: float) -> float:
         return np.inf
     logs = np.log(phi.values)
     n = phi.n_cells
-    ks = _offsets(n, rho0, phi.circle, strict=False)
+    ks = _offsets(n, rho0, strict=False)
     # scalar powers, one per offset: an array power may round differently
-    scale = np.array([(min(k / n, 1.0 - k / n) if phi.circle else k / n) ** nu
-                      for k in ks])
+    scale = np.array([min(k / n, 1.0 - k / n) ** nu for k in ks])
     worst = 0.0
-    for rows, partner, valid in _partner_blocks(n, ks, phi.circle):
+    for rows, partner in _partner_blocks(n, ks):
         gaps = np.abs(logs - logs[partner])
-        if valid is not None:
-            gaps[~valid] = 0.0
         worst = max(worst, np.max(gaps.max(axis=1) / scale[rows]))
     return worst
 
@@ -115,15 +102,15 @@ def _holder_alpha(phi1: GridDensity, phi2: GridDensity, cone: ConeParams) -> flo
     alpha = float(np.min(v2 / v1))
     # scalar exp and power, one per offset: array ones may round differently
     ks, factors = [], []
-    for k in _offsets(n, cone.rho0, phi1.circle, strict=True):
-        d = min(k / n, 1.0 - k / n) if phi1.circle else k / n
+    for k in _offsets(n, cone.rho0, strict=True):
+        d = min(k / n, 1.0 - k / n)
         if 0 < d < cone.rho0:
             ks.append(int(k))
             factors.append(np.exp(cone.a * d ** cone.nu))
     # every offset in both directions: y = x + k and y = x - k cells
     shifts = np.array(ks + [-k for k in ks], dtype=np.int64)
     factors = np.array(factors + factors)
-    for rows, partner, valid in _partner_blocks(n, shifts, phi1.circle):
+    for rows, partner in _partner_blocks(n, shifts):
         e = factors[rows, None]
         den = e * v1 - v1[partner]
         num = e * v2 - v2[partner]
@@ -131,11 +118,7 @@ def _holder_alpha(phi1: GridDensity, phi2: GridDensity, cone: ConeParams) -> flo
         # and never bind the infimum; negative numerators there mean phi2
         # leaves the cone, i.e. alpha <= 0
         mask = den > PROPORTIONAL_TOL
-        bad = ~mask & (num < -PROPORTIONAL_TOL)
-        if valid is not None:
-            mask &= valid
-            bad &= valid
-        if np.any(bad):
+        if np.any(~mask & (num < -PROPORTIONAL_TOL)):
             return 0.0
         if np.any(mask):
             alpha = min(alpha, float(np.min(num[mask] / den[mask])))

@@ -5,8 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: default locality scale for oscillation-based seminorms
-DEFAULT_EPS0 = 0.05
+#: Locality scale of the quasi-Holder seminorm: the largest sampled ball radius
+EPS0 = 0.05
+#: Scales sampled by the seminorm, geometric from one cell width to EPS0
+N_EPS = 16
 
 
 class GridMismatchError(ValueError):
@@ -15,15 +17,14 @@ class GridMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class GridDensity:
-    """Piecewise-constant function on a uniform partition of [0,1).
+    """Piecewise-constant function on a uniform partition of the circle [0,1).
 
     `values[i]` is the cell average over [i/n, (i+1)/n).  With
-    ``density=True`` the values must be nonnegative.  ``circle=True``
-    selects the wrap-around metric for all ball-based computations.
+    ``density=True`` the values must be nonnegative.  Every ball-based
+    computation uses the wrap-around metric of the circle.
     """
 
     values: np.ndarray
-    circle: bool = True
     density: bool = True
 
     def __post_init__(self):
@@ -36,14 +37,13 @@ class GridDensity:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def _trusted(cls, values: np.ndarray, circle: bool = True,
+    def _trusted(cls, values: np.ndarray,
                  density: bool = True) -> "GridDensity":
         """Wrap a fresh, valid 1-D float array computed in this package and
         owned by the caller: no copy and no sign scan."""
         values.flags.writeable = False
         phi = object.__new__(cls)
         object.__setattr__(phi, "values", values)
-        object.__setattr__(phi, "circle", circle)
         object.__setattr__(phi, "density", density)
         return phi
 
@@ -60,31 +60,29 @@ class GridDensity:
             raise ValueError(f"not a probability density: mass = {self.mass!r}")
 
     def scaled(self, c: float) -> "GridDensity":
-        return GridDensity(self.values * c, circle=self.circle,
-                           density=self.density and c >= 0)
+        return GridDensity(self.values * c, density=self.density and c >= 0)
 
     @staticmethod
-    def uniform(n_cells: int, circle: bool = True) -> "GridDensity":
-        return GridDensity(np.ones(n_cells), circle=circle)
+    def uniform(n_cells: int) -> "GridDensity":
+        return GridDensity(np.ones(n_cells))
 
     @staticmethod
-    def indicator(lo: float, hi: float, n_cells: int, height: float = 1.0,
-                  circle: bool = True) -> "GridDensity":
+    def indicator(lo: float, hi: float, n_cells: int,
+                  height: float = 1.0) -> "GridDensity":
         """Cell averages of height * 1_[lo,hi); partial cells get fractional values."""
         if not (0.0 <= lo < hi <= 1.0):
             raise ValueError("need 0 <= lo < hi <= 1")
         edges = np.arange(n_cells + 1) / n_cells
         overlap = np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)
         vals = height * np.clip(overlap, 0.0, None) * n_cells
-        return GridDensity(vals, circle=circle)
+        return GridDensity(vals)
 
     @staticmethod
-    def from_callable(fn, n_cells: int, circle: bool = True,
-                      density: bool = True) -> "GridDensity":
+    def from_callable(fn, n_cells: int, density: bool = True) -> "GridDensity":
         """Sample a function at cell centers (midpoint approximation of cell averages)."""
         centers = (np.arange(n_cells) + 0.5) / n_cells
         return GridDensity(np.asarray(fn(centers), dtype=float),
-                           circle=circle, density=density)
+                           density=density)
 
 
 def cell_centers(n_cells: int) -> np.ndarray:
@@ -107,15 +105,13 @@ def l1_norm(phi: GridDensity) -> float:
     return float(np.mean(np.abs(phi.values)))
 
 
-def _window_osc(values: np.ndarray, lo: int, hi: int, circle: bool) -> np.ndarray:
-    """osc over cells [i+lo, i+hi] for every i along the last axis, with
-    wrap or edge clipping."""
+def _window_osc(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """osc over cells [i+lo, i+hi] (mod n) for every i along the last axis."""
     from scipy.ndimage import maximum_filter1d, minimum_filter1d
     size = hi - lo + 1
-    mode = "wrap" if circle else "nearest"
     origin = lo + size // 2
-    mx = maximum_filter1d(values, size=size, mode=mode, origin=origin)
-    mn = minimum_filter1d(values, size=size, mode=mode, origin=origin)
+    mx = maximum_filter1d(values, size=size, mode="wrap", origin=origin)
+    mn = minimum_filter1d(values, size=size, mode="wrap", origin=origin)
     return mx - mn
 
 
@@ -126,10 +122,10 @@ def osc_integral(phi: GridDensity, eps: float) -> float:
     by B_eps(x) is piecewise constant in x, so the integral reduces to a
     weighted sum of three sliding-window oscillations.
     """
-    return float(_osc_integrals(phi.values, eps, phi.circle))
+    return float(_osc_integrals(phi.values, eps))
 
 
-def _osc_integrals(v: np.ndarray, eps: float, circle: bool) -> np.ndarray:
+def _osc_integrals(v: np.ndarray, eps: float) -> np.ndarray:
     """`osc_integral` of each row of v (or of v itself when 1-D)."""
     n = v.shape[-1]
     if eps <= 0:
@@ -140,15 +136,15 @@ def _osc_integrals(v: np.ndarray, eps: float, circle: bool) -> np.ndarray:
     q = int(np.floor(eps * n + 1e-12))
     r = eps * n - q
     if r < 1e-12:
-        return np.mean(_window_osc(v, -q, q, circle), axis=-1)
+        return np.mean(_window_osc(v, -q, q), axis=-1)
     if r <= 0.5:
-        oa = _window_osc(v, -q - 1, q, circle)
-        om = _window_osc(v, -q, q, circle)
-        ob = _window_osc(v, -q, q + 1, circle)
+        oa = _window_osc(v, -q - 1, q)
+        om = _window_osc(v, -q, q)
+        ob = _window_osc(v, -q, q + 1)
         return np.mean(r * oa + (1.0 - 2.0 * r) * om + r * ob, axis=-1)
-    oa = _window_osc(v, -q - 1, q, circle)
-    om = _window_osc(v, -q - 1, q + 1, circle)
-    ob = _window_osc(v, -q, q + 1, circle)
+    oa = _window_osc(v, -q - 1, q)
+    om = _window_osc(v, -q - 1, q + 1)
+    ob = _window_osc(v, -q, q + 1)
     return np.mean((1.0 - r) * oa + (2.0 * r - 1.0) * om + (1.0 - r) * ob,
                    axis=-1)
 
@@ -158,53 +154,46 @@ class SeminormReport:
     """Sampled oscillation seminorm of a grid function."""
 
     alpha: float
-    eps0: float
     eps_values: np.ndarray
     per_eps: np.ndarray          # eps^{-alpha} * osc_integral(phi, eps)
     seminorm: float              # max over sampled eps
     l1: float
     norm_alpha: float            # seminorm + l1
-    ess_sup_bound: float         # max(1, eps0^alpha)/(2 eps0) * norm_alpha
+    ess_sup_bound: float         # norm_alpha / (2 EPS0)
 
 
-def quasi_holder_seminorm(phi: GridDensity, alpha: float,
-                          eps0: float = DEFAULT_EPS0,
-                          n_eps: int = 16) -> SeminormReport:
+def quasi_holder_seminorm(phi: GridDensity, alpha: float) -> SeminormReport:
     """Estimate the oscillation seminorm sup_eps eps^{-alpha} * int osc(phi, B_eps) dm.
 
     The sup over a continuum of scales is sampled on a geometric grid of
-    `n_eps` points between one cell width and `eps0`, so the reported value
+    N_EPS points between one cell width and EPS0, so the reported value
     is a lower bound of the true seminorm.
     """
-    eps_values, per_eps = _scaled_osc(phi.values, alpha, eps0, n_eps,
-                                      phi.circle)
+    eps_values, per_eps = _scaled_osc(phi.values, alpha)
     seminorm = float(per_eps.max())
     l1 = l1_norm(phi)
     norm_alpha = seminorm + l1
-    bound = max(1.0, eps0 ** alpha) / (2.0 * eps0) * norm_alpha
-    return SeminormReport(alpha=alpha, eps0=eps0, eps_values=eps_values,
+    # max(1, EPS0^alpha) / (2 EPS0) * norm_alpha, and EPS0 < 1
+    bound = 1.0 / (2.0 * EPS0) * norm_alpha
+    return SeminormReport(alpha=alpha, eps_values=eps_values,
                           per_eps=per_eps, seminorm=seminorm, l1=l1,
                           norm_alpha=norm_alpha, ess_sup_bound=bound)
 
 
-def seminorms(rows: np.ndarray, alpha: float, eps0: float = DEFAULT_EPS0,
-              circle: bool = True) -> np.ndarray:
+def seminorms(rows: np.ndarray, alpha: float) -> np.ndarray:
     """`quasi_holder_seminorm(...).seminorm` of each row of a 2-D block of
     cell values, bit for bit, with one filter pass per window for the block."""
-    return _scaled_osc(rows, alpha, eps0, 16, circle)[1].max(axis=0)
+    return _scaled_osc(rows, alpha)[1].max(axis=0)
 
 
-def _scaled_osc(values: np.ndarray, alpha: float, eps0: float, n_eps: int,
-                circle: bool) -> tuple:
+def _scaled_osc(values: np.ndarray, alpha: float) -> tuple:
     """(eps grid, eps^{-alpha} * osc_integral at each eps, one column per row
     of a 2-D `values`)."""
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
-    if n_eps < 4:
-        raise ValueError("n_eps must be at least 4")
     n = values.shape[-1]
-    if eps0 * n < 1.0 - 1e-12:
-        raise ValueError(f"eps0={eps0} below grid resolution 1/{n}; use a finer grid")
-    eps_values = np.geomspace(1.0 / n, eps0, n_eps)
-    return eps_values, np.array([_osc_integrals(values, e, circle) / e ** alpha
+    if EPS0 * n < 1.0 - 1e-12:
+        raise ValueError(f"EPS0={EPS0} below grid resolution 1/{n}; use a finer grid")
+    eps_values = np.geomspace(1.0 / n, EPS0, N_EPS)
+    return eps_values, np.array([_osc_integrals(values, e) / e ** alpha
                                  for e in eps_values])

@@ -145,14 +145,19 @@ def instantiate(family: MapFamily, gamma: float, unsafe: bool = False) -> MapIns
 
 def _solve_lift(piece: Piece, target: float) -> float:
     """Solve lift(x) = target on the whole monotone piece: exact for affine
-    lifts, else bisection and a Newton polish. With no sign change (a root
-    at an end, moved by round-off), the end of smaller residual is polished."""
+    lifts and at a piece end the lift meets exactly, else bisection and a
+    Newton polish. With no sign change (a root at an end, moved by
+    round-off), the end of smaller residual is polished."""
     if piece.affine is not None:
         a, b = piece.affine
         return (target - b) / a
     lo, hi = piece.lo, piece.hi
     flo = float(piece.lift(np.float64(lo))) - target
     fhi = float(piece.lift(np.float64(hi))) - target
+    if flo == 0:
+        return lo
+    if fhi == 0:
+        return hi
     if flo * fhi > 0:
         x = lo if abs(flo) <= abs(fhi) else hi
     else:

@@ -77,12 +77,12 @@ def _complete(n: int) -> np.ndarray:
 
 
 def gen_schedule(kind: str, n_nodes: int, horizon: int, seed: int = 0,
-                 p: float = 0.9, fail_rate: float = 0.05, period: int = 2,
-                 edge: Optional[tuple] = None) -> AdjacencySchedule:
-    """Adjacency schedules: 'static', 'periodic-failure' (one edge toggling
-    with the given period) or 'bursty' (edges fail independently and stay
-    failed for geometric runs with persistence p). A given stream of
-    matrices is an `AdjacencySchedule` made directly."""
+                 p: float = 0.9, fail_rate: float = 0.05,
+                 period: int = 2) -> AdjacencySchedule:
+    """Adjacency schedules: 'static', 'periodic-failure' (the edge (0, 1)
+    present one step in every `period`) or 'bursty' (edges fail
+    independently and stay failed for geometric runs with persistence p).
+    A given stream of matrices is an `AdjacencySchedule` made directly."""
     if n_nodes < 2:
         raise ValueError("n_nodes must be at least 2")
     base_mat = _complete(n_nodes)
@@ -91,11 +91,10 @@ def gen_schedule(kind: str, n_nodes: int, horizon: int, seed: int = 0,
     elif kind == "periodic-failure":
         if period < 2:
             raise ValueError("period must be at least 2")
-        i, j = edge if edge is not None else (0, 1)
         mats = np.repeat(base_mat[None, :, :], horizon, axis=0).copy()
         for t in range(horizon):
             if t % period != 0:
-                mats[t, i, j] = 0
+                mats[t, 0, 1] = 0
     elif kind == "bursty":
         if not (0.0 < p < 1.0):
             raise ValueError("persistence p must lie in (0, 1)")

@@ -8,8 +8,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .densities import (DEFAULT_EPS0, GridDensity, l1_distance,
-                        quasi_holder_seminorm, seminorms)
+from .densities import (GridDensity, l1_distance, quasi_holder_seminorm,
+                        seminorms)
 from .maps import MapFamily, instantiate
 from .seeding import substream
 from .transfer import (STEP_BLOCK, AveragingLaw, averaged_operator,
@@ -117,9 +117,8 @@ def _as_gammas(seq, n: int) -> np.ndarray:
 def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
                    checkpoint_every: int = 50,
                    reference: Optional[GridDensity] = None,
-                   track_seminorm: bool = False, alpha: Optional[float] = None,
-                   eps0: float = DEFAULT_EPS0,
-                   quadrature: int = 32) -> EvolutionTrace:
+                   track_seminorm: bool = False,
+                   alpha: Optional[float] = None) -> EvolutionTrace:
     """Push phi0 through L_{gamma_n} ... L_{gamma_1}, recording mass, distance
     to a reference density, and (optionally) the oscillation seminorm at
     checkpoints."""
@@ -128,12 +127,12 @@ def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
         raise ValueError("checkpoint_every must be positive")
     if alpha is None:
         alpha = min(family.holder_exponent, 1.0)
-    operator = operator_cache(family, phi0.n_cells, quadrature)
+    operator = operator_cache(family, phi0.n_cells)
     steps, masses, dists, semis = [[0]], [[phi0.mass]], [], []
     if reference is not None:
         dists.append([float(np.mean(np.abs(phi0.values - reference.values)))])
     if track_seminorm:
-        semis.append([quasi_holder_seminorm(phi0, alpha, eps0).seminorm])
+        semis.append([quasi_holder_seminorm(phi0, alpha).seminorm])
     # clipped checkpoint rows wait here for one seminorm pass per full buffer
     pending = np.empty((STEP_BLOCK, phi0.n_cells)) if track_seminorm else None
     held = 0
@@ -150,12 +149,12 @@ def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
             dists.append(np.abs(picked - reference.values).mean(axis=1))
         if track_seminorm and len(picked):
             if held + len(picked) > STEP_BLOCK:
-                semis.append(seminorms(pending[:held], alpha, eps0))
+                semis.append(seminorms(pending[:held], alpha))
                 held = 0
             np.clip(picked, 0.0, None, out=pending[held:held + len(picked)])
             held += len(picked)
     if held:
-        semis.append(seminorms(pending[:held], alpha, eps0))
+        semis.append(seminorms(pending[:held], alpha))
     return EvolutionTrace(
         steps=np.concatenate(steps), masses=np.concatenate(masses),
         distances=np.concatenate(dists) if reference is not None else None,
@@ -197,10 +196,10 @@ class StabilityTable:
 def stability_experiment(family: MapFamily, gamma_hat: float,
                          delta_list: Sequence[float], phi0: GridDensity,
                          n: int, n_seqs: int, seed: int,
-                         checkpoint_every: int = 50, quadrature: int = 32,
-                         stationary_nodes: int = 64) -> StabilityTable:
+                         checkpoint_every: int = 50) -> StabilityTable:
     """Worst post-transient deviation over random sequences per delta, plus
-    the stationary-density deviation of the uniform averaged operator.
+    the stationary-density deviation of the uniform averaged operator on 64
+    midpoint nodes.
 
     Every delta-ball around gamma_hat must lie inside the family's range."""
     deltas = list(delta_list)
@@ -208,7 +207,7 @@ def stability_experiment(family: MapFamily, gamma_hat: float,
         raise ValueError("deltas must be nonnegative")
     for delta in deltas:
         family.check_ball(gamma_hat, delta)
-    ref_op = build_ulam(instantiate(family, gamma_hat), phi0.n_cells, quadrature)
+    ref_op = build_ulam(instantiate(family, gamma_hat), phi0.n_cells)
     phi_hat = fixed_density(ref_op)
     rows = []
     for delta in deltas:
@@ -218,15 +217,15 @@ def stability_experiment(family: MapFamily, gamma_hat: float,
             gammas = child.uniform(gamma_hat - delta, gamma_hat + delta, n)
             trace = evolve_density(family, gammas, phi0, n,
                                    checkpoint_every=checkpoint_every,
-                                   reference=phi_hat, quadrature=quadrature)
+                                   reference=phi_hat)
             _, w = post_transient_worst(trace.distances)
             worst = max(worst, w)
         if delta == 0:
             stat_dist = l1_distance(phi_hat, phi_hat)
         else:
             nu = AveragingLaw(center=gamma_hat, radius=delta, law="uniform",
-                              n_samples=stationary_nodes)
-            op_nu = averaged_operator(family, nu, phi0.n_cells, quadrature)
+                              n_samples=64)
+            op_nu = averaged_operator(family, nu, phi0.n_cells)
             stat_dist = l1_distance(fixed_density(op_nu), phi_hat)
         rows.append(StabilityRow(delta=delta, worst_post_transient=worst,
                                  stationary_distance=stat_dist,
@@ -262,8 +261,7 @@ def _mass_below(rows: np.ndarray, w: float) -> np.ndarray:
 
 def adversarial_demo(family: MapFamily, eps: float, k_schedule,
                      phi0: Optional[GridDensity] = None, n_max: int = 10000,
-                     n_cells: int = 1024, w: float = 0.05,
-                     quadrature: int = 32) -> AdversarialRun:
+                     n_cells: int = 1024, w: float = 0.05) -> AdversarialRun:
     """Evolve Lebesgue mass under the alternating +eps / -eps composition.
 
     The -eps segments use the unsafe instantiation (the map has an attracting
@@ -280,9 +278,8 @@ def adversarial_demo(family: MapFamily, eps: float, k_schedule,
                       "both regimes may not be exhibited")
     if phi0 is None:
         phi0 = GridDensity.uniform(n_cells)
-    phi_plus = fixed_density(build_ulam(instantiate(family, eps),
-                                        phi0.n_cells, quadrature))
-    operator = operator_cache(family, phi0.n_cells, quadrature, unsafe=True)
+    phi_plus = fixed_density(build_ulam(instantiate(family, eps), phi0.n_cells))
+    operator = operator_cache(family, phi0.n_cells, unsafe=True)
     # one operator per block of the schedule, repeated lazily: no array of
     # n_max parameters
     ops = itertools.chain.from_iterable(

@@ -11,8 +11,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 import scipy.sparse
 
-from .densities import (DEFAULT_EPS0, GridDensity, GridMismatchError,
-                        l1_norm, quasi_holder_seminorm, seminorms)
+from .densities import (GridDensity, GridMismatchError, l1_norm,
+                        quasi_holder_seminorm, seminorms)
 from .maps import MapFamily, MapInstance, instantiate
 from .seeding import substream
 
@@ -54,7 +54,6 @@ class UlamOperator:
     """
 
     matrix: scipy.sparse.csr_array
-    provenance: str = "given"
 
     def __post_init__(self):
         mat = scipy.sparse.csr_array(self.matrix, dtype=float, copy=True)
@@ -67,13 +66,11 @@ class UlamOperator:
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
-    def _trusted(cls, matrix: scipy.sparse.csr_array,
-                 provenance: str) -> "UlamOperator":
+    def _trusted(cls, matrix: scipy.sparse.csr_array) -> "UlamOperator":
         """Wrap a square, canonical, nonnegative CSR matrix built in this
         package and owned by the caller: no copy and no re-validation."""
         op = object.__new__(cls)
         object.__setattr__(op, "matrix", _freeze(matrix))
-        object.__setattr__(op, "provenance", provenance)
         return op
 
     @property
@@ -85,11 +82,8 @@ class UlamOperator:
             raise GridMismatchError(
                 f"grid mismatch: operator {self.n_cells}, density {phi.n_cells}")
         # the product is fresh, and nonnegative whenever phi is
-        return GridDensity._trusted(self.matrix @ phi.values, circle=phi.circle,
+        return GridDensity._trusted(self.matrix @ phi.values,
                                     density=phi.density)
-
-    def column_sum_error(self) -> float:
-        return float(np.max(np.abs(self.matrix.sum(axis=0) - 1.0)))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -189,21 +183,16 @@ def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> Ula
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     indices = np.subtract(keys, rows * n, dtype=np.int32, casting="unsafe")
-    mat = scipy.sparse.csr_array((data, indices, indptr), shape=(n, n))
-    tag = "unsafe " if instance.unsafe else ""
-    prov = (f"{tag}{instance.family.name} gamma={instance.gamma!r} "
-            f"n={n_cells} chord-{quadrature}")
-    return UlamOperator._trusted(mat, prov)
+    return UlamOperator._trusted(
+        scipy.sparse.csr_array((data, indices, indptr), shape=(n, n)))
 
 
-def operator_cache(family: MapFamily, n_cells: int, quadrature: int = 32,
-                   unsafe: bool = False):
+def operator_cache(family: MapFamily, n_cells: int, unsafe: bool = False):
     """gamma -> L_gamma for one family and grid, memoized for the calling
     experiment only and bounded by CACHE_SIZE."""
     @functools.lru_cache(maxsize=CACHE_SIZE)
     def operator(gamma: float) -> UlamOperator:
-        return build_ulam(instantiate(family, gamma, unsafe=unsafe), n_cells,
-                          quadrature)
+        return build_ulam(instantiate(family, gamma, unsafe=unsafe), n_cells)
     return operator
 
 
@@ -244,8 +233,7 @@ def apply_sequence(ops: Sequence[UlamOperator], phi: GridDensity) -> GridDensity
     if not ops:
         return phi
     *_, rows = step_blocks(ops, phi.values)
-    return GridDensity._trusted(rows[-1].copy(), circle=phi.circle,
-                                density=phi.density)
+    return GridDensity._trusted(rows[-1].copy(), density=phi.density)
 
 
 # --- averaging over a perturbation law -----------------------------------
@@ -288,8 +276,8 @@ class AveragingLaw:
         raise ValueError(f"unknown averaging law {self.law!r}")
 
 
-def averaged_operator(family: MapFamily, nu: AveragingLaw, n_cells: int,
-                      quadrature: int = 32) -> UlamOperator:
+def averaged_operator(family: MapFamily, nu: AveragingLaw,
+                      n_cells: int) -> UlamOperator:
     """Entrywise average of member operators over the law nu.
 
     A convex combination of column-stochastic nonnegative matrices, so all
@@ -301,11 +289,9 @@ def averaged_operator(family: MapFamily, nu: AveragingLaw, n_cells: int,
         raise ValueError("averaging law produced zero sample nodes")
     acc = 0
     for gamma, w in zip(nodes, weights):
-        member = build_ulam(instantiate(family, float(gamma)), n_cells, quadrature)
+        member = build_ulam(instantiate(family, float(gamma)), n_cells)
         acc = acc + w * member.matrix
-    prov = (f"averaged({nu.law} center={nu.center!r} radius={nu.radius!r} "
-            f"k={nodes.size}) {family.name} n={n_cells}")
-    return UlamOperator._trusted(acc, prov)
+    return UlamOperator._trusted(acc)
 
 
 # --- fixed densities and spectra -----------------------------------------
@@ -380,15 +366,13 @@ class LasotaYorkeFit:
     c_least_squares: float
     satisfied_fraction: float    # fraction covered by the raw least-squares fit
     alpha: float
-    eps0: float
     n_test: int
     iterated_margin: Optional[float] = None  # worst ratio against the n-step bound
 
 
 def lasota_yorke_fit(family: MapFamily, gamma: float, alpha: float,
-                     test_set: Sequence[GridDensity], n_powers: int = 0,
-                     eps0: float = DEFAULT_EPS0,
-                     quadrature: int = 32) -> LasotaYorkeFit:
+                     test_set: Sequence[GridDensity],
+                     n_powers: int = 0) -> LasotaYorkeFit:
     """Fit the regularity-contraction envelope on a set of test densities.
 
     The coefficients are empirical surrogates obtained by nonnegative least
@@ -400,12 +384,12 @@ def lasota_yorke_fit(family: MapFamily, gamma: float, alpha: float,
     if not test_set:
         raise ValueError("test_set must be nonempty")
     n_cells = test_set[0].n_cells
-    op = build_ulam(instantiate(family, gamma), n_cells, quadrature)
+    op = build_ulam(instantiate(family, gamma), n_cells)
     xs, zs, ys = [], [], []
     for phi in test_set:
-        xs.append(quasi_holder_seminorm(phi, alpha, eps0).seminorm)
+        xs.append(quasi_holder_seminorm(phi, alpha).seminorm)
         zs.append(l1_norm(phi))
-        ys.append(quasi_holder_seminorm(op.apply(phi), alpha, eps0).seminorm)
+        ys.append(quasi_holder_seminorm(op.apply(phi), alpha).seminorm)
     xs = np.array(xs)
     zs = np.array(zs)
     ys = np.array(ys)
@@ -421,7 +405,7 @@ def lasota_yorke_fit(family: MapFamily, gamma: float, alpha: float,
     c_hat = max(c_ls, float(np.max(c_needed)))
     fit = LasotaYorkeFit(eta_hat=eta, c_hat=c_hat, c_least_squares=c_ls,
                          satisfied_fraction=satisfied, alpha=alpha,
-                         eps0=eps0, n_test=len(test_set))
+                         n_test=len(test_set))
     if n_powers > 0 and eta < 1.0:
         margin = max(iterated_bound_margin(op, phi, fit, n_powers)
                      for phi in test_set)
@@ -435,12 +419,12 @@ def iterated_bound_margin(op: UlamOperator, phi: GridDensity, fit: LasotaYorkeFi
     eta^n |phi|_alpha + C/(1-eta) ||phi||_1, for n = 1..n_powers."""
     if fit.eta_hat >= 1.0:
         raise ValueError("iterated bound needs eta_hat < 1")
-    x0 = quasi_holder_seminorm(phi, fit.alpha, fit.eps0).seminorm
+    x0 = quasi_holder_seminorm(phi, fit.alpha).seminorm
     z0 = l1_norm(phi)
     worst = 0.0
     n = 0
     for rows in step_blocks(itertools.repeat(op, n_powers), phi.values):
-        for lhs in seminorms(rows, fit.alpha, fit.eps0, phi.circle).tolist():
+        for lhs in seminorms(rows, fit.alpha).tolist():
             n += 1
             rhs = (fit.eta_hat ** n * x0 +
                    fit.c_hat / (1.0 - fit.eta_hat) * z0) * (1.0 + slack)
@@ -492,9 +476,7 @@ class PerturbationProbe:
 
 def perturbation_probe(family: MapFamily, gamma_hat: float, delta: float,
                        n_max: int, phi: GridDensity, seq_seed: int,
-                       alpha: Optional[float] = None,
-                       eps0: float = DEFAULT_EPS0,
-                       quadrature: int = 32) -> PerturbationProbe:
+                       alpha: Optional[float] = None) -> PerturbationProbe:
     """Deviation curve between one random perturbed composition and the
     constant composition at gamma_hat, with a fitted geometric envelope
     C s^n ||phi||_alpha.  The delta-ball must lie inside the family's range."""
@@ -503,7 +485,7 @@ def perturbation_probe(family: MapFamily, gamma_hat: float, delta: float,
         alpha = min(family.holder_exponent, 1.0)
     rng = substream(seq_seed, "perturbation-probe")
     gammas = rng.uniform(gamma_hat - delta, gamma_hat + delta, n_max)
-    operator = operator_cache(family, phi.n_cells, quadrature)
+    operator = operator_cache(family, phi.n_cells)
     base = operator(float(gamma_hat))
     curve = np.zeros(n_max + 1)
     k = 1
@@ -512,7 +494,7 @@ def perturbation_probe(family: MapFamily, gamma_hat: float, delta: float,
             step_blocks(itertools.repeat(base, n_max), phi.values)):
         curve[k:k + len(seq)] = np.abs(seq - const).mean(axis=1)
         k += len(seq)
-    norm_alpha = quasi_holder_seminorm(phi, alpha, eps0).norm_alpha
+    norm_alpha = quasi_holder_seminorm(phi, alpha).norm_alpha
     env = fit_decay_envelope(curve, norm_alpha)
     dominated = bool(np.all(
         curve <= env.c_dominating * norm_alpha * env.s_fit ** np.arange(n_max + 1)

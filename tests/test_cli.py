@@ -94,6 +94,10 @@ ZERO_COUNTS = {
     "perturb-probe --seeds 0": "seeds",
     "network --n 0": "n",
     "birkhoff --points 0": "points",
+    "stability --n 0": "n",
+    "perturb-probe --n 0": "n",
+    "evolve --n 0": "n",
+    "adversarial --n 0": "n",
 }
 
 

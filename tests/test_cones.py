@@ -32,11 +32,12 @@ def test_zero_cell_not_in_positive_cone():
 
 
 def test_log_holder_constant_oracle():
-    # exp(b x^nu) on the interval metric: the worst log ratio is b (pairs at 0)
+    # exp(b d(x, 0)^nu) with d the circle distance: the worst log ratio is b,
+    # for pairs with one point at 0 (d(x, y)^nu is subadditive)
     n = 2048
     b, nu = 1.3, 0.5
-    phi = GridDensity.from_callable(lambda x: np.exp(b * x ** nu), n,
-                                    circle=False)
+    phi = GridDensity.from_callable(
+        lambda x: np.exp(b * np.minimum(x, 1.0 - x) ** nu), n)
     a_min = log_holder_constant(phi, nu, rho0=0.25)
     # cell centers miss x=0 where the ratio is extremal, so the discrete
     # constant sits just below b
@@ -210,36 +211,25 @@ def test_smooth_family_supnorm_convergence_under_sequences():
 
 
 def test_cone_metrics_bits_pinned():
-    # reprs recorded with the per-offset np.roll/slice loops; the blocked
+    # reprs recorded with the per-offset np.roll loops; the blocked
     # gather must give the same floats, types included
     rng = substream(5, "pin-cone")
-    pinned = {
-        True: ["np.float64(1.7999999999999994) np.float64(17.63632614803886)",
-               "HilbertDistanceReport(alpha_val=0.1283978135792585, "
-               "beta_val=10.244085666399064, theta=4.379322446965137, finite=True)",
-               "HilbertDistanceReport(alpha_val=0.4633283615288124, "
-               "beta_val=2.0087795616309636, theta=1.4668466264888316, finite=True)",
-               "HilbertDistanceReport(alpha_val=0.0, beta_val=inf, theta=inf, "
-               "finite=False)"],
-        False: ["np.float64(1.8000000000000003) np.float64(17.636326148038883)",
-                "HilbertDistanceReport(alpha_val=0.13882355948775832, "
-                "beta_val=10.721302097117286, theta=4.346784120919411, finite=True)",
-                "HilbertDistanceReport(alpha_val=0.5012509459704632, "
-                "beta_val=2.2754153539484827, theta=1.5128110220428999, finite=True)",
-                "HilbertDistanceReport(alpha_val=0.0, beta_val=inf, theta=inf, "
-                "finite=False)"],
-    }
-    for circle in (True, False):
-        p1 = GridDensity(sample_cone_density(96, CONE, rng).values, circle=circle)
-        p2 = GridDensity(sample_cone_density(96, CONE, rng).values, circle=circle)
-        rough = GridDensity(np.exp(substream(6, "rough").uniform(-1, 1, 96)),
-                            circle=circle)
-        got = [f"{log_holder_constant(p1, 0.5, 0.25)!r} "
-               f"{log_holder_constant(p2, 1.0, 0.3)!r}",
-               repr(theta_holder(p1, p2, CONE)),
-               repr(theta_holder(p1, p2, ConeParams(a=40.0, nu=1.0, rho0=0.125))),
-               repr(theta_holder(p1, rough, CONE))]
-        assert got == pinned[circle]
+    p1 = sample_cone_density(96, CONE, rng)
+    p2 = sample_cone_density(96, CONE, rng)
+    rough = GridDensity(np.exp(substream(6, "rough").uniform(-1, 1, 96)))
+    got = [f"{log_holder_constant(p1, 0.5, 0.25)!r} "
+           f"{log_holder_constant(p2, 1.0, 0.3)!r}",
+           repr(theta_holder(p1, p2, CONE)),
+           repr(theta_holder(p1, p2, ConeParams(a=40.0, nu=1.0, rho0=0.125))),
+           repr(theta_holder(p1, rough, CONE))]
+    assert got == [
+        "np.float64(1.7999999999999994) np.float64(17.63632614803886)",
+        "HilbertDistanceReport(alpha_val=0.1283978135792585, "
+        "beta_val=10.244085666399064, theta=4.379322446965137, finite=True)",
+        "HilbertDistanceReport(alpha_val=0.4633283615288124, "
+        "beta_val=2.0087795616309636, theta=1.4668466264888316, finite=True)",
+        "HilbertDistanceReport(alpha_val=0.0, beta_val=inf, theta=inf, "
+        "finite=False)"]
     op = build_ulam(instantiate(doubling_family(), 0.0), 128)
     assert repr(cone_image_check(op, CONE, samples=20, seed=2)) == (
         "ConeImageReport(passed=True, worst_a_min=np.float64(1.3020001931442986), "
@@ -250,17 +240,13 @@ def test_cone_metrics_bits_pinned():
         "bound_ok=True, per_operator_q=(0.4994895950030784, 0.0), n_pairs=12)")
     # 1024 cells span many gather blocks
     rng = substream(8, "pin-big")
-    big = {True: ("np.float64(1.8000000000000032)",
-                  "HilbertDistanceReport(alpha_val=0.09330934574188018, "
-                  "beta_val=12.108023979582633, theta=4.865703379053925, finite=True)"),
-           False: ("np.float64(1.8000000000000003)",
-                   "HilbertDistanceReport(alpha_val=0.06832290974504074, "
-                   "beta_val=12.068299324505007, theta=5.174092264610519, finite=True)")}
-    for circle in (True, False):
-        p1 = GridDensity(sample_cone_density(1024, CONE, rng).values, circle=circle)
-        p2 = GridDensity(sample_cone_density(1024, CONE, rng).values, circle=circle)
-        assert (repr(log_holder_constant(p1, 0.5, 0.25)),
-                repr(theta_holder(p1, p2, CONE))) == big[circle]
+    p1 = sample_cone_density(1024, CONE, rng)
+    p2 = sample_cone_density(1024, CONE, rng)
+    assert (repr(log_holder_constant(p1, 0.5, 0.25)),
+            repr(theta_holder(p1, p2, CONE))) == (
+        "np.float64(1.8000000000000032)",
+        "HilbertDistanceReport(alpha_val=0.09330934574188018, "
+        "beta_val=12.108023979582633, theta=4.865703379053925, finite=True)")
 
 
 def test_theta_holder_memory_bounded():
@@ -282,11 +268,10 @@ def loop_log_holder_constant(phi, nu, rho0):
     logs = np.log(phi.values)
     n = phi.n_cells
     worst = 0.0
-    for k in _offsets(n, rho0, phi.circle, strict=False):
-        d = min(k / n, 1.0 - k / n) if phi.circle else k / n
-        a, b = ((logs, np.roll(logs, -k)) if phi.circle
-                else (logs[:-k], logs[k:]))
-        worst = max(worst, float(np.max(np.abs(a - b))) / d ** nu)
+    for k in _offsets(n, rho0, strict=False):
+        d = min(k / n, 1.0 - k / n)
+        gaps = np.abs(logs - np.roll(logs, -k))
+        worst = max(worst, float(np.max(gaps)) / d ** nu)
     return worst
 
 
@@ -295,21 +280,14 @@ def loop_holder_alpha(phi1, phi2, cone):
     v1, v2 = phi1.values, phi2.values
     n = phi1.n_cells
     alpha = float(np.min(v2 / v1))
-    for k in _offsets(n, cone.rho0, phi1.circle, strict=True):
-        d = min(k / n, 1.0 - k / n) if phi1.circle else k / n
+    for k in _offsets(n, cone.rho0, strict=True):
+        d = min(k / n, 1.0 - k / n)
         if d <= 0 or d >= cone.rho0:
             continue
         e = np.exp(cone.a * d ** cone.nu)
         for sign in (1, -1):
-            if phi1.circle:
-                x1, y1 = v1, np.roll(v1, -k * sign)
-                x2, y2 = v2, np.roll(v2, -k * sign)
-            elif sign == 1:
-                x1, y1, x2, y2 = v1[:-k], v1[k:], v2[:-k], v2[k:]
-            else:
-                x1, y1, x2, y2 = v1[k:], v1[:-k], v2[k:], v2[:-k]
-            den = e * x1 - y1
-            num = e * x2 - y2
+            den = e * v1 - np.roll(v1, -k * sign)
+            num = e * v2 - np.roll(v2, -k * sign)
             mask = den > PROPORTIONAL_TOL
             if np.any(mask):
                 alpha = min(alpha, float(np.min(num[mask] / den[mask])))
@@ -318,18 +296,15 @@ def loop_holder_alpha(phi1, phi2, cone):
     return alpha
 
 
-@pytest.mark.parametrize("circle", [True, False])
-def test_gathered_metrics_equal_offset_loops(circle):
+def test_gathered_metrics_equal_offset_loops():
     rng = substream(11, "gather-vs-loop")
     # rho0 just under 1/3: at n = 3 and 99 the largest offset is 1/3 >= rho0
     for n in (3, 7, 16, 99, 100, 257, 640):
         for cone in (CONE, ConeParams(a=6.0, nu=1.0, rho0=0.5),
                      ConeParams(a=0.5, nu=0.3, rho0=0.1),
                      ConeParams(a=3.0, nu=0.7, rho0=1 / 3 - 1e-14)):
-            phis = [GridDensity(sample_cone_density(n, cone, rng).values,
-                                circle=circle) for _ in range(2)]
-            phis.append(GridDensity(np.exp(rng.uniform(-1, 1, n)),
-                                    circle=circle))
+            phis = [sample_cone_density(n, cone, rng) for _ in range(2)]
+            phis.append(GridDensity(np.exp(rng.uniform(-1, 1, n))))
             for phi in phis:
                 got = log_holder_constant(phi, cone.nu, cone.rho0)
                 want = loop_log_holder_constant(phi, cone.nu, cone.rho0)

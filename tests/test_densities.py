@@ -10,18 +10,11 @@ def brute_force_osc_integral(phi: GridDensity, eps: float, samples_per_cell=9):
     """Direct evaluation of the ball-oscillation integral on a dense x grid."""
     n = phi.n_cells
     xs = (np.arange(n * samples_per_cell) + 0.5) / (n * samples_per_cell)
-    edges = np.arange(n + 1) / n
     total = 0.0
     for x in xs:
         lo, hi = x - eps, x + eps
-        if phi.circle:
-            idx = np.arange(int(np.floor(lo * n)), int(np.ceil(hi * n)))
-            cells = np.unique(idx % n)
-        else:
-            idx = np.arange(max(0, int(np.floor(lo * n))),
-                            min(n, int(np.ceil(hi * n))))
-            cells = idx
-        vals = phi.values[cells]
+        idx = np.arange(int(np.floor(lo * n)), int(np.ceil(hi * n)))
+        vals = phi.values[np.unique(idx % n)]
         total += vals.max() - vals.min()
     return total / xs.size
 
@@ -62,20 +55,23 @@ def test_osc_step_circle_exact():
         assert abs(osc_integral(step, eps) - 4 * eps) < 1e-12
 
 
-def test_osc_linear_noncircle():
-    lin = GridDensity.from_callable(lambda x: x, 4096, circle=False)
-    # closed form: 2 eps - eps^2 (interior 2 eps, clipped balls near the ends)
-    assert abs(osc_integral(lin, 0.01) - 0.0199) < 1e-3
+def test_osc_tent_closed_form():
+    # the tent min(x, 1 - x) has slope +-1, so osc over B_eps(x) is 2 eps,
+    # except within eps of its peak 1/2 and its trough 0, where it is
+    # eps + |x - c|; each of the two costs eps^2, so the integral is
+    # 2 eps - 2 eps^2
+    tent = GridDensity.from_callable(lambda x: np.minimum(x, 1.0 - x), 4096)
+    for eps in (0.01, 0.04):
+        assert abs(osc_integral(tent, eps) - (2 * eps - 2 * eps ** 2)) < 1e-4
 
 
 def test_osc_matches_brute_force():
     rng = np.random.default_rng(1)
-    for circle in (True, False):
-        phi = GridDensity(rng.uniform(0, 1, 64), circle=circle)
-        for eps in (1 / 64, 0.031, 0.0625, 0.11):
-            exact = osc_integral(phi, eps)
-            brute = brute_force_osc_integral(phi, eps, samples_per_cell=301)
-            assert abs(exact - brute) < 5e-3, (circle, eps)
+    phi = GridDensity(rng.uniform(0, 1, 64))
+    for eps in (1 / 64, 0.031, 0.0625, 0.11):
+        exact = osc_integral(phi, eps)
+        brute = brute_force_osc_integral(phi, eps, samples_per_cell=301)
+        assert abs(exact - brute) < 5e-3, eps
 
 
 def test_osc_monotone_in_eps():
@@ -100,7 +96,7 @@ def test_seminorm_constant():
 def test_seminorm_step_closed_form():
     # per-eps value 4 eps^(1-alpha) is maximized at eps0
     step = GridDensity.indicator(0.0, 0.5, 1000)
-    rep = quasi_holder_seminorm(step, 0.5, eps0=0.05)
+    rep = quasi_holder_seminorm(step, 0.5)
     assert abs(rep.seminorm - 4 * np.sqrt(0.05)) < 1e-9
     for e, v in zip(rep.eps_values, rep.per_eps):
         assert abs(v - 4 * e ** 0.5) < 1e-9

@@ -123,6 +123,13 @@ def test_pm_preimage_includes_neutralish_fixed_point():
     assert jacs and abs(jacs[0] - 1 / 1.1) < 1e-9
 
 
+def test_preimage_at_piece_end_is_exact():
+    # the pm lift maps 0 to 0 exactly; a bisection from that end would stop
+    # near y = 1e-32, where (1.3) y^0.3 ~ 3e-10 still moves the Jacobian
+    inst = instantiate(pm_family(0.3), 0.05)
+    assert branch_preimages(inst, 0.0)[0] == (0.0, 1 / 1.05)
+
+
 def test_lsv_preimages_forward_residual():
     inst = instantiate(lsv_family(0.5), 0.1)
     for x in np.linspace(0.01, 0.99, 23):

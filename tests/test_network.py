@@ -24,7 +24,7 @@ def test_static_complete_schedule():
 
 
 def test_periodic_failure_schedule():
-    sched = gen_schedule("periodic-failure", 3, horizon=8, period=2, edge=(0, 1))
+    sched = gen_schedule("periodic-failure", 3, horizon=8, period=2)
     for t in range(8):
         assert sched.matrix_at(t)[0, 1] == (1 if t % 2 == 0 else 0)
 

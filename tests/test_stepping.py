@@ -39,12 +39,11 @@ def step_density(n_cells, seed):
 
 # --- the one-step oracles ----------------------------------------------------
 
-def evolve_oracle(family, gammas, phi0, n, checkpoint_every, reference, alpha,
-                  eps0=0.05, quadrature=32):
-    operator = operator_cache(family, phi0.n_cells, quadrature)
+def evolve_oracle(family, gammas, phi0, n, checkpoint_every, reference, alpha):
+    operator = operator_cache(family, phi0.n_cells)
     steps, masses = [0], [phi0.mass]
     dists = [float(np.mean(np.abs(phi0.values - reference.values)))]
-    semis = [quasi_holder_seminorm(phi0, alpha, eps0).seminorm]
+    semis = [quasi_holder_seminorm(phi0, alpha).seminorm]
     cur = phi0
     for k in range(1, n + 1):
         cur = operator(float(gammas[k - 1])).apply(cur)
@@ -54,7 +53,7 @@ def evolve_oracle(family, gammas, phi0, n, checkpoint_every, reference, alpha,
             masses.append(float(vals.mean()))
             dists.append(float(np.mean(np.abs(vals - reference.values))))
             semis.append(quasi_holder_seminorm(
-                GridDensity(np.clip(vals, 0.0, None)), alpha, eps0).seminorm)
+                GridDensity(np.clip(vals, 0.0, None)), alpha).seminorm)
     return (np.array(steps), np.array(masses), np.array(dists),
             np.array(semis), np.clip(cur.values, 0.0, None))
 
@@ -69,12 +68,10 @@ def mass_below_oracle(values, w):
     return float(mass)
 
 
-def adversarial_oracle(family, eps, schedule, phi0, n_max, w=0.05,
-                       quadrature=32):
-    phi_plus = fixed_density(build_ulam(instantiate(family, eps),
-                                        phi0.n_cells, quadrature))
+def adversarial_oracle(family, eps, schedule, phi0, n_max, w=0.05):
+    phi_plus = fixed_density(build_ulam(instantiate(family, eps), phi0.n_cells))
     gammas = gen_sequence(ParameterSequence.adversarial(eps, schedule), n_max)
-    operator = operator_cache(family, phi0.n_cells, quadrature, unsafe=True)
+    operator = operator_cache(family, phi0.n_cells, unsafe=True)
     cur = phi0
     mass_low, dist_plus = np.empty(n_max), np.empty(n_max)
     for k in range(n_max):
@@ -84,12 +81,11 @@ def adversarial_oracle(family, eps, schedule, phi0, n_max, w=0.05,
     return mass_low, dist_plus
 
 
-def probe_curve_oracle(family, gamma_hat, delta, n_max, phi, seq_seed,
-                       quadrature=32):
+def probe_curve_oracle(family, gamma_hat, delta, n_max, phi, seq_seed):
     rng = substream(seq_seed, "perturbation-probe")
     gammas = rng.uniform(gamma_hat - delta, gamma_hat + delta, n_max)
     gammas = np.clip(gammas, *family.gamma_range)
-    operator = operator_cache(family, phi.n_cells, quadrature)
+    operator = operator_cache(family, phi.n_cells)
     base = operator(float(gamma_hat))
     cur_seq = cur_const = phi
     curve = np.zeros(n_max + 1)
@@ -100,8 +96,8 @@ def probe_curve_oracle(family, gamma_hat, delta, n_max, phi, seq_seed,
     return curve
 
 
-def spectral_means_oracle(family, gammas, psi, quadrature=32):
-    operator = operator_cache(family, psi.n_cells, quadrature)
+def spectral_means_oracle(family, gammas, psi):
+    operator = operator_cache(family, psi.n_cells)
     dens = GridDensity.uniform(psi.n_cells)
     means = [float(np.mean(psi.values))]
     for g in gammas:
@@ -111,12 +107,12 @@ def spectral_means_oracle(family, gammas, psi, quadrature=32):
 
 
 def margin_oracle(op, phi, fit, n_powers, slack=0.05):
-    x0 = quasi_holder_seminorm(phi, fit.alpha, fit.eps0).seminorm
+    x0 = quasi_holder_seminorm(phi, fit.alpha).seminorm
     z0 = float(np.mean(np.abs(phi.values)))
     worst, cur = 0.0, phi
     for n in range(1, n_powers + 1):
         cur = op.apply(cur)
-        lhs = quasi_holder_seminorm(cur, fit.alpha, fit.eps0).seminorm
+        lhs = quasi_holder_seminorm(cur, fit.alpha).seminorm
         rhs = (fit.eta_hat ** n * x0 +
                fit.c_hat / (1.0 - fit.eta_hat) * z0) * (1.0 + slack)
         worst = max(worst, lhs / rhs if rhs > 0 else np.inf)
@@ -233,25 +229,21 @@ def test_apply_sequence_matches_chained_apply(n):
 
 
 @pytest.mark.parametrize("n", HORIZONS)
-@pytest.mark.parametrize("circle", [True, False])
-def test_iterated_bound_margin_matches_one_step_oracle(n, circle):
+def test_iterated_bound_margin_matches_one_step_oracle(n):
     op = build_ulam(instantiate(pm_family(0.5), 0.1), CELLS)
-    phi = GridDensity(step_density(CELLS, n).values, circle=circle)
+    phi = step_density(CELLS, n)
     fit = LasotaYorkeFit(eta_hat=0.6, c_hat=3.0, c_least_squares=2.5,
-                         satisfied_fraction=1.0, alpha=0.5, eps0=0.05,
-                         n_test=1)
+                         satisfied_fraction=1.0, alpha=0.5, n_test=1)
     assert iterated_bound_margin(op, phi, fit, n) == margin_oracle(op, phi,
                                                                    fit, n)
 
 
-@pytest.mark.parametrize("circle", [True, False])
-@pytest.mark.parametrize("n_cells,eps0", [(128, 0.05), (16, 0.5)])
-def test_block_seminorms_match_one_density_seminorm(circle, n_cells, eps0):
-    # 16 cells with eps0 = 0.5: the widest windows cover the whole circle
+@pytest.mark.parametrize("n_cells", [128, 20])
+def test_block_seminorms_match_one_density_seminorm(n_cells):
+    # 20 cells, the coarsest grid EPS0 allows: every sampled scale is one cell
     rows = np.array([step_density(n_cells, s).values for s in range(5)])
-    got = seminorms(rows, 0.5, eps0, circle)
-    want = [quasi_holder_seminorm(GridDensity(r, circle=circle), 0.5,
-                                  eps0).seminorm for r in rows]
+    got = seminorms(rows, 0.5)
+    want = [quasi_holder_seminorm(GridDensity(r), 0.5).seminorm for r in rows]
     assert np.array_equal(got, want)
 
 

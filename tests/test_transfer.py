@@ -244,7 +244,7 @@ def test_operator_axioms(family, gammas):
     rng = np.random.default_rng(10)
     for gamma in gammas:
         op = build_ulam(instantiate(family, gamma), 128)
-        assert op.column_sum_error() <= 1e-10
+        assert np.abs(op.matrix.sum(axis=0) - 1).max() <= 1e-10
         for _ in range(100):
             phi = random_density(rng, 128)
             out = op.apply(phi)
@@ -314,7 +314,7 @@ def test_averaged_operator_axioms():
     fam = pm_family(0.5)
     nu = AveragingLaw(center=0.1, radius=0.02, law="uniform", n_samples=16)
     op = averaged_operator(fam, nu, 64)
-    assert op.column_sum_error() <= 1e-10
+    assert np.abs(op.matrix.sum(axis=0) - 1).max() <= 1e-10
     assert np.all(op.matrix.toarray() >= 0)
 
 
