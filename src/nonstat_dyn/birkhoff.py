@@ -2,9 +2,8 @@
 summability criterion for the strong law, and a Levy-Prokhorov estimator."""
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -12,7 +11,7 @@ from .densities import GridDensity, cell_centers, quasi_holder_seminorm
 from .maps import MapFamily, instantiate, mod1
 from .seeding import substream
 from .sequences import _as_gammas
-from .transfer import CACHE_SIZE, operator_cache, step_blocks
+from .transfer import build_ulam, per_run, step_blocks
 
 DEFAULT_DITHER = 1e-12
 
@@ -65,44 +64,37 @@ def observable(name: str, n_cells: int) -> Observable:
 
 # --- orbits ----------------------------------------------------------------
 
-def _step_points(instance_cache, gamma, x, dither: float, rng) -> np.ndarray:
-    fx = instance_cache(gamma).evaluate(x)
-    if dither > 0:
-        fx += rng.uniform(-0.5 * dither, 0.5 * dither, x.shape)
-    return mod1(fx)
-
-
-def _instance_cache(family: MapFamily):
-    """gamma -> F_gamma, memoized for one orbit loop and bounded by CACHE_SIZE."""
-    return functools.lru_cache(maxsize=CACHE_SIZE)(
-        lambda gamma: instantiate(family, gamma))
+def _orbit(family: MapFamily, gammas, x: np.ndarray, rng,
+           dither: float):
+    """The points F_{gamma_k} o ... o F_{gamma_1}(x) for k = 1, 2, ...: each
+    step evaluates the map, adds uniform noise of width `dither` drawn from
+    `rng`, and wraps mod 1.  Every yielded array is fresh."""
+    for instance in per_run(lambda gamma: instantiate(family, gamma), gammas):
+        fx = instance.evaluate(x)
+        if dither > 0:
+            fx += rng.uniform(-0.5 * dither, 0.5 * dither, x.shape)
+        x = mod1(fx)
+        yield x
 
 
 def orbit_points(family: MapFamily, seq, x0, n: int, seed: int = 0,
                  dither: float = DEFAULT_DITHER) -> np.ndarray:
     """Full trajectory (n+1 rows) of one or more initial points under the
     nonautonomous composition, with per-step dithering."""
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    gammas = _as_gammas(seq, n)
-    rng = substream(seed, "orbit-dither")
-    cache = _instance_cache(family)
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
     out = np.empty((n + 1,) + x.shape)
     out[0] = x
-    for k in range(n):
-        x = _step_points(cache, float(gammas[k]), x, dither, rng)
-        out[k + 1] = x
+    for k, x in enumerate(_orbit(family, _as_gammas(seq, n), x,
+                                 substream(seed, "orbit-dither"), dither), 1):
+        out[k] = x
     return out
 
 
 @dataclass(frozen=True)
 class BirkhoffResult:
-    names: tuple
     averages: np.ndarray       # (n_obs, points) final running averages
     tail_min: np.ndarray       # (n_obs, points) min running average, last 10%
     tail_max: np.ndarray
-    curve_steps: np.ndarray    # every max(n // 200, 1)-th step, and n
-    curves: np.ndarray         # (n_obs, len(curve_steps), points)
-    n: int
 
 
 def birkhoff_averages(family: MapFamily, seq, initial_points: int, psi,
@@ -121,41 +113,25 @@ def birkhoff_averages(family: MapFamily, seq, initial_points: int, psi,
     x = rng_init.uniform(0.0, 1.0, initial_points)
     gammas = _as_gammas(seq, max(n - 1, 0))
     rng = substream(seed, "birkhoff-dither")
-    cache = _instance_cache(family)
     sums = np.zeros((len(obs), initial_points))
     for j, o in enumerate(obs):
         sums[j] = o.fn(x)
     tail_start = int(np.floor(0.9 * n))
     tail_min = np.full((len(obs), initial_points), np.inf)
     tail_max = np.full((len(obs), initial_points), -np.inf)
-    stride = max(n // 200, 1)
-    curve_steps, curves = [], []
-
-    def snapshot(t):
-        curve_steps.append(t)
-        curves.append(sums / t)
-
     if tail_start <= 1:
         avg = sums / 1.0
         tail_min = np.minimum(tail_min, avg)
         tail_max = np.maximum(tail_max, avg)
-    snapshot(1)
-    for k in range(1, n):
-        x = _step_points(cache, float(gammas[k - 1]), x, dither, rng)
+    for t, x in enumerate(_orbit(family, gammas, x, rng, dither), 2):
         for j, o in enumerate(obs):
             sums[j] += o.fn(x)
-        t = k + 1
         if t >= tail_start:
             avg = sums / t
             tail_min = np.minimum(tail_min, avg)
             tail_max = np.maximum(tail_max, avg)
-        if t % stride == 0 or t == n:
-            snapshot(t)
-    return BirkhoffResult(names=tuple(o.name for o in obs),
-                          averages=sums / n, tail_min=tail_min,
-                          tail_max=tail_max,
-                          curve_steps=np.array(curve_steps),
-                          curves=np.array(curves).swapaxes(0, 1), n=n)
+    return BirkhoffResult(averages=sums / n, tail_min=tail_min,
+                          tail_max=tail_max)
 
 
 @dataclass(frozen=True)
@@ -226,26 +202,25 @@ def covariance_decay(family: MapFamily, seq, psi: Observable, window: tuple,
     over a Lebesgue ensemble, with spectrally computed means as cross-check,
     and a geometric fit |R_ij| <= C q^{|j-i|}."""
     i_max, j_max = window
-    if not (0 <= i_max <= j_max):
-        raise ValueError("window must satisfy 0 <= i_max <= j_max")
+    if not (0 <= i_max <= j_max) or j_max < 1:
+        raise ValueError("window must satisfy 0 <= i_max <= j_max and "
+                         "j_max >= 1")
     gammas = _as_gammas(seq, j_max)
     rng_init = substream(seed, "covariance-init")
     x = rng_init.uniform(0.0, 1.0, ensemble)
     rng = substream(seed, "covariance-dither")
-    cache = _instance_cache(family)
     n_cells = psi.n_cells
     samples = np.empty((j_max + 1, ensemble))
     samples[0] = psi.fn(x)
-    for k in range(1, j_max + 1):
-        x = _step_points(cache, float(gammas[k - 1]), x, dither, rng)
+    for k, x in enumerate(_orbit(family, gammas, x, rng, dither), 1):
         samples[k] = psi.fn(x)
     # spectral means: int psi L_{gamma_k} ... L_{gamma_1} 1 dm
-    operator = operator_cache(family, n_cells)
+    operators = per_run(
+        lambda gamma: build_ulam(instantiate(family, gamma), n_cells), gammas)
     means_spectral = np.empty(j_max + 1)
     means_spectral[0] = float(np.mean(psi.values))
     k = 1
-    for rows in step_blocks(map(operator, map(float, gammas)),
-                            np.ones(n_cells)):
+    for rows in step_blocks(operators, np.ones(n_cells)):
         means_spectral[k:k + len(rows)] = (psi.values * rows).mean(axis=1)
         k += len(rows)
     means_ens = samples.mean(axis=1)
@@ -317,8 +292,6 @@ class LPReport:
     estimate: float
     ball_radius: float
     ball_count: int
-    s_grid: np.ndarray
-    worst_surplus: np.ndarray   # max mu(B) - nu(B_s) over the test family, per s
 
 
 def _cdf_from_density(phi: GridDensity) -> np.ndarray:
@@ -326,8 +299,8 @@ def _cdf_from_density(phi: GridDensity) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(phi.values) / phi.n_cells])
 
 
-def lp_distance(empirical, mu_ref: GridDensity, ball_count: int = 64,
-                s_grid: Optional[np.ndarray] = None) -> LPReport:
+def lp_distance(empirical, mu_ref: GridDensity,
+                ball_count: int = 64) -> LPReport:
     """Levy-Prokhorov estimate via a finite cover of equal balls.
 
     The defining inequality mu(A) <= nu(A_s) + s is tested (both ways) on
@@ -377,10 +350,9 @@ def lp_distance(empirical, mu_ref: GridDensity, ball_count: int = 64,
     nu_ball = np.asarray(circ_measure(ref_at, np.arange(J) / J,
                                       (np.arange(J) + 1) / J))
     radius = 0.5 / J
-    if s_grid is None:
-        s_grid = np.unique(np.concatenate([
-            np.geomspace(0.25 / J, 0.06, 24),
-            np.arange(0.06, 0.5, 0.25 / J), [0.5]]))
+    s_grid = np.unique(np.concatenate([
+        np.geomspace(0.25 / J, 0.06, 24),
+        np.arange(0.06, 0.5, 0.25 / J), [0.5]]))
     # all contiguous unions of cover balls
     starts = np.repeat(np.arange(J), J)
     lengths = np.tile(np.arange(1, J + 1), J)
@@ -417,5 +389,4 @@ def lp_distance(empirical, mu_ref: GridDensity, ball_count: int = 64,
     worst_per_s = np.array(worst_per_s)
     passing = np.nonzero(worst_per_s <= s_grid)[0]
     estimate = float(s_grid[passing[0]]) if passing.size else float(s_grid[-1])
-    return LPReport(estimate=estimate, ball_radius=radius, ball_count=J,
-                    s_grid=np.asarray(s_grid), worst_surplus=worst_per_s)
+    return LPReport(estimate=estimate, ball_radius=radius, ball_count=J)

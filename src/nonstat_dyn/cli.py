@@ -247,6 +247,13 @@ def run_birkhoff(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
     family = _family(family, kappa, b0)
     _check_balls(family, gamma_hat, [delta])
     points = _positive("points", points)
+    if covariance:
+        ensemble = _positive("ensemble", ensemble)
+        if not 0 <= i_max <= j_max or j_max < 1:
+            raise ConfigError(f"i_max, j_max: must satisfy 0 <= i_max <= "
+                              f"j_max and j_max >= 1, got {i_max}, {j_max}")
+    if lp and balls < 8:
+        raise ConfigError(f"balls: must be at least 8, got {balls}")
     psi = observable(psi, cells)
     seq = ParameterSequence.iid(gamma_hat, delta, seed)
     result = birkhoff_averages(family, seq, points, psi, n, seed=seed)

@@ -15,6 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .densities import EPS0
+
 BISECT_TOL = 1e-13
 
 
@@ -74,7 +76,6 @@ class MapFamily:
     pieces_for: Callable[[float], Sequence[Piece]]
     min_expansion: Callable[[float], float]
     holder_exponent: float = 1.0
-    eps0: float = 0.05
     structural_range: Optional[tuple] = None
 
     def check_ball(self, gamma_hat: float, delta: float) -> None:
@@ -93,7 +94,6 @@ class MapInstance:
     family: MapFamily
     gamma: float
     pieces: tuple
-    unsafe: bool = False
 
     def evaluate(self, x):
         """Vectorized map evaluation, values in [0, 1)."""
@@ -128,9 +128,8 @@ def instantiate(family: MapFamily, gamma: float, unsafe: bool = False) -> MapIns
             f"{family.name}: gamma={gamma} outside the structurally valid "
             f"range {structural}")
     in_range = family.gamma_range[0] <= gamma <= family.gamma_range[1]
-    pieces = tuple(family.pieces_for(gamma))
-    instance = MapInstance(family=family, gamma=gamma, pieces=pieces,
-                           unsafe=unsafe and not in_range)
+    instance = MapInstance(family=family, gamma=gamma,
+                           pieces=tuple(family.pieces_for(gamma)))
     if not unsafe:
         min_d = family.min_expansion(gamma)
         if min_d <= 1.0 or not in_range:
@@ -445,7 +444,7 @@ def _interval_symdiff(a: tuple, b: tuple) -> float:
 
 def _distortion_estimate(instance: MapInstance, alpha: float, n_z: int = 64) -> float:
     """Holder constant of the inverse Jacobian along branch images (empirical)."""
-    eps = instance.family.eps0 / 2.0
+    eps = EPS0 / 2.0
     worst = 0.0
     for piece in instance.pieces:
         for m, img_lo, img_hi in _branches(piece):
@@ -519,8 +518,8 @@ def boundary_complexity(instance: MapInstance, eps_list: Sequence[float],
     if len(eps_list) == 0:
         raise ValueError("eps_list must be nonempty")
     eps_arr = np.sort(np.asarray(eps_list, dtype=float))
-    if np.any(eps_arr <= 0) or np.any(eps_arr > instance.family.eps0 + 1e-12):
-        raise ValueError(f"eps values must lie in (0, eps0={instance.family.eps0}]")
+    if np.any(eps_arr <= 0) or np.any(eps_arr > EPS0 + 1e-12):
+        raise ValueError(f"eps values must lie in (0, EPS0={EPS0}]")
     s = instance.contraction_factor()
     if alpha is None:
         alpha = min(instance.family.holder_exponent, 1.0)

@@ -13,7 +13,7 @@ from .densities import (GridDensity, l1_distance, quasi_holder_seminorm,
 from .maps import MapFamily, instantiate
 from .seeding import substream
 from .transfer import (STEP_BLOCK, AveragingLaw, averaged_operator,
-                       build_ulam, fixed_density, operator_cache, step_blocks)
+                       build_ulam, fixed_density, per_run, step_blocks)
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,9 @@ def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
         raise ValueError("checkpoint_every must be positive")
     if alpha is None:
         alpha = min(family.holder_exponent, 1.0)
-    operator = operator_cache(family, phi0.n_cells)
+    operators = per_run(
+        lambda gamma: build_ulam(instantiate(family, gamma), phi0.n_cells),
+        gammas)
     steps, masses, dists, semis = [[0]], [[phi0.mass]], [], []
     if reference is not None:
         dists.append([float(np.mean(np.abs(phi0.values - reference.values)))])
@@ -137,7 +139,7 @@ def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
     pending = np.empty((STEP_BLOCK, phi0.n_cells)) if track_seminorm else None
     held = 0
     last, k = phi0.values, 0
-    for rows in step_blocks(map(operator, map(float, gammas)), phi0.values):
+    for rows in step_blocks(operators, phi0.values):
         last = rows[-1]
         ks = np.arange(k + 1, k + 1 + len(rows))
         k += len(rows)
@@ -278,13 +280,13 @@ def adversarial_demo(family: MapFamily, eps: float, k_schedule,
                       "both regimes may not be exhibited")
     if phi0 is None:
         phi0 = GridDensity.uniform(n_cells)
-    phi_plus = fixed_density(build_ulam(instantiate(family, eps), phi0.n_cells))
-    operator = operator_cache(family, phi0.n_cells, unsafe=True)
-    # one operator per block of the schedule, repeated lazily: no array of
-    # n_max parameters
+    plus = build_ulam(instantiate(family, eps), phi0.n_cells)
+    minus = build_ulam(instantiate(family, -eps, unsafe=True), phi0.n_cells)
+    phi_plus = fixed_density(plus)
+    # each block of the schedule repeats one of the two operators lazily: no
+    # array of n_max parameters
     ops = itertools.chain.from_iterable(
-        itertools.repeat(operator(eps if j % 2 == 0 else -eps),
-                         min(hi, n_max) - lo)
+        itertools.repeat(plus if j % 2 == 0 else minus, min(hi, n_max) - lo)
         for j, (lo, hi) in enumerate(zip(ks, ks[1:])) if lo < n_max)
     mass_low = np.empty(n_max)
     dist_plus = np.empty(n_max)

@@ -6,7 +6,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -16,13 +16,9 @@ from .densities import (GridDensity, GridMismatchError, l1_norm,
 from .maps import MapFamily, MapInstance, instantiate
 from .seeding import substream
 
-#: Parameters whose operator (or map instance) one call keeps: sequences
-#: revisiting more distinct parameters rebuild, so memory stays bounded in
-#: the horizon.
-CACHE_SIZE = 32
-
 #: Gamma-free lift parts whose chord-node values assembly keeps: one per
-#: (shape, grid, piece), ~130 KiB each at 512 cells and quadrature 32.
+#: (shape, grid, piece), ~130 KiB each at 512 cells and quadrature 32.  It
+#: also bounds the chord grids kept, one per grid size.
 SHAPE_CACHE_SIZE = 8
 
 #: Densities per block of `step_blocks`: 128 KiB of rows at 1024 cells.
@@ -86,7 +82,7 @@ class UlamOperator:
                                     density=phi.density)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def _chord_grid(nq: int) -> np.ndarray:
     """Read-only k / nq for k = 0..nq; each piece's chord nodes are a slice."""
     grid = np.arange(nq + 1) / nq
@@ -187,13 +183,15 @@ def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> Ula
         scipy.sparse.csr_array((data, indices, indptr), shape=(n, n)))
 
 
-def operator_cache(family: MapFamily, n_cells: int, unsafe: bool = False):
-    """gamma -> L_gamma for one family and grid, memoized for the calling
-    experiment only and bounded by CACHE_SIZE."""
-    @functools.lru_cache(maxsize=CACHE_SIZE)
-    def operator(gamma: float) -> UlamOperator:
-        return build_ulam(instantiate(family, gamma, unsafe=unsafe), n_cells)
-    return operator
+def per_run(make: Callable[[float], object], params: Iterable) -> Iterator:
+    """make(gamma) for each parameter in turn, called once per run of equal
+    consecutive parameters: a constant stream builds once, an iid stream at
+    every step, and no item outlives its run, so memory stays flat in the
+    horizon."""
+    for gamma, run in itertools.groupby(map(float, params)):
+        item = make(gamma)
+        for _ in run:
+            yield item
 
 
 def step_blocks(ops: Iterable[UlamOperator],
@@ -485,12 +483,14 @@ def perturbation_probe(family: MapFamily, gamma_hat: float, delta: float,
         alpha = min(family.holder_exponent, 1.0)
     rng = substream(seq_seed, "perturbation-probe")
     gammas = rng.uniform(gamma_hat - delta, gamma_hat + delta, n_max)
-    operator = operator_cache(family, phi.n_cells)
+
+    def operator(gamma):
+        return build_ulam(instantiate(family, gamma), phi.n_cells)
     base = operator(float(gamma_hat))
     curve = np.zeros(n_max + 1)
     k = 1
     for seq, const in zip(
-            step_blocks(map(operator, map(float, gammas)), phi.values),
+            step_blocks(per_run(operator, gammas), phi.values),
             step_blocks(itertools.repeat(base, n_max), phi.values)):
         curve[k:k + len(seq)] = np.abs(seq - const).mean(axis=1)
         k += len(seq)

@@ -1,7 +1,9 @@
+import collections
 import tracemalloc
 
 import numpy as np
 
+from nonstat_dyn import birkhoff, sequences
 from nonstat_dyn.birkhoff import (band_pass_check,
                                   birkhoff_averages, covariance_decay,
                                   lln_summability, lp_distance, observable,
@@ -9,7 +11,8 @@ from nonstat_dyn.birkhoff import (band_pass_check,
                                   wilson_interval)
 from nonstat_dyn.densities import GridDensity
 from nonstat_dyn.maps import doubling_family, instantiate, pm_family
-from nonstat_dyn.sequences import ParameterSequence
+from nonstat_dyn.sequences import (ParameterSequence, adversarial_demo,
+                                   evolve_density)
 from nonstat_dyn.transfer import build_ulam, fixed_density
 
 
@@ -85,16 +88,48 @@ def test_orbit_points_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_orbit_instance_cache_bounded():
-    # 800 distinct parameters; only a bounded number of instances is kept
+def test_streams_build_once_per_run(monkeypatch):
+    # a map or operator is built once per run of equal consecutive
+    # parameters: once for a constant stream, at every step of an iid one,
+    # and no instance outlives its step
+    builds = collections.Counter()
+
+    def count_calls(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            builds[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count_calls(birkhoff, "instantiate")
+    count_calls(sequences, "build_ulam")
+
+    def builds_of(run):
+        builds.clear()
+        run()
+        return dict(builds)
+
+    fam, n, phi0 = pm_family(0.5), 800, GridDensity.uniform(64)
+    const = ParameterSequence.constant(0.1)
+    iid = ParameterSequence.iid(0.1, 0.01, 0)
+    assert builds_of(lambda: orbit_points(fam, const, [0.3], n)) == {
+        "instantiate": 1}
     tracemalloc.start()
     try:
-        orbit_points(pm_family(0.5), ParameterSequence.iid(0.1, 0.01, 0),
-                     [0.3], 800)
+        assert builds_of(lambda: orbit_points(fam, iid, [0.3], n)) == {
+            "instantiate": n}
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 19
+    assert builds_of(lambda: evolve_density(fam, const, phi0, 50)) == {
+        "build_ulam": 1}
+    assert builds_of(lambda: evolve_density(fam, iid, phi0, 50)) == {
+        "build_ulam": 50}
+    # the +eps operator serves both its blocks and the +eps fixed density
+    assert builds_of(lambda: adversarial_demo(
+        fam, 0.1, (0, 8, 24, 56), n_max=50, n_cells=64)) == {"build_ulam": 2}
 
 
 def test_dither_defeats_binary_collapse():

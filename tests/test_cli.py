@@ -98,6 +98,7 @@ ZERO_COUNTS = {
     "perturb-probe --n 0": "n",
     "evolve --n 0": "n",
     "adversarial --n 0": "n",
+    "birkhoff --covariance 1 --ensemble 0": "ensemble",
 }
 
 
@@ -109,6 +110,22 @@ def test_zero_count_is_config_error_before_any_step(tmp_path, capsys,
     assert (capsys.readouterr().err ==
             f"config error: {ZERO_COUNTS[command]}: must be positive, got 0\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    ("--covariance 1 --i-max 5 --j-max 3",
+     "i_max, j_max: must satisfy 0 <= i_max <= j_max and j_max >= 1, got 5, 3"),
+    ("--covariance 1 --i-max 0 --j-max 0",
+     "i_max, j_max: must satisfy 0 <= i_max <= j_max and j_max >= 1, got 0, 0"),
+    ("--lp 1 --balls 4", "balls: must be at least 8, got 4"),
+], ids=["window", "no-lag", "balls"])
+def test_birkhoff_option_error_before_any_step(tmp_path, capsys, flags,
+                                              message):
+    out = tmp_path / "birk"
+    assert main(["birkhoff", "--n", "50", "--points", "5", *flags.split(),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_unknown_coupling_is_config_error(tmp_path, capsys):

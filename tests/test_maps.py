@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from nonstat_dyn.densities import EPS0
 from nonstat_dyn.maps import (ExpansionError, boundary_complexity,
                               branch_preimages, breakpoint_family,
                               circle_distance, circle_family, doubling_family,
@@ -96,7 +97,6 @@ def test_pm_rejects_contracting_parameter():
 
 def test_pm_unsafe_flag_allows_contracting_parameter():
     inst = instantiate(pm_family(0.5), -0.05, unsafe=True)
-    assert inst.unsafe
     assert inst.contraction_factor() > 1.0
 
 
@@ -331,9 +331,8 @@ def test_recreated_family_shares_its_shape():
     (breakpoint_family(0.4), 0.0, 0.6),
 ], ids=["pm", "doubling", "breakpoint"])
 def test_boundary_expression_pinned(family, gamma, expression):
-    eps0 = family.eps0
     prof = boundary_complexity(instantiate(family, gamma),
-                               [eps0 / 4, eps0 / 2, eps0], periodic=True)
+                               [EPS0 / 4, EPS0 / 2, EPS0], periodic=True)
     assert prof.expression == expression
 
 

@@ -227,7 +227,7 @@ def test_stability_ball_outside_range_rejected_before_any_step(monkeypatch):
     def no_step(*args, **kwargs):
         raise AssertionError("an operator was built")
     monkeypatch.setattr(sequences, "build_ulam", no_step)
-    monkeypatch.setattr(sequences, "operator_cache", no_step)
+    monkeypatch.setattr(sequences, "instantiate", no_step)
     with pytest.raises(ValueError, match=r"ball \[-9.99999999999994e-05, "
                                          r"0.0199\] is not inside"):
         stability_experiment(pm_family(0.5), 0.0099, [0.0, 0.01],

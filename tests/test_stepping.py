@@ -21,8 +21,8 @@ from nonstat_dyn.sequences import (ParameterSequence, adversarial_demo,
                                    gen_sequence)
 from nonstat_dyn.transfer import (STEP_BLOCK, LasotaYorkeFit, apply_sequence,
                                   build_ulam, fixed_density,
-                                  iterated_bound_margin, operator_cache,
-                                  perturbation_probe, step_blocks)
+                                  iterated_bound_margin, perturbation_probe,
+                                  step_blocks)
 
 B = STEP_BLOCK
 HORIZONS = (1, B - 1, B, B + 1, 3 * B + 5)
@@ -39,8 +39,14 @@ def step_density(n_cells, seed):
 
 # --- the one-step oracles ----------------------------------------------------
 
+def operator_of(family, n_cells, unsafe=False):
+    """gamma -> L_gamma, built afresh at every call."""
+    return lambda gamma: build_ulam(instantiate(family, gamma, unsafe=unsafe),
+                                    n_cells)
+
+
 def evolve_oracle(family, gammas, phi0, n, checkpoint_every, reference, alpha):
-    operator = operator_cache(family, phi0.n_cells)
+    operator = operator_of(family, phi0.n_cells)
     steps, masses = [0], [phi0.mass]
     dists = [float(np.mean(np.abs(phi0.values - reference.values)))]
     semis = [quasi_holder_seminorm(phi0, alpha).seminorm]
@@ -71,7 +77,7 @@ def mass_below_oracle(values, w):
 def adversarial_oracle(family, eps, schedule, phi0, n_max, w=0.05):
     phi_plus = fixed_density(build_ulam(instantiate(family, eps), phi0.n_cells))
     gammas = gen_sequence(ParameterSequence.adversarial(eps, schedule), n_max)
-    operator = operator_cache(family, phi0.n_cells, unsafe=True)
+    operator = operator_of(family, phi0.n_cells, unsafe=True)
     cur = phi0
     mass_low, dist_plus = np.empty(n_max), np.empty(n_max)
     for k in range(n_max):
@@ -85,7 +91,7 @@ def probe_curve_oracle(family, gamma_hat, delta, n_max, phi, seq_seed):
     rng = substream(seq_seed, "perturbation-probe")
     gammas = rng.uniform(gamma_hat - delta, gamma_hat + delta, n_max)
     gammas = np.clip(gammas, *family.gamma_range)
-    operator = operator_cache(family, phi.n_cells)
+    operator = operator_of(family, phi.n_cells)
     base = operator(float(gamma_hat))
     cur_seq = cur_const = phi
     curve = np.zeros(n_max + 1)
@@ -97,7 +103,7 @@ def probe_curve_oracle(family, gamma_hat, delta, n_max, phi, seq_seed):
 
 
 def spectral_means_oracle(family, gammas, psi):
-    operator = operator_cache(family, psi.n_cells)
+    operator = operator_of(family, psi.n_cells)
     dens = GridDensity.uniform(psi.n_cells)
     means = [float(np.mean(psi.values))]
     for g in gammas:

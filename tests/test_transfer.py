@@ -466,7 +466,7 @@ def test_perturbation_probe_ball_must_lie_in_range(monkeypatch):
 
     def no_step(*args, **kwargs):
         raise AssertionError("an operator was built")
-    monkeypatch.setattr(transfer, "operator_cache", no_step)
+    monkeypatch.setattr(transfer, "build_ulam", no_step)
     for gamma_hat, delta in ((0.0099, 0.01), (0.0099, -0.01), (0.995, 0.01)):
         with pytest.raises(ValueError, match="is not inside"):
             perturbation_probe(pm_family(0.5), gamma_hat, delta, 5, phi,
