@@ -9,10 +9,9 @@ from .maps import (MapFamily, MapInstance, ValidationReport,
                    boundary_complexity, branch_preimages, circle_family,
                    doubling_family, family_by_name, instantiate, lsv_family,
                    pm_family, breakpoint_family, tent_family, validate_family)
-from .transfer import (AveragingLaw, NonConvergenceError, SpectralSummary,
-                       UlamOperator, apply_sequence, averaged_operator,
-                       build_ulam, fixed_density, lasota_yorke_fit,
-                       perturbation_probe, spectral_summary)
+from .transfer import (AveragingLaw, NonConvergenceError, UlamOperator,
+                       apply_sequence, averaged_operator, build_ulam,
+                       fixed_density, lasota_yorke_fit, perturbation_probe)
 from .cones import (ConeParams, HilbertDistanceReport, cone_image_check,
                     contraction_and_diameter, sample_cone_density,
                     theta_holder, theta_plus)

@@ -7,19 +7,21 @@ from typing import Callable
 
 import numpy as np
 
-from .densities import GridDensity, cell_centers, quasi_holder_seminorm
+from .densities import GridDensity, cell_centers
 from .maps import MapFamily, instantiate, mod1
 from .seeding import substream
 from .sequences import _as_gammas
 from .transfer import build_ulam, per_run, step_blocks
 
 DEFAULT_DITHER = 1e-12
+WILSON_Z = 1.96            # the 95% normal quantile of `wilson_interval`
+SUMMABILITY_TERMS = 1000   # terms of the partial sums in `lln_summability`
 
 
 @dataclass(frozen=True)
 class Observable:
-    """Scalar observable with cached norms; `fn` evaluates along orbits and
-    `values` are cell-center samples used for grid integrals."""
+    """Scalar observable: `fn` evaluates along orbits and `values` are
+    cell-center samples used for grid integrals."""
 
     fn: Callable
     values: np.ndarray
@@ -37,14 +39,6 @@ class Observable:
     @property
     def norm_l1(self) -> float:
         return float(np.mean(np.abs(self.values)))
-
-    @property
-    def norm_sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def seminorm(self, alpha: float) -> float:
-        grid = GridDensity(self.values, density=False)
-        return quasi_holder_seminorm(grid, alpha).seminorm
 
 
 BUILTIN_OBSERVABLES = {
@@ -137,7 +131,6 @@ def birkhoff_averages(family: MapFamily, seq, initial_points: int, psi,
 @dataclass(frozen=True)
 class QuasiBirkhoffBand:
     center: float      # integral of psi against the reference density
-    halfwidth: float   # eps * ||psi||_1
     lo: float
     hi: float
 
@@ -148,14 +141,13 @@ def quasi_birkhoff_band(psi: Observable, phi_ref: GridDensity,
     phi_ref.assert_probability(1e-9)
     center = float(np.mean(psi.values * phi_ref.values))
     half = eps * psi.norm_l1
-    return QuasiBirkhoffBand(center=center, halfwidth=half,
-                             lo=center - half, hi=center + half)
+    return QuasiBirkhoffBand(center=center, lo=center - half, hi=center + half)
 
 
-def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple:
+def wilson_interval(successes: int, total: int) -> tuple:
     if total == 0:
         return (0.0, 1.0)
-    p = successes / total
+    z, p = WILSON_Z, successes / total
     den = 1.0 + z * z / total
     mid = (p + z * z / (2 * total)) / den
     spread = z * np.sqrt(p * (1 - p) / total + z * z / (4 * total * total)) / den
@@ -183,16 +175,12 @@ def band_pass_check(result: BirkhoffResult, band: QuasiBirkhoffBand,
 
 @dataclass(frozen=True)
 class CovarianceTable:
-    indices: np.ndarray          # time indices of the window
     R: np.ndarray                # covariance estimates over the window
     se: np.ndarray               # Monte-Carlo standard errors
     means_ensemble: np.ndarray
     means_spectral: np.ndarray
     c_fit: float
     q_fit: float
-    fit_residual: float          # relative rms misfit on the log scale
-    lags: np.ndarray
-    r_of_lag: np.ndarray         # max |R_ij| per lag
 
 
 def covariance_decay(family: MapFamily, seq, psi: Observable, window: tuple,
@@ -225,7 +213,6 @@ def covariance_decay(family: MapFamily, seq, psi: Observable, window: tuple,
         k += len(rows)
     means_ens = samples.mean(axis=1)
     centered = samples - means_ens[:, None]
-    idx = np.arange(j_max + 1)
     R = np.empty((j_max + 1, j_max + 1))
     se = np.empty_like(R)
     for i in range(j_max + 1):
@@ -241,48 +228,39 @@ def covariance_decay(family: MapFamily, seq, psi: Observable, window: tuple,
         coeffs = np.polyfit(lags[usable], np.log(r_of_lag[usable]), 1)
         q_fit = float(np.exp(coeffs[0]))
         c_fit = float(np.exp(coeffs[1]))
-        pred = coeffs[1] + coeffs[0] * lags[usable]
-        resid = float(np.sqrt(np.mean((np.log(r_of_lag[usable]) - pred) ** 2)))
     else:
-        q_fit, c_fit, resid = 1.0, float(r_of_lag.max(initial=0.0)), np.inf
+        q_fit, c_fit = 1.0, float(r_of_lag.max(initial=0.0))
     q_fit = min(q_fit, 1.0)
     c_fit = max(c_fit, float(np.max(r_of_lag / np.power(q_fit, lags))))
-    return CovarianceTable(indices=idx, R=R, se=se,
-                           means_ensemble=means_ens,
+    return CovarianceTable(R=R, se=se, means_ensemble=means_ens,
                            means_spectral=means_spectral,
-                           c_fit=c_fit, q_fit=q_fit, fit_residual=resid,
-                           lags=lags, r_of_lag=r_of_lag)
+                           c_fit=c_fit, q_fit=q_fit)
 
 
 @dataclass(frozen=True)
 class SummabilityReport:
     verdict: str               # "summable" or "inconclusive"
-    partial_sum: float         # sum_{k<=k_max} C q^k / k
-    unit_partial_sum: float    # sum_{k<=k_max} q^k / k
+    partial_sum: float         # sum_{k<=K} C q^k / k, K = SUMMABILITY_TERMS
+    unit_partial_sum: float    # sum_{k<=K} q^k / k
     closed_form: float         # -C log(1 - q) for q < 1
-    tail_bound: float
-    k_max: int
 
 
-def lln_summability(cov: CovarianceTable, k_max: int = 1000) -> SummabilityReport:
+def lln_summability(cov: CovarianceTable) -> SummabilityReport:
     """Partial sums of r(k)/k with the fitted geometric envelope; the strong
     law's criterion holds whenever the fitted rate is below one."""
     q, c = cov.q_fit, cov.c_fit
-    ks = np.arange(1, k_max + 1)
+    ks = np.arange(1, SUMMABILITY_TERMS + 1)
     if q >= 1.0:
         partial = float(np.sum(c / ks))
         return SummabilityReport(verdict="inconclusive", partial_sum=partial,
                                  unit_partial_sum=float(np.sum(1.0 / ks)),
-                                 closed_form=np.inf, tail_bound=np.inf,
-                                 k_max=k_max)
+                                 closed_form=np.inf)
     powers = np.power(q, ks)
     partial = float(np.sum(c * powers / ks))
     unit = float(np.sum(powers / ks))
     closed = float(-c * np.log1p(-q))
-    tail = float(c * q ** (k_max + 1) / ((k_max + 1) * (1.0 - q)))
     return SummabilityReport(verdict="summable", partial_sum=partial,
-                             unit_partial_sum=unit, closed_form=closed,
-                             tail_bound=tail, k_max=k_max)
+                             unit_partial_sum=unit, closed_form=closed)
 
 
 # --- Levy-Prokhorov estimator ------------------------------------------------

@@ -29,7 +29,7 @@ from .densities import GridDensity, l1_distance, quasi_holder_seminorm
 from .maps import family_by_name, instantiate, pm_family
 from .network import NetworkSystem, gen_schedule, simulate_ensemble
 from .seeding import substream
-from .sequences import (ParameterSequence, adversarial_demo,
+from .sequences import (MASS_WINDOW, ParameterSequence, adversarial_demo,
                         doubling_gap_schedule, evolve_density,
                         stability_experiment)
 from .transfer import (NonConvergenceError, build_ulam, fit_decay_envelope,
@@ -131,11 +131,7 @@ def _phi0(kind: str, cells: int) -> GridDensity:
 
 
 def _deltas(text: str) -> list:
-    deltas = [float(d) for d in text.split(",")]
-    for d in deltas:
-        if d < 0:
-            raise ConfigError(f"deltas: must be nonnegative, got {d}")
-    return deltas
+    return [_nonnegative("deltas", float(d)) for d in text.split(",")]
 
 
 def _check_balls(family, gamma_hat: float, deltas) -> None:
@@ -151,6 +147,12 @@ def _check_balls(family, gamma_hat: float, deltas) -> None:
 def _positive(key: str, value):
     if value <= 0:
         raise ConfigError(f"{key}: must be positive, got {value}")
+    return value
+
+
+def _nonnegative(key: str, value):
+    if value < 0:
+        raise ConfigError(f"{key}: must be nonnegative, got {value}")
     return value
 
 
@@ -201,7 +203,7 @@ def run_evolve(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                b0=0.4, gamma_hat=0.1, delta=0.01, cells=1024, n=1000, seed=0,
                phi0="uniform", checkpoint=50) -> int:
     family = _family(family, kappa, b0)
-    _check_balls(family, gamma_hat, [delta])
+    _check_balls(family, gamma_hat, [_nonnegative("delta", delta)])
     n = _positive("n", n)
     phi0 = _phi0(phi0, cells)
     ref = fixed_density(build_ulam(instantiate(family, gamma_hat), cells))
@@ -230,7 +232,7 @@ def run_adversarial(writer: ArtifactWriter, *, kappa=0.5, eps=0.1, n=10000,
                     run.dist_plus[keep].tolist()))
     writer.write_csv("adversarial_curve.csv",
                      ["step", "mass_near_zero", "l1_to_plus_density"], rows,
-                     meta={"kappa": kappa, "eps": eps, "w": run.w})
+                     meta={"kappa": kappa, "eps": eps, "w": MASS_WINDOW})
     writer.write_json("adversarial_report.json", {
         "block_ends": [[int(k), kind] for k, kind in run.block_ends],
         "reached_concentration": run.reached_concentration,
@@ -245,8 +247,9 @@ def run_birkhoff(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                  points=100, seed=0, band_eps=0.05, psi="x", covariance=0,
                  i_max=4, j_max=14, ensemble=10000, lp=0, balls=64) -> int:
     family = _family(family, kappa, b0)
-    _check_balls(family, gamma_hat, [delta])
+    _check_balls(family, gamma_hat, [_nonnegative("delta", delta)])
     points = _positive("points", points)
+    band_eps = _nonnegative("band_eps", band_eps)
     if covariance:
         ensemble = _positive("ensemble", ensemble)
         if not 0 <= i_max <= j_max or j_max < 1:
@@ -301,6 +304,7 @@ def run_cone(writer: ArtifactWriter, *, family="doubling", kappa=0.5, b0=0.4,
              gamma=0.0, cells=256, a=2.0, nu=0.5, rho0=0.25, lam=0.75, seed=0,
              samples=100) -> int:
     family = _family(family, kappa, b0)
+    samples = _positive("samples", samples)
     cone = ConeParams(a=a, nu=nu, rho0=rho0, lam=lam)
     op = build_ulam(instantiate(family, gamma), cells)
     image = cone_image_check(op, cone, samples=samples, seed=seed)
@@ -356,6 +360,8 @@ def run_ly_fit(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                b0=0.4, gamma=0.0, cells=512, alpha=0.5, n_test=100, seed=0,
                powers=10) -> int:
     family = _family(family, kappa, b0)
+    n_test = _positive("n_test", n_test)
+    powers = _nonnegative("powers", powers)
     rng = substream(seed, "ly-test-set")
     test_set = [random_step_density(cells, rng) for _ in range(n_test)]
     fit = lasota_yorke_fit(family, gamma, alpha, test_set, n_powers=powers)

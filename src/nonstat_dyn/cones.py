@@ -11,6 +11,8 @@ from .seeding import substream
 from .transfer import UlamOperator
 
 PROPORTIONAL_TOL = 1e-12
+IMAGE_SLACK = 0.05       # grid slack on the image-cone target lam * a
+BOUND_TOLERANCE = 0.05   # slack of the sampled q <= 1 - exp(-D) check
 GATHER_BLOCK = 1 << 15   # cell pairs per gathered block: 256 KiB per array
 
 
@@ -187,17 +189,17 @@ def sample_cone_density(n_cells: int, cone: ConeParams, rng: np.random.Generator
 class ConeImageReport:
     passed: bool
     worst_a_min: float
-    target: float        # lam * a * (1 + slack)
+    target: float        # lam * a * (1 + IMAGE_SLACK)
     n_samples: int
     failures: int
 
 
 def cone_image_check(op: UlamOperator, cone: ConeParams, samples: int = 100,
-                     seed: int = 0, grid_slack: float = 0.05) -> ConeImageReport:
+                     seed: int = 0) -> ConeImageReport:
     """Push random cone members through the operator and verify the images
     lie in the shrunken cone C(lam * a, nu), up to grid slack."""
     rng = substream(seed, "cone-image")
-    target = cone.lam * cone.a * (1.0 + grid_slack)
+    target = cone.lam * cone.a * (1.0 + IMAGE_SLACK)
     worst = 0.0
     failures = 0
     for _ in range(samples):
@@ -224,8 +226,7 @@ class ContractionReport:
 
 
 def contraction_and_diameter(ops: Sequence[UlamOperator], cone: ConeParams,
-                             pairs: int = 100, seed: int = 0,
-                             tolerance: float = 0.05) -> ContractionReport:
+                             pairs: int = 100, seed: int = 0) -> ContractionReport:
     """Sampled contraction ratio of the projective metric and sampled image
     diameter, with the q <= 1 - exp(-D) consistency check.
 
@@ -265,7 +266,7 @@ def contraction_and_diameter(ops: Sequence[UlamOperator], cone: ConeParams,
             f"no finite image distances: all {len(pair_list)} sampled pairs "
             "left the cone under every operator (infinite Hilbert distance)")
     q_hat = max(per_op)
-    bound_ok = q_hat <= 1.0 - np.exp(-diameter) + tolerance
+    bound_ok = q_hat <= 1.0 - np.exp(-diameter) + BOUND_TOLERANCE
     return ContractionReport(q_hat=q_hat, diameter_hat=diameter,
                              bound_ok=bool(bound_ok), per_operator_q=tuple(per_op),
                              n_pairs=pairs)

@@ -220,14 +220,19 @@ def branch_preimages(instance: MapInstance, x: float) -> list:
 
 # --- built-in families ---------------------------------------------------
 
-def doubling_family(gamma_lo: float = -0.9, gamma_hi: float = 2.0) -> MapFamily:
+DOUBLING_RANGE = (-0.9, 2.0)
+INTERMITTENT_RANGE = (1e-6, 1.0)   # pm and lsv: f'(0) = 1 + gamma > 1
+CIRCLE_RANGE = (-0.95, 0.95)
+
+
+def doubling_family() -> MapFamily:
     """Linear full-branch family f_gamma(x) = (2+gamma) x mod 1."""
     def pieces_for(gamma):
         a = 2.0 + gamma
         return [Piece(0.0, 1.0, lambda x, a=a: a * x,
                       lambda x, a=a: np.full_like(np.asarray(x, dtype=float), a),
                       affine=(a, 0.0))]
-    return MapFamily(name="doubling", gamma_range=(gamma_lo, gamma_hi),
+    return MapFamily(name="doubling", gamma_range=DOUBLING_RANGE,
                      pieces_for=pieces_for,
                      min_expansion=lambda gamma: abs(2.0 + gamma),
                      holder_exponent=1.0)
@@ -261,8 +266,7 @@ def _lsv_shape(kappa: float) -> Callable:
     return shape
 
 
-def pm_family(kappa: float = 0.5, gamma_min: float = 1e-6,
-              gamma_max: float = 1.0) -> MapFamily:
+def pm_family(kappa: float = 0.5) -> MapFamily:
     """Perturbed intermittent-type circle maps f_gamma(x) = x + x^(1+kappa) + gamma x mod 1.
 
     Uniformly expanding only for gamma > 0 (f'(0) = 1 + gamma); negative
@@ -286,15 +290,14 @@ def pm_family(kappa: float = 0.5, gamma_min: float = 1e-6,
         return [Piece(0.0, 1.0, lift, dlift, split=(c, shape))]
 
     return MapFamily(name=f"pm(kappa={kappa})",
-                     gamma_range=(gamma_min, gamma_max),
+                     gamma_range=INTERMITTENT_RANGE,
                      pieces_for=pieces_for,
                      min_expansion=lambda gamma: 1.0 + gamma,   # f'(0)
                      holder_exponent=kappa,
-                     structural_range=(-0.99, gamma_max))
+                     structural_range=(-0.99, INTERMITTENT_RANGE[1]))
 
 
-def lsv_family(kappa: float = 0.5, gamma_min: float = 1e-6,
-               gamma_max: float = 1.0) -> MapFamily:
+def lsv_family(kappa: float = 0.5) -> MapFamily:
     """Two-piece intermittent-type circle maps.
 
     Left piece x(1 + 2^kappa x^kappa) + gamma x on [0, 1/2), right piece
@@ -325,11 +328,11 @@ def lsv_family(kappa: float = 0.5, gamma_min: float = 1e-6,
         ]
 
     return MapFamily(name=f"lsv(kappa={kappa})",
-                     gamma_range=(gamma_min, gamma_max),
+                     gamma_range=INTERMITTENT_RANGE,
                      pieces_for=pieces_for,
                      min_expansion=lambda gamma: 1.0 + gamma,   # f'(0)
                      holder_exponent=kappa,
-                     structural_range=(-0.99, gamma_max))
+                     structural_range=(-0.99, INTERMITTENT_RANGE[1]))
 
 
 def breakpoint_family(b0: float = 0.4) -> MapFamily:
@@ -382,7 +385,7 @@ def tent_family() -> MapFamily:
                      holder_exponent=1.0)
 
 
-def circle_family(gamma_abs_max: float = 0.95) -> MapFamily:
+def circle_family() -> MapFamily:
     """Smooth degree-2 expanding circle maps f_gamma(x) = 2x + gamma sin(2 pi x)/(2 pi).
 
     Node map of the coupled-network experiments; derivative 2 + gamma cos(2 pi x)
@@ -400,7 +403,7 @@ def circle_family(gamma_abs_max: float = 0.95) -> MapFamily:
             return 2.0 + g * np.cos(two_pi * x)
         return [Piece(0.0, 1.0, lift, dlift)]
 
-    return MapFamily(name="circle", gamma_range=(-gamma_abs_max, gamma_abs_max),
+    return MapFamily(name="circle", gamma_range=CIRCLE_RANGE,
                      pieces_for=pieces_for,
                      min_expansion=lambda gamma: 2.0 - abs(gamma),
                      holder_exponent=1.0)

@@ -7,7 +7,6 @@ from typing import Optional
 
 import numpy as np
 
-from .densities import GridDensity
 from .maps import MapInstance, mod1
 from .seeding import substream
 from .transfer import build_ulam, fixed_density
@@ -25,7 +24,6 @@ class AdjacencySchedule:
     """Precomputed stream of 0/1 adjacency matrices with zero diagonal."""
 
     n_nodes: int
-    kind: str
     matrices: np.ndarray   # (horizon, n, n) uint8
 
     def __post_init__(self):
@@ -112,7 +110,7 @@ def gen_schedule(kind: str, n_nodes: int, horizon: int, seed: int = 0,
             mats[t] = (state & offdiag).astype(np.uint8)
     else:
         raise ValueError(f"unknown schedule kind {kind!r}")
-    return AdjacencySchedule(n_nodes=n_nodes, kind=kind, matrices=mats)
+    return AdjacencySchedule(n_nodes=n_nodes, matrices=mats)
 
 
 @dataclass(frozen=True)
@@ -187,9 +185,7 @@ class NetworkSummary:
     counts: np.ndarray             # (n_checkpoints, n_nodes, n_bins) histogram counts
     distances: np.ndarray          # (n_checkpoints, n_nodes) L1 to the invariant density
     max_distance: np.ndarray       # per checkpoint, max over nodes
-    invariant: GridDensity
     noise_floor: float             # expected L1 of a size-E multinomial sample
-    ensemble: int
     n_bins: int
 
 
@@ -254,6 +250,5 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
     dists = np.array(dists)
     return NetworkSummary(checkpoints=np.array(checkpoints), counts=counts,
                           distances=dists, max_distance=dists.max(axis=1),
-                          invariant=invariant,
                           noise_floor=histogram_noise_floor(ensemble, n_bins),
-                          ensemble=ensemble, n_bins=n_bins)
+                          n_bins=n_bins)

@@ -21,26 +21,18 @@ class ParameterSequence:
     """Reproducible generator of gamma_1, gamma_2, ...
 
     kinds: 'constant' (gamma_hat forever), 'iid' (uniform in the delta-ball
-    around gamma_hat, seeded), 'adversarial' (+eps / -eps blocks switching
-    at the k-schedule). A fixed list of parameters is passed as an array.
+    around gamma_hat, seeded). A fixed list of parameters is passed as an
+    array.
     """
 
     kind: str
     gamma_hat: float = 0.0
     delta: float = 0.0
     seed: int = 0
-    eps: float = 0.0
-    k_schedule: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("constant", "iid", "adversarial"):
+        if self.kind not in ("constant", "iid"):
             raise ValueError(f"unknown sequence kind {self.kind!r}")
-        if self.kind == "adversarial":
-            ks = tuple(int(k) for k in self.k_schedule)
-            if len(ks) < 2 or ks[0] != 0 or any(b <= a for a, b in zip(ks, ks[1:])):
-                raise ValueError(
-                    "adversarial k-schedule must start at 0 and be strictly increasing")
-            object.__setattr__(self, "k_schedule", ks)
 
     @staticmethod
     def constant(gamma_hat: float) -> "ParameterSequence":
@@ -51,12 +43,6 @@ class ParameterSequence:
         return ParameterSequence(kind="iid", gamma_hat=gamma_hat,
                                  delta=delta, seed=seed)
 
-    @staticmethod
-    def adversarial(eps: float, k_schedule) -> "ParameterSequence":
-        return ParameterSequence(kind="adversarial", eps=eps,
-                                 k_schedule=tuple(k_schedule))
-
-
 
 def gen_sequence(spec: ParameterSequence, n: int) -> np.ndarray:
     """Materialize the first n parameters of the sequence."""
@@ -64,21 +50,9 @@ def gen_sequence(spec: ParameterSequence, n: int) -> np.ndarray:
         raise ValueError("n must be nonnegative")
     if spec.kind == "constant":
         return np.full(n, spec.gamma_hat)
-    if spec.kind == "iid":
-        rng = substream(spec.seed, "parameter-sequence")
-        return rng.uniform(spec.gamma_hat - spec.delta,
-                           spec.gamma_hat + spec.delta, n)
-    ks = spec.k_schedule
-    if n > ks[-1]:
-        raise ValueError(
-            f"adversarial schedule ends at k={ks[-1]} < n={n}; extend the schedule")
-    out = np.empty(n)
-    for j in range(len(ks) - 1):
-        lo, hi = ks[j], min(ks[j + 1], n)
-        if lo >= n:
-            break
-        out[lo:hi] = spec.eps if j % 2 == 0 else -spec.eps
-    return out
+    rng = substream(spec.seed, "parameter-sequence")
+    return rng.uniform(spec.gamma_hat - spec.delta,
+                       spec.gamma_hat + spec.delta, n)
 
 
 def doubling_gap_schedule(first_gap: int, n_max: int) -> tuple:
@@ -189,10 +163,7 @@ class StabilityRow:
 
 @dataclass(frozen=True)
 class StabilityTable:
-    gamma_hat: float
     rows: tuple
-    n_steps: int
-    n_cells: int
 
 
 def stability_experiment(family: MapFamily, gamma_hat: float,
@@ -225,26 +196,26 @@ def stability_experiment(family: MapFamily, gamma_hat: float,
         if delta == 0:
             stat_dist = l1_distance(phi_hat, phi_hat)
         else:
-            nu = AveragingLaw(center=gamma_hat, radius=delta, law="uniform",
-                              n_samples=64)
+            nu = AveragingLaw(center=gamma_hat, radius=delta, n_samples=64)
             op_nu = averaged_operator(family, nu, phi0.n_cells)
             stat_dist = l1_distance(fixed_density(op_nu), phi_hat)
         rows.append(StabilityRow(delta=delta, worst_post_transient=worst,
                                  stationary_distance=stat_dist,
                                  n_sequences=n_seqs))
-    return StabilityTable(gamma_hat=gamma_hat, rows=tuple(rows), n_steps=n,
-                          n_cells=phi0.n_cells)
+    return StabilityTable(rows=tuple(rows))
 
 
 # --- the alternating-perturbation counterexample ---------------------------
 
+MASS_WINDOW = 0.05
+
+
 @dataclass(frozen=True)
 class AdversarialRun:
     steps: np.ndarray            # 1..n
-    mass_low: np.ndarray         # mass in [0, w) after each step
+    mass_low: np.ndarray         # mass in [0, MASS_WINDOW) after each step
     dist_plus: np.ndarray        # L1 distance to the +eps fixed density
     block_ends: tuple            # (step, '+'|'-') for completed blocks
-    w: float
     phi_plus: GridDensity
     reached_concentration: bool  # some -eps block end with mass_low > 0.9
     reached_return: bool         # some +eps block end with dist_plus < 0.1
@@ -263,15 +234,17 @@ def _mass_below(rows: np.ndarray, w: float) -> np.ndarray:
 
 def adversarial_demo(family: MapFamily, eps: float, k_schedule,
                      phi0: Optional[GridDensity] = None, n_max: int = 10000,
-                     n_cells: int = 1024, w: float = 0.05) -> AdversarialRun:
-    """Evolve Lebesgue mass under the alternating +eps / -eps composition.
+                     n_cells: int = 1024) -> AdversarialRun:
+    """Evolve Lebesgue mass under the alternating +eps / -eps composition:
+    +eps on steps k_0 < k <= k_1, -eps on k_1 < k <= k_2, and so on.
 
     The -eps segments use the unsafe instantiation (the map has an attracting
     fixed point at 0, so mass drains toward it); +eps segments are uniformly
     expanding and pull mass back toward the +eps invariant density.
     """
-    spec = ParameterSequence.adversarial(eps, k_schedule)
-    ks = spec.k_schedule
+    ks = tuple(int(k) for k in k_schedule)
+    if len(ks) < 2 or ks[0] != 0 or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("k-schedule must start at 0 and strictly increase")
     if ks[-1] < n_max:
         raise ValueError("schedule too short for n_max; extend the k-schedule")
     n_blocks_done = sum(1 for k in ks[1:] if k <= n_max)
@@ -292,7 +265,7 @@ def adversarial_demo(family: MapFamily, eps: float, k_schedule,
     dist_plus = np.empty(n_max)
     k = 0
     for rows in step_blocks(ops, phi0.values):
-        mass_low[k:k + len(rows)] = _mass_below(rows, w)
+        mass_low[k:k + len(rows)] = _mass_below(rows, MASS_WINDOW)
         dist_plus[k:k + len(rows)] = np.abs(rows - phi_plus.values).mean(axis=1)
         k += len(rows)
     block_ends = tuple((k, "+" if j % 2 == 0 else "-")
@@ -302,7 +275,7 @@ def adversarial_demo(family: MapFamily, eps: float, k_schedule,
     reached_ret = any(kind == "+" and dist_plus[k - 1] < 0.1
                       for k, kind in block_ends)
     return AdversarialRun(steps=np.arange(1, n_max + 1), mass_low=mass_low,
-                          dist_plus=dist_plus, block_ends=block_ends, w=w,
+                          dist_plus=dist_plus, block_ends=block_ends,
                           phi_plus=phi_plus,
                           reached_concentration=reached_conc,
                           reached_return=reached_ret)

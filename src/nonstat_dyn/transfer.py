@@ -1,5 +1,5 @@
 """Discretized transfer operators: construction, composition, averaging,
-fixed densities, spectra, and empirical operator inequalities."""
+fixed densities, and empirical operator inequalities."""
 from __future__ import annotations
 
 import functools
@@ -238,40 +238,22 @@ def apply_sequence(ops: Sequence[UlamOperator], phi: GridDensity) -> GridDensity
 
 @dataclass(frozen=True)
 class AveragingLaw:
-    """Sampling specification for the averaged operator.
-
-    kinds: 'point' (Dirac at center), 'two_point' (center ± radius),
-    'uniform' (midpoint quadrature on [center-radius, center+radius]),
-    'atoms' (given atoms and weights).
-    """
+    """The uniform law on [center - radius, center + radius], sampled by the
+    midpoint rule on `n_samples` nodes; 'uniform' is the only law."""
 
     center: float
-    radius: float = 0.0
-    law: str = "point"
+    radius: float
+    law: str = "uniform"
     n_samples: int = 64
-    atoms: Optional[tuple] = None
-    weights: Optional[tuple] = None
 
     def nodes(self):
-        if self.law == "point":
-            return np.array([self.center]), np.array([1.0])
-        if self.law == "two_point":
-            return (np.array([self.center - self.radius, self.center + self.radius]),
-                    np.array([0.5, 0.5]))
-        if self.law == "uniform":
-            if self.n_samples < 1:
-                raise ValueError("n_samples must be positive")
-            k = np.arange(self.n_samples)
-            nodes = self.center - self.radius + (2.0 * self.radius) * (k + 0.5) / self.n_samples
-            return nodes, np.full(self.n_samples, 1.0 / self.n_samples)
-        if self.law == "atoms":
-            atoms = np.asarray(self.atoms, dtype=float)
-            weights = (np.full(atoms.size, 1.0 / atoms.size) if self.weights is None
-                       else np.asarray(self.weights, dtype=float))
-            if abs(weights.sum() - 1.0) > 1e-12 or np.any(weights < 0):
-                raise ValueError("atom weights must be nonnegative and sum to 1")
-            return atoms, weights
-        raise ValueError(f"unknown averaging law {self.law!r}")
+        if self.law != "uniform":
+            raise ValueError(f"unknown averaging law {self.law!r}")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be positive")
+        k = np.arange(self.n_samples)
+        nodes = self.center - self.radius + (2.0 * self.radius) * (k + 0.5) / self.n_samples
+        return nodes, np.full(self.n_samples, 1.0 / self.n_samples)
 
 
 def averaged_operator(family: MapFamily, nu: AveragingLaw,
@@ -279,12 +261,10 @@ def averaged_operator(family: MapFamily, nu: AveragingLaw,
     """Entrywise average of member operators over the law nu.
 
     A convex combination of column-stochastic nonnegative matrices, so all
-    operator properties are inherited; a point mass reproduces the member
-    operator exactly.
+    operator properties are inherited; one node at radius 0 reproduces the
+    member operator exactly.
     """
     nodes, weights = nu.nodes()
-    if nodes.size == 0:
-        raise ValueError("averaging law produced zero sample nodes")
     acc = 0
     for gamma, w in zip(nodes, weights):
         member = build_ulam(instantiate(family, float(gamma)), n_cells)
@@ -292,7 +272,7 @@ def averaged_operator(family: MapFamily, nu: AveragingLaw,
     return UlamOperator._trusted(acc)
 
 
-# --- fixed densities and spectra -----------------------------------------
+# --- fixed densities -----------------------------------------------------
 
 def fixed_density(op: UlamOperator, tol: float = 1e-12,
                   max_iter: int = 20000) -> GridDensity:
@@ -316,43 +296,6 @@ def fixed_density(op: UlamOperator, tol: float = 1e-12,
         "or the operator invalid")
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
-    eigenvalues: np.ndarray      # top-k by modulus
-    gap: float                   # 1 - |lambda_2|
-    leading_density: GridDensity
-    has_gap: bool
-
-
-def spectral_summary(op: UlamOperator, k: int = 5,
-                     gap_floor: float = 1e-6) -> SpectralSummary:
-    """Top-k eigenvalues by modulus and the normalized leading eigenvector.
-
-    Implicitly restarted Arnoldi on the sparse matrix, with a fixed start
-    vector for determinism.  Operators without a spectral gap
-    (|lambda_2| ~ 1) are flagged, not rejected.
-    """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    import scipy.sparse.linalg
-    n = op.n_cells
-    eigvals, eigvecs = scipy.sparse.linalg.eigs(
-        op.matrix, k=min(k, n - 2), which="LM", v0=np.ones(n))
-    order = np.argsort(-np.abs(eigvals))
-    eigvals = eigvals[order][:k]
-    lead = np.real(eigvecs[:, order[0]])
-    if lead.sum() < 0:
-        lead = -lead
-    lead = np.clip(lead, 0.0, None)
-    if lead.mean() <= 0:
-        raise NonConvergenceError("leading eigenvector has no positive part")
-    lead = lead / lead.mean()
-    gap = float(1.0 - np.abs(eigvals[1])) if len(eigvals) > 1 else 1.0
-    return SpectralSummary(eigenvalues=eigvals, gap=gap,
-                           leading_density=GridDensity(lead),
-                           has_gap=gap > gap_floor)
-
-
 # --- empirical operator inequalities -------------------------------------
 
 @dataclass(frozen=True)
@@ -364,7 +307,6 @@ class LasotaYorkeFit:
     c_least_squares: float
     satisfied_fraction: float    # fraction covered by the raw least-squares fit
     alpha: float
-    n_test: int
     iterated_margin: Optional[float] = None  # worst ratio against the n-step bound
 
 
@@ -402,8 +344,7 @@ def lasota_yorke_fit(family: MapFamily, gamma: float, alpha: float,
         c_needed = np.where(zs > 0, (ys - eta * xs) / zs, 0.0)
     c_hat = max(c_ls, float(np.max(c_needed)))
     fit = LasotaYorkeFit(eta_hat=eta, c_hat=c_hat, c_least_squares=c_ls,
-                         satisfied_fraction=satisfied, alpha=alpha,
-                         n_test=len(test_set))
+                         satisfied_fraction=satisfied, alpha=alpha)
     if n_powers > 0 and eta < 1.0:
         margin = max(iterated_bound_margin(op, phi, fit, n_powers)
                      for phi in test_set)

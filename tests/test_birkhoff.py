@@ -19,8 +19,6 @@ from nonstat_dyn.transfer import build_ulam, fixed_density
 def test_observable_norms():
     psi = observable("cos", 4096)
     assert abs(psi.norm_l1 - 2 / np.pi) < 1e-3
-    assert abs(psi.norm_sup - 1.0) < 1e-6
-    assert psi.seminorm(0.5) < np.inf
 
 
 def test_constant_observable_average_is_one():
@@ -185,7 +183,7 @@ def test_lln_closed_form_identity():
     class FakeCov:
         q_fit = 0.5
         c_fit = 1.0
-    rep = lln_summability(FakeCov(), k_max=1000)
+    rep = lln_summability(FakeCov())
     assert abs(rep.partial_sum - np.log(2.0)) < 1e-6
     assert abs(rep.unit_partial_sum - (-np.log1p(-0.5))) < 1e-12
 

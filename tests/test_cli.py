@@ -40,11 +40,22 @@ def test_invariant_doubling(tmp_path):
     assert np.abs(vals - 1.0).max() < 1e-10
 
 
-def test_negative_delta_is_config_error(tmp_path):
+def test_negative_delta_is_config_error(tmp_path, capsys):
     status = main(["stability", "--family", "pm", "--deltas", "-0.01",
                    "--cells", "64", "--n", "50", "--sequences", "1",
                    "--out", str(tmp_path / "bad")])
     assert status == 2
+    # every experiment that draws from a ball says so in the same words
+    for command, key in [("stability --deltas", "deltas"),
+                         ("perturb-probe --deltas", "deltas"),
+                         ("evolve --delta", "delta"),
+                         ("birkhoff --delta", "delta")]:
+        capsys.readouterr()
+        out = tmp_path / command.split()[0]
+        assert main([*command.split(), "-0.01", "--out", str(out)]) == 2
+        assert (capsys.readouterr().err ==
+                f"config error: {key}: must be nonnegative, got -0.01\n")
+        assert not out.exists()
 
 
 def test_invalid_gamma_is_config_error(tmp_path):
@@ -99,6 +110,8 @@ ZERO_COUNTS = {
     "evolve --n 0": "n",
     "adversarial --n 0": "n",
     "birkhoff --covariance 1 --ensemble 0": "ensemble",
+    "cone --samples 0": "samples",
+    "ly-fit --n-test 0": "n_test",
 }
 
 
@@ -118,7 +131,8 @@ def test_zero_count_is_config_error_before_any_step(tmp_path, capsys,
     ("--covariance 1 --i-max 0 --j-max 0",
      "i_max, j_max: must satisfy 0 <= i_max <= j_max and j_max >= 1, got 0, 0"),
     ("--lp 1 --balls 4", "balls: must be at least 8, got 4"),
-], ids=["window", "no-lag", "balls"])
+    ("--band-eps -0.5", "band_eps: must be nonnegative, got -0.5"),
+], ids=["window", "no-lag", "balls", "band-eps"])
 def test_birkhoff_option_error_before_any_step(tmp_path, capsys, flags,
                                               message):
     out = tmp_path / "birk"
@@ -126,6 +140,15 @@ def test_birkhoff_option_error_before_any_step(tmp_path, capsys, flags,
                  "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_negative_powers_is_config_error_before_any_step(tmp_path, capsys):
+    out = tmp_path / "ly"
+    assert main(["ly-fit", "--cells", "64", "--n-test", "5", "--powers", "-3",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert (capsys.readouterr().err ==
+            "config error: powers: must be nonnegative, got -3\n")
 
 
 def test_unknown_coupling_is_config_error(tmp_path, capsys):

@@ -51,7 +51,7 @@ def test_schedule_validation():
         gen_schedule("nope", 4, horizon=10)
     bad = np.ones((2, 3, 3), dtype=np.uint8)
     with pytest.raises(ValueError):
-        AdjacencySchedule(n_nodes=3, kind="given", matrices=bad)  # diagonal
+        AdjacencySchedule(n_nodes=3, matrices=bad)  # diagonal
 
 
 def test_coupling_budget_enforced():

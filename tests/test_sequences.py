@@ -19,19 +19,21 @@ def test_constant_sequence():
 
 
 def test_adversarial_schedule_values():
-    spec = ParameterSequence.adversarial(0.1, (0, 3, 5))
-    got = gen_sequence(spec, 5)
-    assert np.array_equal(got, [0.1, 0.1, 0.1, -0.1, -0.1])
+    # (0, 3, 5): steps 1-3 at +eps, steps 4-5 at -eps
+    run = adversarial_demo(pm_family(0.5), 0.1, (0, 3, 5), n_max=5,
+                           n_cells=64)
+    assert run.block_ends == ((3, "+"), (5, "-"))
 
 
 def test_adversarial_requires_increasing_schedule():
-    with pytest.raises(ValueError):
-        ParameterSequence.adversarial(0.1, (0, 5, 3))
-    with pytest.raises(ValueError):
-        ParameterSequence.adversarial(0.1, (1, 5))
-    spec = ParameterSequence.adversarial(0.1, (0, 3, 5))
-    with pytest.raises(ValueError):
-        gen_sequence(spec, 9)
+    fam = pm_family(0.5)
+    for bad in [(0, 5, 3), (1, 5), (0,)]:
+        with pytest.raises(ValueError, match="must start at 0 and strictly"):
+            adversarial_demo(fam, 0.1, bad, n_max=3, n_cells=64)
+    with pytest.raises(ValueError, match="schedule too short"):
+        adversarial_demo(fam, 0.1, (0, 3, 5), n_max=9, n_cells=64)
+    with pytest.raises(ValueError, match="unknown sequence kind"):
+        ParameterSequence(kind="adversarial")
 
 
 def test_iid_deterministic_and_supported():

@@ -76,7 +76,10 @@ def mass_below_oracle(values, w):
 
 def adversarial_oracle(family, eps, schedule, phi0, n_max, w=0.05):
     phi_plus = fixed_density(build_ulam(instantiate(family, eps), phi0.n_cells))
-    gammas = gen_sequence(ParameterSequence.adversarial(eps, schedule), n_max)
+    # +eps on the schedule's even blocks, -eps on its odd ones
+    gammas = np.concatenate([np.full(hi - lo, eps if j % 2 == 0 else -eps)
+                             for j, (lo, hi) in enumerate(zip(schedule,
+                                                              schedule[1:]))])
     operator = operator_of(family, phi0.n_cells, unsafe=True)
     cur = phi0
     mass_low, dist_plus = np.empty(n_max), np.empty(n_max)
@@ -239,7 +242,7 @@ def test_iterated_bound_margin_matches_one_step_oracle(n):
     op = build_ulam(instantiate(pm_family(0.5), 0.1), CELLS)
     phi = step_density(CELLS, n)
     fit = LasotaYorkeFit(eta_hat=0.6, c_hat=3.0, c_least_squares=2.5,
-                         satisfied_fraction=1.0, alpha=0.5, n_test=1)
+                         satisfied_fraction=1.0, alpha=0.5)
     assert iterated_bound_margin(op, phi, fit, n) == margin_oracle(op, phi,
                                                                    fit, n)
 

@@ -15,7 +15,7 @@ from nonstat_dyn.transfer import (AveragingLaw, NonConvergenceError,
                                   averaged_operator, build_ulam,
                                   fit_decay_envelope, fixed_density,
                                   iterated_bound_margin, lasota_yorke_fit,
-                                  perturbation_probe, spectral_summary)
+                                  perturbation_probe)
 
 
 def random_density(rng, n):
@@ -197,9 +197,6 @@ def test_public_constructors_reject_negative_entries():
         UlamOperator(matrix=np.array([[1.0, 0.5], [0.0, -0.5]]))
     with pytest.raises(ValueError, match="nonnegative"):
         GridDensity(np.array([1.0, -0.5]))
-    with pytest.raises(ValueError, match="nonnegative"):
-        AveragingLaw(center=0.1, law="atoms", atoms=(0.05, 0.15),
-                     weights=(1.5, -0.5)).nodes()
 
 
 def test_doubling_two_cell_matrix_exact():
@@ -286,19 +283,28 @@ def test_composition_order_matters():
 
 
 def test_averaged_point_mass_equals_member():
+    # one midpoint node at radius 0 is the center itself, with weight 1
     fam = pm_family(0.5)
     member = build_ulam(instantiate(fam, 0.1), 64)
-    avg = averaged_operator(fam, AveragingLaw(center=0.1, law="point"), 64)
+    avg = averaged_operator(fam, AveragingLaw(center=0.1, radius=0.0,
+                                              n_samples=1), 64)
     assert np.array_equal(avg.matrix.toarray(), member.matrix.toarray())
 
 
-def test_averaged_two_point_is_midpoint():
+def test_averaged_two_node_law_is_midpoint():
+    # two midpoint nodes of [-0.02, 0.02] are -0.01 and 0.01
     fam = doubling_family()
     m1 = build_ulam(instantiate(fam, -0.01), 32).matrix.toarray()
     m2 = build_ulam(instantiate(fam, 0.01), 32).matrix.toarray()
-    avg = averaged_operator(fam, AveragingLaw(center=0.0, radius=0.01,
-                                              law="two_point"), 32)
+    avg = averaged_operator(fam, AveragingLaw(center=0.0, radius=0.02,
+                                              n_samples=2), 32)
     assert np.abs(avg.matrix.toarray() - 0.5 * (m1 + m2)).max() < 1e-15
+
+
+def test_averaging_law_is_uniform_only():
+    assert AveragingLaw(center=0.1, radius=0.01).law == "uniform"
+    with pytest.raises(ValueError, match="unknown averaging law 'point'"):
+        AveragingLaw(center=0.1, radius=0.01, law="point").nodes()
 
 
 def test_averaged_quadrature_refinement():
@@ -373,31 +379,6 @@ def test_averaged_small_radius_close_to_member_fixed_density():
         d = l1_distance(fixed_density(averaged_operator(fam, nu, 256)), phi_hat)
         assert d < prev
         prev = d
-
-
-def test_spectral_summary_doubling():
-    op = build_ulam(instantiate(doubling_family(), 0.0), 64)
-    summ = spectral_summary(op, k=5)
-    assert abs(abs(summ.eigenvalues[0]) - 1.0) < 1e-8
-    assert abs(summ.eigenvalues[1]) <= 0.5 + 0.05
-    assert summ.has_gap
-    assert l1_distance(summ.leading_density, GridDensity.uniform(64)) < 1e-8
-
-
-def test_spectral_summary_rotation_no_gap():
-    rot = np.zeros((8, 8))
-    for i in range(8):
-        rot[(i + 3) % 8, i] = 1.0
-    summ = spectral_summary(UlamOperator(matrix=rot), k=3)
-    assert not summ.has_gap
-
-
-def test_spectral_summary_averaged_gap_close():
-    fam = pm_family(0.5)
-    base = spectral_summary(build_ulam(instantiate(fam, 0.1), 128), k=3)
-    nu = AveragingLaw(center=0.1, radius=0.01, law="uniform", n_samples=16)
-    avg = spectral_summary(averaged_operator(fam, nu, 128), k=3)
-    assert abs(base.gap - avg.gap) < 0.1
 
 
 def test_lasota_yorke_constant_density_isolates_offset():
