@@ -5,10 +5,9 @@ __version__ = "0.1.0"
 from .densities import (EPS0, GridDensity, GridMismatchError,
                         l1_distance, l1_norm, osc_integral,
                         quasi_holder_seminorm)
-from .maps import (MapFamily, MapInstance, ValidationReport,
-                   boundary_complexity, branch_preimages, circle_family,
-                   doubling_family, family_by_name, instantiate, lsv_family,
-                   pm_family, breakpoint_family, tent_family, validate_family)
+from .maps import (MapFamily, MapInstance, circle_family, doubling_family,
+                   family_by_name, instantiate, lsv_family, pm_family,
+                   breakpoint_family, tent_family)
 from .transfer import (AveragingLaw, NonConvergenceError, UlamOperator,
                        apply_sequence, averaged_operator, build_ulam,
                        fixed_density, lasota_yorke_fit, perturbation_probe)

@@ -156,13 +156,20 @@ def _nonnegative(key: str, value):
     return value
 
 
+def _at_least(key: str, value, low):
+    if value < low:
+        raise ConfigError(f"{key}: must be at least {low}, got {value}")
+    return value
+
+
 # --- experiment runners ------------------------------------------------------
 
 def run_invariant(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                   b0=0.4, gamma=0.0, cells=4096, quadrature=32,
                   tol=1e-12) -> int:
     family = _family(family, kappa, b0)
-    cells = _positive("cells", cells)
+    cells = _at_least("cells", cells, 2)
+    quadrature = _positive("quadrature", quadrature)
     op = build_ulam(instantiate(family, gamma), cells, quadrature=quadrature)
     phi = fixed_density(op, tol=tol)
     applied = op.apply(phi)
@@ -186,6 +193,8 @@ def run_stability(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
     _check_balls(family, gamma_hat, deltas)
     n = _positive("n", n)
     sequences = _positive("sequences", sequences)
+    cells = _at_least("cells", cells, 2)
+    checkpoint = _positive("checkpoint", checkpoint)
     table = stability_experiment(family, gamma_hat, deltas,
                                  _phi0(phi0, cells), n, sequences, seed,
                                  checkpoint_every=checkpoint)
@@ -205,6 +214,8 @@ def run_evolve(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
     family = _family(family, kappa, b0)
     _check_balls(family, gamma_hat, [_nonnegative("delta", delta)])
     n = _positive("n", n)
+    cells = _at_least("cells", cells, 2)
+    checkpoint = _positive("checkpoint", checkpoint)
     phi0 = _phi0(phi0, cells)
     ref = fixed_density(build_ulam(instantiate(family, gamma_hat), cells))
     seq = ParameterSequence.iid(gamma_hat, delta, seed)
@@ -223,6 +234,8 @@ def run_adversarial(writer: ArtifactWriter, *, kappa=0.5, eps=0.1, n=10000,
                     first_gap=64, cells=1024) -> int:
     eps = _positive("eps", eps)
     n = _positive("n", n)
+    first_gap = _positive("first_gap", first_gap)
+    cells = _at_least("cells", cells, 2)
     family = pm_family(kappa=kappa)
     schedule = doubling_gap_schedule(first_gap, n)
     run = adversarial_demo(family, eps, schedule, n_max=n, n_cells=cells)
@@ -248,15 +261,17 @@ def run_birkhoff(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                  i_max=4, j_max=14, ensemble=10000, lp=0, balls=64) -> int:
     family = _family(family, kappa, b0)
     _check_balls(family, gamma_hat, [_nonnegative("delta", delta)])
+    n = _positive("n", n)
     points = _positive("points", points)
+    cells = _at_least("cells", cells, 2)
     band_eps = _nonnegative("band_eps", band_eps)
     if covariance:
         ensemble = _positive("ensemble", ensemble)
         if not 0 <= i_max <= j_max or j_max < 1:
             raise ConfigError(f"i_max, j_max: must satisfy 0 <= i_max <= "
                               f"j_max and j_max >= 1, got {i_max}, {j_max}")
-    if lp and balls < 8:
-        raise ConfigError(f"balls: must be at least 8, got {balls}")
+    if lp:
+        balls = _at_least("balls", balls, 8)
     psi = observable(psi, cells)
     seq = ParameterSequence.iid(gamma_hat, delta, seed)
     result = birkhoff_averages(family, seq, points, psi, n, seed=seed)
@@ -305,6 +320,7 @@ def run_cone(writer: ArtifactWriter, *, family="doubling", kappa=0.5, b0=0.4,
              samples=100) -> int:
     family = _family(family, kappa, b0)
     samples = _positive("samples", samples)
+    cells = _at_least("cells", cells, 2)
     cone = ConeParams(a=a, nu=nu, rho0=rho0, lam=lam)
     op = build_ulam(instantiate(family, gamma), cells)
     image = cone_image_check(op, cone, samples=samples, seed=seed)
@@ -332,6 +348,9 @@ def run_network(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                 bins=64) -> int:
     family = _family(family, kappa, b0)
     n = _positive("n", n)
+    nodes = _at_least("nodes", nodes, 2)
+    ensemble = _positive("ensemble", ensemble)
+    bins = _at_least("bins", bins, 2)
     system = NetworkSystem(node_map=instantiate(family, gamma),
                            n_nodes=nodes, alpha_c=alpha_c, coupling=coupling)
     schedule = gen_schedule(schedule, nodes, n, seed=seed, p=p,
@@ -362,6 +381,7 @@ def run_ly_fit(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
     family = _family(family, kappa, b0)
     n_test = _positive("n_test", n_test)
     powers = _nonnegative("powers", powers)
+    cells = _at_least("cells", cells, 2)
     rng = substream(seed, "ly-test-set")
     test_set = [random_step_density(cells, rng) for _ in range(n_test)]
     fit = lasota_yorke_fit(family, gamma, alpha, test_set, n_powers=powers)
@@ -383,6 +403,7 @@ def run_perturb_probe(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
     _check_balls(family, gamma_hat, deltas)
     n = _positive("n", n)
     seeds = _positive("seeds", seeds)
+    cells = _at_least("cells", cells, 2)
     phi0 = _phi0(phi0, cells)
     rows = []
     fits = {}

@@ -2,22 +2,16 @@
 
 A family is described by analytic *pieces*: monotone lifts g_i on subintervals
 of [0,1) whose mod-1 reduction is the map.  A realized instance is its
-pieces.  An injective *branch* is a piece and an integer offset m: the points
-where m <= lift < m + 1, mapped by lift - m, with its image read from the
-lift's values at the piece's ends and its inverse solved on the whole piece.
+pieces; `instantiate` realizes one only where the family's closed-form
+`min_expansion` exceeds one.
 """
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-from .densities import EPS0
-
-BISECT_TOL = 1e-13
 
 
 def mod1(y):
@@ -33,22 +27,17 @@ def mod1(y):
                        out=floor if isinstance(floor, np.ndarray) else None)
 
 
-def circle_distance(x, y):
-    d = np.abs(np.asarray(x, dtype=float) - y)
-    return np.minimum(d, 1.0 - d)
-
-
 class ExpansionError(ValueError):
     """A parameter outside the uniformly expanding range was requested."""
 
 
-class InverseBranchError(RuntimeError):
-    """The inverse-branch root finder failed to converge."""
-
-
 @dataclass(frozen=True)
 class Piece:
-    """One analytic branch map: a strictly monotone lift on [lo, hi)."""
+    """One analytic branch map: a strictly monotone lift on [lo, hi).
+
+    `dlift` (the derivative) and `affine` state the piece in closed form;
+    the package reads neither, and the tests check `min_expansion` and Ulam
+    assembly against them."""
 
     lo: float
     hi: float
@@ -109,10 +98,6 @@ class MapInstance:
                 out[mask] = p.lift(x[mask])
         return mod1(out)
 
-    def contraction_factor(self) -> float:
-        """sup over the domain of 1/|F'|; below one iff uniformly expanding."""
-        return 1.0 / self.family.min_expansion(self.gamma)
-
 
 # --- instantiation -------------------------------------------------------
 
@@ -138,84 +123,6 @@ def instantiate(family: MapFamily, gamma: float, unsafe: bool = False) -> MapIns
                 f"gamma={gamma}: min |F'| = {min_d:.6g} "
                 f"(declared expanding range {family.gamma_range})")
     return instance
-
-
-# --- branches: a piece and an integer offset ---------------------------
-
-def _solve_lift(piece: Piece, target: float) -> float:
-    """Solve lift(x) = target on the whole monotone piece: exact for affine
-    lifts and at a piece end the lift meets exactly, else bisection and a
-    Newton polish. With no sign change (a root at an end, moved by
-    round-off), the end of smaller residual is polished."""
-    if piece.affine is not None:
-        a, b = piece.affine
-        return (target - b) / a
-    lo, hi = piece.lo, piece.hi
-    flo = float(piece.lift(np.float64(lo))) - target
-    fhi = float(piece.lift(np.float64(hi))) - target
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    if flo * fhi > 0:
-        x = lo if abs(flo) <= abs(fhi) else hi
-    else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fmid = float(piece.lift(np.float64(mid))) - target
-            if (fmid <= 0) == (flo <= 0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-            if hi - lo < BISECT_TOL:
-                break
-        x = 0.5 * (lo + hi)
-    for _ in range(3):  # Newton polish
-        d = piece.dlift(x)
-        if d == 0:
-            break
-        x = min(max(x - (piece.lift(x) - target) / d, piece.lo), piece.hi)
-    return x
-
-
-def _end_values(piece: Piece) -> tuple:
-    """The lift's values at the piece's two ends."""
-    return (float(piece.lift(np.float64(piece.lo))),
-            float(piece.lift(np.float64(piece.hi))))
-
-
-def _branches(piece: Piece):
-    """The piece's branches in order of x: each is an integer offset m with
-    the image [img_lo, img_hi] of lift - m on the points where
-    m <= lift < m + 1, read from the lift's values at the piece's ends."""
-    v0, v1 = _end_values(piece)
-    a, b = min(v0, v1), max(v0, v1)
-    offsets = range(math.floor(a), math.ceil(b))
-    for m in (offsets if v0 <= v1 else reversed(offsets)):
-        yield m, min(max(a - m, 0.0), 1.0), min(max(b - m, 0.0), 1.0)
-
-
-def branch_preimages(instance: MapInstance, x: float) -> list:
-    """All preimages of x with inverse Jacobians 1/|F'(y)|.
-
-    Each returned y satisfies F(y) = x to within 1e-10; there is at most one
-    per branch, and they come in order of y.
-    """
-    if not (0.0 <= x < 1.0):
-        raise ValueError("query point must lie in [0, 1)")
-    out = []
-    for piece in instance.pieces:
-        for m, img_lo, img_hi in _branches(piece):
-            if not img_lo - 1e-12 <= x < img_hi - 1e-12:
-                continue
-            y = _solve_lift(piece, x + m)
-            residual = abs(piece.lift(y) - m - x)
-            if residual > 1e-10:
-                raise InverseBranchError(
-                    f"offset {m} on [{piece.lo}, {piece.hi}): inverse solve "
-                    f"residual {residual:.3e} at x={x}")
-            out.append((float(y), 1.0 / abs(float(piece.dlift(np.float64(y))))))
-    return out
 
 
 # --- built-in families ---------------------------------------------------
@@ -423,145 +330,3 @@ def family_by_name(name: str, **kwargs) -> MapFamily:
     if name not in BUILTIN_FAMILIES:
         raise ValueError(f"unknown family {name!r}; known: {sorted(BUILTIN_FAMILIES)}")
     return BUILTIN_FAMILIES[name](**kwargs)
-
-
-# --- family validation ---------------------------------------------------
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Empirical continuity / regularity diagnostics for a parameter pair."""
-
-    c1_distance: float
-    domain_symdiff: float
-    distortion_c: float
-    s_gamma: tuple
-    piece_count: int
-
-
-def _interval_symdiff(a: tuple, b: tuple) -> float:
-    lo = max(a[0], b[0])
-    hi = min(a[1], b[1])
-    overlap = max(0.0, hi - lo)
-    return (a[1] - a[0]) + (b[1] - b[0]) - 2.0 * overlap
-
-
-def _distortion_estimate(instance: MapInstance, alpha: float, n_z: int = 64) -> float:
-    """Holder constant of the inverse Jacobian along branch images (empirical)."""
-    eps = EPS0 / 2.0
-    worst = 0.0
-    for piece in instance.pieces:
-        for m, img_lo, img_hi in _branches(piece):
-            if img_hi - img_lo < 4.0 * eps:
-                continue
-            for z in np.linspace(img_lo + eps, img_hi - eps, n_z):
-                ys = [_solve_lift(piece, w + m)
-                      for w in (z - eps / 2, z, z + eps / 2)]
-                jacs = [1.0 / abs(float(piece.dlift(np.float64(y)))) for y in ys]
-                num = max(jacs) - min(jacs)
-                worst = max(worst, num / (jacs[1] * eps ** alpha))
-    return worst
-
-
-def validate_family(family: MapFamily, gamma1: float, gamma2: float,
-                    grid: int = 2048) -> ValidationReport:
-    """Estimate C1 distance between matching pieces, the measure of the
-    symmetric differences of their domains, the Holder distortion constant,
-    and the contraction factors of both instances."""
-    inst1 = instantiate(family, gamma1)
-    inst2 = instantiate(family, gamma2)
-    if len(inst1.pieces) != len(inst2.pieces):
-        raise ValueError(
-            f"piece count mismatch: {len(inst1.pieces)} vs {len(inst2.pieces)} "
-            "(the branch count is fixed across the parameter range)")
-    c1 = 0.0
-    symdiff = 0.0
-    for p1, p2 in zip(inst1.pieces, inst2.pieces):
-        lo = max(p1.lo, p2.lo)
-        hi = min(p1.hi, p2.hi)
-        if hi > lo:
-            xs = np.linspace(lo, hi, grid, endpoint=False)
-            c1 = max(c1, float(np.max(np.abs(p1.lift(xs) - p2.lift(xs)))),
-                     float(np.max(np.abs(p1.dlift(xs) - p2.dlift(xs)))))
-        symdiff += _interval_symdiff((p1.lo, p1.hi), (p2.lo, p2.hi))
-    alpha = min(family.holder_exponent, 1.0)
-    distortion = max(_distortion_estimate(inst1, alpha),
-                     _distortion_estimate(inst2, alpha))
-    s_pair = (inst1.contraction_factor(), inst2.contraction_factor())
-    return ValidationReport(c1_distance=c1, domain_symdiff=symdiff,
-                            distortion_c=distortion, s_gamma=s_pair,
-                            piece_count=len(inst1.pieces))
-
-
-# --- boundary complexity -------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundaryProfile:
-    """Estimated boundary-complexity profile G(eps) and the contraction-vs-
-    complexity expression sup_d [s^alpha + 2 sup_{eps<=d} (G(eps)/eps^alpha) d^alpha]."""
-
-    eps_values: np.ndarray
-    g_values: np.ndarray
-    s: float
-    alpha: float
-    expression: float
-    ok: bool
-
-
-def boundary_complexity(instance: MapInstance, eps_list: Sequence[float],
-                        alpha: Optional[float] = None, fine: int = 16384,
-                        periodic: bool = False) -> BoundaryProfile:
-    """Estimate G(eps) = sup_x of the local boundary-mass ratio on a fine grid.
-
-    For each branch, the boundary of the branch image is its two endpoints;
-    with ``periodic=True`` a branch whose image covers the whole circle
-    contributes nothing (endpoints identified away).  The ratio compares the
-    preimage of an eps-neighborhood of the image boundary against the ball
-    B_{(1-s)eps}(x), with the ball centered at the ratio's base point.
-    """
-    if len(eps_list) == 0:
-        raise ValueError("eps_list must be nonempty")
-    eps_arr = np.sort(np.asarray(eps_list, dtype=float))
-    if np.any(eps_arr <= 0) or np.any(eps_arr > EPS0 + 1e-12):
-        raise ValueError(f"eps values must lie in (0, EPS0={EPS0}]")
-    s = instance.contraction_factor()
-    if alpha is None:
-        alpha = min(instance.family.holder_exponent, 1.0)
-    z = (np.arange(fine) + 0.5) / fine
-    from scipy.ndimage import uniform_filter1d
-
-    # each grid point's distance from the image ends of its branch: offset
-    # m = floor(lift(z)), forward value lift(z) - m in [0, 1)
-    dmin = np.full(fine, np.inf)
-    for piece in instance.pieces:
-        a, b = sorted(_end_values(piece))
-        mask = (z >= piece.lo) & (z < piece.hi)
-        lift = piece.lift(z[mask])
-        m = np.floor(lift)
-        img_lo = np.clip(a - m, 0.0, 1.0)
-        img_hi = np.clip(b - m, 0.0, 1.0)
-        fz = lift - m
-        d = np.minimum(circle_distance(fz, mod1(img_lo)),
-                       circle_distance(fz, mod1(img_hi)))
-        if periodic:
-            d[img_hi - img_lo >= 1.0 - 1e-9] = np.inf
-        dmin[mask] = d
-
-    g_values = []
-    for eps in eps_arr:
-        window = 2.0 * max(1.0 - s, 1e-9) * eps
-        w_cells = max(int(round(window * fine)), 1)
-        if window * fine < 2.0:
-            raise ValueError(
-                f"eps={eps} unresolvable at fine={fine}; increase `fine`")
-        indic = (dmin < eps).astype(float)
-        counts = uniform_filter1d(indic, size=w_cells, mode="wrap") * w_cells
-        g_values.append(float(counts.max()) / (window * fine))
-    g_values = np.array(g_values)
-
-    ratios = g_values / eps_arr ** alpha
-    best = 0.0
-    for j, delta in enumerate(eps_arr):
-        inner = float(np.max(ratios[: j + 1]))
-        best = max(best, s ** alpha + 2.0 * inner * delta ** alpha)
-    return BoundaryProfile(eps_values=eps_arr, g_values=g_values, s=s,
-                           alpha=alpha, expression=best, ok=best < 1.0)

@@ -216,7 +216,6 @@ class AdversarialRun:
     mass_low: np.ndarray         # mass in [0, MASS_WINDOW) after each step
     dist_plus: np.ndarray        # L1 distance to the +eps fixed density
     block_ends: tuple            # (step, '+'|'-') for completed blocks
-    phi_plus: GridDensity
     reached_concentration: bool  # some -eps block end with mass_low > 0.9
     reached_return: bool         # some +eps block end with dist_plus < 0.1
 
@@ -276,6 +275,5 @@ def adversarial_demo(family: MapFamily, eps: float, k_schedule,
                       for k, kind in block_ends)
     return AdversarialRun(steps=np.arange(1, n_max + 1), mass_low=mass_low,
                           dist_plus=dist_plus, block_ends=block_ends,
-                          phi_plus=phi_plus,
                           reached_concentration=reached_conc,
                           reached_return=reached_ret)

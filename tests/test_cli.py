@@ -112,6 +112,12 @@ ZERO_COUNTS = {
     "birkhoff --covariance 1 --ensemble 0": "ensemble",
     "cone --samples 0": "samples",
     "ly-fit --n-test 0": "n_test",
+    "stability --checkpoint 0": "checkpoint",
+    "evolve --checkpoint 0": "checkpoint",
+    "birkhoff --n 0": "n",
+    "adversarial --first-gap 0": "first_gap",
+    "network --ensemble 0": "ensemble",
+    "invariant --quadrature 0": "quadrature",
 }
 
 
@@ -122,6 +128,25 @@ def test_zero_count_is_config_error_before_any_step(tmp_path, capsys,
     assert main([*command.split(), "--out", str(out)]) == 2
     assert (capsys.readouterr().err ==
             f"config error: {ZERO_COUNTS[command]}: must be positive, got 0\n")
+    assert not out.exists()
+
+
+BELOW_MINIMUM = {
+    **{f"{kind} --cells 1": "cells: must be at least 2, got 1"
+       for kind, runner in EXPERIMENTS.items()
+       if "cells" in inspect.signature(runner).parameters},
+    "network --bins 1": "bins: must be at least 2, got 1",
+    "network --nodes 1": "nodes: must be at least 2, got 1",
+}
+
+
+@pytest.mark.parametrize("command", sorted(BELOW_MINIMUM))
+def test_count_below_minimum_is_config_error_before_any_step(tmp_path, capsys,
+                                                             command):
+    out = tmp_path / "small"
+    assert main([*command.split(), "--out", str(out)]) == 2
+    assert (capsys.readouterr().err ==
+            f"config error: {BELOW_MINIMUM[command]}\n")
     assert not out.exists()
 
 

@@ -3,12 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from nonstat_dyn.densities import EPS0
-from nonstat_dyn.maps import (ExpansionError, boundary_complexity,
-                              branch_preimages, breakpoint_family,
-                              circle_distance, circle_family, doubling_family,
-                              family_by_name, instantiate, lsv_family, mod1,
-                              pm_family, tent_family, validate_family)
+from nonstat_dyn.maps import (ExpansionError, breakpoint_family,
+                              circle_family, doubling_family, family_by_name,
+                              instantiate, lsv_family, mod1, pm_family,
+                              tent_family)
 
 ALL_FAMILIES = {
     "doubling": (doubling_family(), (-0.05, 0.0, 0.1)),
@@ -67,25 +65,18 @@ def test_instantiate_verdicts_follow_scan(name):
         in_range = fam.gamma_range[0] <= gamma <= fam.gamma_range[1]
         instantiate(fam, gamma, unsafe=True)
         if in_range and scan > 1.0:
-            inst = instantiate(fam, gamma)
-            assert inst.contraction_factor() == 1.0 / scan
+            instantiate(fam, gamma)
+            assert 1.0 / fam.min_expansion(gamma) == 1.0 / scan
         else:
             with pytest.raises(ExpansionError,
                                match=re.escape(f"min |F'| = {scan:.6g} ")):
                 instantiate(fam, gamma)
 
 
-def test_doubling_two_branches_slope_two():
-    inst = instantiate(doubling_family(), 0.0)
-    for x in (0.0, 0.3, 0.9):
-        pre = branch_preimages(inst, x)
-        assert [y for y, _ in pre] == [x / 2, (x + 1) / 2]
-        assert [jac for _, jac in pre] == [0.5, 0.5]
-
-
 def test_pm_accepts_expanding_parameter():
-    inst = instantiate(pm_family(0.5), 0.1)
-    assert inst.contraction_factor() == 1.0 / 1.1
+    family = pm_family(0.5)
+    instantiate(family, 0.1)
+    assert 1.0 / family.min_expansion(0.1) == 1.0 / 1.1
 
 
 def test_pm_rejects_contracting_parameter():
@@ -96,78 +87,18 @@ def test_pm_rejects_contracting_parameter():
 
 
 def test_pm_unsafe_flag_allows_contracting_parameter():
-    inst = instantiate(pm_family(0.5), -0.05, unsafe=True)
-    assert inst.contraction_factor() > 1.0
+    family = pm_family(0.5)
+    instantiate(family, -0.05, unsafe=True)
+    assert 1.0 / family.min_expansion(-0.05) > 1.0
 
 
 def test_instantiate_deterministic():
     fam = pm_family(0.5)
     a = instantiate(fam, 0.1)
     b = instantiate(fam, 0.1)
-    for x in np.linspace(0.0, 1.0, 16, endpoint=False):
-        assert branch_preimages(a, float(x)) == branch_preimages(b, float(x))
-
-
-def test_doubling_preimages_of_half():
-    inst = instantiate(doubling_family(), 0.0)
-    pre = branch_preimages(inst, 0.5)
-    assert sorted((round(y, 12), round(j, 12)) for y, j in pre) == \
-        [(0.25, 0.5), (0.75, 0.5)]
-
-
-def test_pm_preimage_includes_neutralish_fixed_point():
-    inst = instantiate(pm_family(0.5), 0.1)
-    pre = branch_preimages(inst, 0.0)
-    ys = [y for y, _ in pre]
-    jacs = [j for y, j in pre if abs(y) < 1e-9]
-    assert jacs and abs(jacs[0] - 1 / 1.1) < 1e-9
-
-
-def test_preimage_at_piece_end_is_exact():
-    # the pm lift maps 0 to 0 exactly; a bisection from that end would stop
-    # near y = 1e-32, where (1.3) y^0.3 ~ 3e-10 still moves the Jacobian
-    inst = instantiate(pm_family(0.3), 0.05)
-    assert branch_preimages(inst, 0.0)[0] == (0.0, 1 / 1.05)
-
-
-def test_lsv_preimages_forward_residual():
-    inst = instantiate(lsv_family(0.5), 0.1)
-    for x in np.linspace(0.01, 0.99, 23):
-        pre = branch_preimages(inst, float(x))
-        # the lifts run from 0 to 1.05 and from 0.05 to 1.1
-        assert len(pre) == (3 if x < 0.1 else 2)
-        for y, jac in pre:
-            fy = float(inst.evaluate(np.array([y]))[0])
-            assert abs(fy - x) < 1e-10
-            assert jac > 0
-
-
-@pytest.mark.parametrize("name", sorted(ALL_FAMILIES))
-def test_preimage_roundtrip_all_families(name):
-    fam, gammas = ALL_FAMILIES[name]
-    rng = np.random.default_rng(3)
-    for gamma in gammas:
-        inst = instantiate(fam, gamma)
-        for x in rng.uniform(0, 1, 17):
-            for y, _ in branch_preimages(inst, float(x)):
-                fy = float(inst.evaluate(np.array([y]))[0])
-                assert min(abs(fy - x), 1 - abs(fy - x)) < 1e-10
-
-
-@pytest.mark.parametrize("name,gamma", [("pm", 0.05), ("pm", 0.3),
-                                        ("circle", 0.3)])
-def test_preimages_of_branch_ends(name, gamma):
-    # these instances have a branch starting where the lift crosses an
-    # integer, and one ending at the piece end's image
-    inst = instantiate(ALL_FAMILIES[name][0], gamma)
-    (piece,) = inst.pieces
-    end = float(mod1(piece.lift(np.float64(1.0))))
-    for x in list(np.linspace(0.0, 1.0, 200, endpoint=False)) + [end]:
-        pre = branch_preimages(inst, float(x))
-        assert len(pre) == (3 if x < end else 2)
-        for y, _ in pre:
-            fy = float(inst.evaluate(np.array([y]))[0])
-            assert float(circle_distance(fy, x)) <= 1e-10
+    xs = np.linspace(0.0, 1.0, 16, endpoint=False)
+    assert np.array_equal(a.evaluate(xs).view(np.uint64),
+                          b.evaluate(xs).view(np.uint64))
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FAMILIES))
@@ -175,79 +106,9 @@ def test_expansion_hypothesis_all_families(name):
     fam, gammas = ALL_FAMILIES[name]
     for gamma in gammas:
         inst = instantiate(fam, gamma)
-        s = inst.contraction_factor()
+        s = 1.0 / fam.min_expansion(gamma)
         assert s < 1.0
         assert scan_min_abs_derivative(inst.pieces) >= 1.0 / s - 1e-9
-
-
-def test_validate_identical_parameters_zero_distance():
-    rep = validate_family(doubling_family(), 0.0, 0.0)
-    assert rep.c1_distance == 0.0
-    assert rep.domain_symdiff == 0.0
-
-
-def test_validate_doubling_c1_distance_from_slopes():
-    rep = validate_family(doubling_family(), 0.0, 0.02)
-    assert abs(rep.c1_distance - 0.02) < 1e-12
-
-
-def test_validate_breakpoint_symdiff_exact():
-    # breakpoint moved by 0.01 changes both domains by 0.01 each
-    rep = validate_family(breakpoint_family(), 0.0, 0.01)
-    assert abs(rep.domain_symdiff - 0.02) < 1e-12
-
-
-def test_validate_c1_monotone_in_parameter_gap():
-    for fam, _ in ALL_FAMILIES.values():
-        lo, hi = fam.gamma_range
-        base = max(lo, 0.05) if lo > 0 else 0.0
-        gaps = [0.01, 0.02, 0.04]
-        vals = [validate_family(fam, base, base + g).c1_distance for g in gaps]
-        assert vals[0] <= vals[1] <= vals[2]
-
-
-def test_validate_distortion_zero_for_affine():
-    rep = validate_family(doubling_family(), 0.0, 0.01)
-    assert rep.distortion_c < 1e-10
-    rep_pm = validate_family(pm_family(0.5), 0.1, 0.12)
-    assert rep_pm.distortion_c > 0
-
-
-def test_boundary_complexity_doubling_order_one():
-    inst = instantiate(doubling_family(), 0.0)
-    prof = boundary_complexity(inst, [0.01, 0.02, 0.04])
-    # preimage arcs of width eps around each branch endpoint, window of
-    # width eps: the covering ratio is O(1)
-    assert np.all(prof.g_values > 0.3)
-    assert np.all(prof.g_values < 1.5)
-
-
-def test_boundary_complexity_periodic_full_cover_vanishes():
-    inst = instantiate(doubling_family(), 0.0)
-    prof = boundary_complexity(inst, [0.01, 0.02, 0.04], alpha=1.0,
-                               periodic=True)
-    assert np.all(prof.g_values == 0.0)
-    assert abs(prof.expression - prof.s) < 1e-12
-    assert prof.ok  # s^alpha = 1/2 < 1
-
-
-def test_boundary_complexity_oracle_doubling():
-    # direct arc computation: per branch, preimage of the eps-neighborhood
-    # of the image endpoints is two arcs of width eps/slope at the ends of
-    # the branch domain; the worst window of width 2*(1-s)*eps at the shared
-    # boundary 1/2 is fully covered by two adjacent arcs
-    inst = instantiate(doubling_family(), 0.0)
-    eps = 0.01
-    prof = boundary_complexity(inst, [eps], fine=65536)
-    assert abs(prof.g_values[0] - 1.0) < 0.05
-
-
-def test_boundary_complexity_rejects_empty_and_large_eps():
-    inst = instantiate(doubling_family(), 0.0)
-    with pytest.raises(ValueError):
-        boundary_complexity(inst, [])
-    with pytest.raises(ValueError):
-        boundary_complexity(inst, [0.2])
 
 
 def test_family_by_name_unknown():
@@ -264,7 +125,8 @@ def test_tent_has_decreasing_branch():
     inst = instantiate(tent_family(), 0.0)
     rising, falling = inst.pieces
     assert falling.lift(0.6) > falling.lift(0.7)
-    assert branch_preimages(inst, 0.4) == [(0.2, 0.5), (0.8, 0.5)]
+    assert inst.evaluate(np.array([0.2, 0.8])) == pytest.approx([0.4, 0.4],
+                                                               rel=0, abs=1e-15)
     assert scan_min_abs_derivative(inst.pieces) == 2.0
 
 
@@ -321,24 +183,3 @@ def test_recreated_family_shares_its_shape():
         assert len(shapes) == 1
     assert (pm_family(0.3).pieces_for(0.1)[0].split[1]
             is not pm_family(0.5).pieces_for(0.1)[0].split[1])
-
-
-# the estimators' outputs on three families, pinned bit for bit (distortion
-# to 1e-12: its inverses are bisected on the whole piece)
-@pytest.mark.parametrize("family,gamma,expression", [
-    (pm_family(0.5), 0.09, 4.9790936463322595),
-    (doubling_family(), -0.05, 4.722318868083671),
-    (breakpoint_family(0.4), 0.0, 0.6),
-], ids=["pm", "doubling", "breakpoint"])
-def test_boundary_expression_pinned(family, gamma, expression):
-    prof = boundary_complexity(instantiate(family, gamma),
-                               [EPS0 / 4, EPS0 / 2, EPS0], periodic=True)
-    assert prof.expression == expression
-
-
-def test_validate_family_pinned():
-    rep = validate_family(pm_family(0.5), 0.09, 0.11)
-    assert rep.c1_distance == 0.020000000000000462
-    assert rep.domain_symdiff == 0.0
-    assert rep.s_gamma == (0.9174311926605504, 0.9009009009009008)
-    assert rep.distortion_c == pytest.approx(0.5159914533115624, rel=1e-12)
