@@ -11,7 +11,7 @@ from .densities import GridDensity, cell_centers
 from .maps import MapFamily, instantiate, mod1
 from .seeding import substream
 from .sequences import _as_gammas
-from .transfer import build_ulam, per_run, step_blocks
+from .transfer import per_run, step_blocks, ulam_operators
 
 DEFAULT_DITHER = 1e-12
 WILSON_Z = 1.96            # the 95% normal quantile of `wilson_interval`
@@ -203,8 +203,7 @@ def covariance_decay(family: MapFamily, seq, psi: Observable, window: tuple,
     for k, x in enumerate(_orbit(family, gammas, x, rng, dither), 1):
         samples[k] = psi.fn(x)
     # spectral means: int psi L_{gamma_k} ... L_{gamma_1} 1 dm
-    operators = per_run(
-        lambda gamma: build_ulam(instantiate(family, gamma), n_cells), gammas)
+    operators = ulam_operators(family, gammas, n_cells)
     means_spectral = np.empty(j_max + 1)
     means_spectral[0] = float(np.mean(psi.values))
     k = 1

@@ -8,12 +8,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .densities import (GridDensity, l1_distance, quasi_holder_seminorm,
-                        seminorms)
+from .densities import (GridDensity, _check_same_grid, l1_distance,
+                        quasi_holder_seminorm, seminorms)
 from .maps import MapFamily, instantiate
 from .seeding import substream
 from .transfer import (STEP_BLOCK, AveragingLaw, averaged_operator,
-                       build_ulam, fixed_density, per_run, step_blocks)
+                       build_ulam, fixed_density, step_blocks, ulam_operators)
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,11 @@ def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
     gammas = _as_gammas(seq, n)
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be positive")
+    if reference is not None:
+        _check_same_grid(phi0, reference)
     if alpha is None:
         alpha = min(family.holder_exponent, 1.0)
-    operators = per_run(
-        lambda gamma: build_ulam(instantiate(family, gamma), phi0.n_cells),
-        gammas)
+    operators = ulam_operators(family, gammas, phi0.n_cells)
     steps, masses, dists, semis = [[0]], [[phi0.mass]], [], []
     if reference is not None:
         dists.append([float(np.mean(np.abs(phi0.values - reference.values)))])

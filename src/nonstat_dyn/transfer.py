@@ -81,6 +81,27 @@ class UlamOperator:
         return GridDensity._trusted(self.matrix @ phi.values,
                                     density=phi.density)
 
+    def _step(self, values: np.ndarray) -> np.ndarray:
+        return self.matrix @ values
+
+
+class _SingleUse:
+    """An operator stepped once, from its sorted entries: no CSR layout and
+    no scipy.  `bincount` adds each row's products in CSR order from 0.0, as
+    scipy's CSR product does, so the step equals `build_ulam(...).matrix @ v`
+    bit for bit."""
+
+    __slots__ = ("keys", "data", "n_cells")
+
+    def __init__(self, keys: np.ndarray, data: np.ndarray, n_cells: int):
+        self.keys, self.data, self.n_cells = keys, data, n_cells
+
+    def _step(self, values: np.ndarray) -> np.ndarray:
+        n = self.n_cells
+        rows = self.keys // n
+        cols = self.keys - rows * n
+        return np.bincount(rows, weights=self.data * values[cols], minlength=n)
+
 
 @functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def _chord_grid(nq: int) -> np.ndarray:
@@ -111,8 +132,11 @@ def _shape_values(shape, nq: int, lo: float, hi: float) -> np.ndarray:
     return vals
 
 
-def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> UlamOperator:
-    """Discretize the transfer operator of a realized map by the chord rule.
+def _entries(instance: MapInstance, n_cells: int,
+             quadrature: int = 32) -> tuple:
+    """The chord-rule entries of a realized map's transfer operator, as
+    (keys, data): keys are target * n_cells + source, sorted and distinct,
+    and data their summed values.
 
     Each piece's lift is replaced by its chord interpolant through the
     edges of `quadrature` equal subintervals per cell.  Entry (i, j) is
@@ -175,6 +199,14 @@ def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> Ula
         starts = np.flatnonzero(np.concatenate(([True], new)))
         data = np.add.reduceat(data, starts)
         keys = keys[starts]
+    return keys, data
+
+
+def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> UlamOperator:
+    """Discretize the transfer operator of a realized map by the chord rule
+    (see `_entries`) into a read-only CSR `UlamOperator`."""
+    keys, data = _entries(instance, n_cells, quadrature)
+    n = n_cells
     rows = keys // n
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
@@ -183,15 +215,44 @@ def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> Ula
         scipy.sparse.csr_array((data, indices, indptr), shape=(n, n)))
 
 
+def _runs(params: Iterable) -> Iterator:
+    """(gamma, single, run) for each run of equal consecutive parameters:
+    `run` iterates over the whole run and `single` says it has one item.
+    Telling peeks one item ahead, so no run is ever listed."""
+    for gamma, run in itertools.groupby(map(float, params)):
+        head = tuple(itertools.islice(run, 2))
+        yield gamma, len(head) == 1, itertools.chain(head, run)
+
+
 def per_run(make: Callable[[float], object], params: Iterable) -> Iterator:
     """make(gamma) for each parameter in turn, called once per run of equal
     consecutive parameters: a constant stream builds once, an iid stream at
     every step, and no item outlives its run, so memory stays flat in the
-    horizon."""
-    for gamma, run in itertools.groupby(map(float, params)):
+    horizon.  `ulam_operators` groups operators the same way."""
+    for gamma, _, run in _runs(params):
         item = make(gamma)
         for _ in run:
             yield item
+
+
+def ulam_operators(family: MapFamily, params: Iterable,
+                   n_cells: int) -> Iterator:
+    """The operator of each parameter in turn, for `step_blocks`: one
+    assembly per run of equal consecutive parameters, as `per_run`.
+
+    A run of two or more shares one CSR `UlamOperator`, whose scipy product
+    is the faster once reused.  A run of one, as at every step of an iid
+    stream, is stepped from its sorted entries (`_SingleUse`) and skips the
+    CSR layout and scipy's constructor.  Both steps are bit for bit equal.
+    """
+    for gamma, single, run in _runs(params):
+        instance = instantiate(family, gamma)
+        if single:
+            yield _SingleUse(*_entries(instance, n_cells), n_cells)
+            continue
+        op = build_ulam(instance, n_cells)
+        for _ in run:
+            yield op
 
 
 def step_blocks(ops: Iterable[UlamOperator],
@@ -200,7 +261,9 @@ def step_blocks(ops: Iterable[UlamOperator],
     after steps 1, 2, ... as the rows of read-only (STEP_BLOCK, n_cells)
     blocks; the last block may be shorter.
 
-    Every step is the raw CSR product `op.matrix @ v`, so each row equals
+    `ops` are `UlamOperator`s or the single-use operators of
+    `ulam_operators`.  Every step is the operator's raw product: the CSR
+    product `op.matrix @ v`, or its single-use equal.  So each row equals
     the chain of `UlamOperator.apply` calls bit for bit, and row-wise
     reductions over a block (`rows.mean(axis=1)`) equal the 1-D calls on
     each row.  Each block is a view of one buffer that the next block
@@ -212,7 +275,7 @@ def step_blocks(ops: Iterable[UlamOperator],
     rows.flags.writeable = False
     cur, i = values, 0
     for op in ops:
-        cur = op.matrix @ cur
+        cur = op._step(cur)
         buf[i] = cur
         i += 1
         if i == STEP_BLOCK:
@@ -424,14 +487,12 @@ def perturbation_probe(family: MapFamily, gamma_hat: float, delta: float,
         alpha = min(family.holder_exponent, 1.0)
     rng = substream(seq_seed, "perturbation-probe")
     gammas = rng.uniform(gamma_hat - delta, gamma_hat + delta, n_max)
-
-    def operator(gamma):
-        return build_ulam(instantiate(family, gamma), phi.n_cells)
-    base = operator(float(gamma_hat))
+    base = build_ulam(instantiate(family, float(gamma_hat)), phi.n_cells)
     curve = np.zeros(n_max + 1)
     k = 1
     for seq, const in zip(
-            step_blocks(per_run(operator, gammas), phi.values),
+            step_blocks(ulam_operators(family, gammas, phi.n_cells),
+                        phi.values),
             step_blocks(itertools.repeat(base, n_max), phi.values)):
         curve[k:k + len(seq)] = np.abs(seq - const).mean(axis=1)
         k += len(seq)

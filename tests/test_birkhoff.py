@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 
-from nonstat_dyn import birkhoff, sequences
+from nonstat_dyn import birkhoff, sequences, transfer
 from nonstat_dyn.birkhoff import (band_pass_check,
                                   birkhoff_averages, covariance_decay,
                                   lln_summability, lp_distance, observable,
@@ -13,7 +13,7 @@ from nonstat_dyn.densities import GridDensity
 from nonstat_dyn.maps import doubling_family, instantiate, pm_family
 from nonstat_dyn.sequences import (ParameterSequence, adversarial_demo,
                                    evolve_density)
-from nonstat_dyn.transfer import build_ulam, fixed_density
+from nonstat_dyn.transfer import build_ulam, fixed_density, perturbation_probe
 
 
 def test_observable_norms():
@@ -89,19 +89,22 @@ def test_orbit_points_deterministic():
 def test_streams_build_once_per_run(monkeypatch):
     # a map or operator is built once per run of equal consecutive
     # parameters: once for a constant stream, at every step of an iid one,
-    # and no instance outlives its step
+    # and no instance outlives its step.  A run of two or more shares one
+    # CSR operator; a run of one is a single-use operator and no CSR
     builds = collections.Counter()
 
-    def count_calls(module, name):
+    def count_calls(module, name, label):
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            builds[name] += 1
+            builds[label] += 1
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    count_calls(birkhoff, "instantiate")
-    count_calls(sequences, "build_ulam")
+    count_calls(birkhoff, "instantiate", "instantiate")
+    count_calls(transfer, "build_ulam", "csr")
+    count_calls(sequences, "build_ulam", "csr")
+    count_calls(transfer, "_SingleUse", "single_use")
 
     def builds_of(run):
         builds.clear()
@@ -122,12 +125,20 @@ def test_streams_build_once_per_run(monkeypatch):
         tracemalloc.stop()
     assert peak < 2 ** 19
     assert builds_of(lambda: evolve_density(fam, const, phi0, 50)) == {
-        "build_ulam": 1}
+        "csr": 1}
     assert builds_of(lambda: evolve_density(fam, iid, phi0, 50)) == {
-        "build_ulam": 50}
+        "single_use": 50}
     # the +eps operator serves both its blocks and the +eps fixed density
     assert builds_of(lambda: adversarial_demo(
-        fam, 0.1, (0, 8, 24, 56), n_max=50, n_cells=64)) == {"build_ulam": 2}
+        fam, 0.1, (0, 8, 24, 56), n_max=50, n_cells=64)) == {"csr": 2}
+    # the constant comparison is one CSR operator, the iid side single-use
+    assert builds_of(lambda: perturbation_probe(
+        fam, 0.1, 0.01, 50, phi0, seq_seed=0)) == {"csr": 1, "single_use": 50}
+    # the orbit instantiates through birkhoff, the spectral means through
+    # transfer
+    assert builds_of(lambda: covariance_decay(
+        fam, iid, observable("x", 64), (2, 50), ensemble=100)) == {
+        "instantiate": 50, "single_use": 50}
 
 
 def test_dither_defeats_binary_collapse():

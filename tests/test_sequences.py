@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nonstat_dyn.densities import GridDensity, l1_distance
+from nonstat_dyn import transfer
+from nonstat_dyn.densities import GridDensity, GridMismatchError, l1_distance
 from nonstat_dyn.maps import doubling_family, pm_family, instantiate
 from nonstat_dyn.sequences import (ParameterSequence, adversarial_demo,
                                    doubling_gap_schedule, evolve_density,
@@ -150,6 +151,20 @@ def test_evolve_steps_skip_scans_and_revalidation(monkeypatch):
                          seq, phi0, 50).final.values
     assert calls == []
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ref_cells", (1, 32))
+def test_evolve_reference_on_another_grid_rejected_before_any_step(
+        monkeypatch, ref_cells):
+    # a 1-cell reference used to broadcast against every row, a 32-cell one
+    # to fail in numpy with a generic ValueError
+    def no_step(*args, **kwargs):
+        raise AssertionError("an operator was built")
+    monkeypatch.setattr(transfer, "instantiate", no_step)
+    with pytest.raises(GridMismatchError, match="grid mismatch"):
+        evolve_density(pm_family(0.5), ParameterSequence.iid(0.1, 0.01, 0),
+                       GridDensity.uniform(64), 3,
+                       reference=GridDensity.uniform(ref_cells))
 
 
 def test_post_transient_worst_picks_plateau():

@@ -105,6 +105,34 @@ def test_merged_assembly_matches_interp_oracle_bitwise(name):
                                           getattr(want, field)), (gamma, n, q, field)
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_GRID))
+def test_single_use_step_matches_csr_product_bitwise(name):
+    # small n reaches the reduceat branch, tent a falling piece and lsv two
+    # pieces
+    family, gammas, unsafe = ORACLE_GRID[name]
+    rng = np.random.default_rng(0)
+    for gamma in gammas:
+        inst = instantiate(family, gamma, unsafe=unsafe)
+        for n in (2, 3, 7, 100, 333, 2048):
+            v = rng.uniform(0.1, 2.0, n)
+            for q in (1, 3, 32):
+                want = build_ulam(inst, n, q).matrix @ v
+                got = transfer._SingleUse(*transfer._entries(inst, n, q),
+                                          n)._step(v)
+                assert got.tobytes() == want.tobytes(), (gamma, n, q)
+
+
+def test_ulam_operators_choose_form_by_run_length():
+    fam = pm_family(0.5)
+    ops = list(transfer.ulam_operators(
+        fam, [0.1, 0.1, 0.2, 0.3, 0.3, 0.3, 0.1], 64))
+    assert [type(op).__name__ for op in ops] == [
+        "UlamOperator", "UlamOperator", "_SingleUse", "UlamOperator",
+        "UlamOperator", "UlamOperator", "_SingleUse"]
+    assert ops[0] is ops[1] and ops[3] is ops[4] is ops[5]
+    assert list(transfer.ulam_operators(fam, [], 64)) == []
+
+
 def strip_split(instance):
     """The same instance with every piece's declared split removed, so
     assembly evaluates the lift itself."""
