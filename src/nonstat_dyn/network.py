@@ -213,6 +213,9 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
     rng_init = substream(seed, "network-init")
     x = rng_init.uniform(0.0, 1.0, (ensemble, system.n_nodes))
     rng = substream(seed, "network-dither")
+    # the dither is drawn into one buffer, not a fresh array every step:
+    # the same stream as rng.uniform(-dither / 2, dither / 2, x.shape)
+    noise = np.empty_like(x) if dither > 0 else None
     invariant = fixed_density(build_ulam(system.node_map, n_bins))
     checkpoints, counts, dists = [], [], []
 
@@ -242,7 +245,10 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
             advance(x, slice(None, half), t)
             upper.result()
             if dither > 0:
-                x += rng.uniform(-0.5 * dither, 0.5 * dither, x.shape)
+                rng.random(out=noise)
+                noise *= dither
+                noise -= 0.5 * dither
+                x += noise
                 x = mod1(x)
             if (t + 1) % checkpoint_every == 0 or t + 1 == n_steps:
                 record(t + 1, x)

@@ -10,6 +10,10 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.sparse
+# scipy's compiled CSR product, the C loop `csr_array @ vector` ends in.
+# Called straight it gives the same bits without ~2-3 us of Python dispatch
+# per product.  Private, but with this signature in every scipy >= 1.10.
+from scipy.sparse._sparsetools import csr_matvec
 
 from .densities import (GridDensity, GridMismatchError, l1_norm,
                         quasi_holder_seminorm, seminorms)
@@ -39,6 +43,18 @@ def _freeze(mat: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
     return mat
 
 
+def _on_grid(values: np.ndarray, n_cells: int) -> np.ndarray:
+    """`values` as the float64, C-contiguous (n_cells,) vector a product
+    reads: another dtype or layout is converted once, and a vector on
+    another grid raises `GridMismatchError`."""
+    if values.shape != (n_cells,):
+        raise GridMismatchError(
+            f"grid mismatch: operator {n_cells}, density of shape {values.shape}")
+    if values.dtype != np.float64 or not values.flags.c_contiguous:
+        values = values.astype(np.float64, order="C", casting="same_kind")
+    return values
+
+
 @dataclass(frozen=True)
 class UlamOperator:
     """Finite-rank transfer operator on cell averages.
@@ -46,7 +62,11 @@ class UlamOperator:
     Entries M[i][j] approximate m(U_j ∩ F^{-1} U_i)/m(U_j); columns sum to
     one, so the action on cell-average vectors preserves mass and L1-contracts.
     `matrix` may be given dense or sparse; it is stored as a read-only
-    `scipy.sparse.csr_array`.
+    `scipy.sparse.csr_array`.  Every product with it (`apply`, the steps of
+    `step_blocks`, `fixed_density`) is one call of `_step`, which checks
+    the vector against the grid and then runs scipy's compiled CSR kernel,
+    the loop `matrix @ v` ends in: the same bits, without scipy's Python
+    dispatch around it.
     """
 
     matrix: scipy.sparse.csr_array
@@ -74,22 +94,31 @@ class UlamOperator:
         return self.matrix.shape[0]
 
     def apply(self, phi: GridDensity) -> GridDensity:
-        if phi.n_cells != self.n_cells:
-            raise GridMismatchError(
-                f"grid mismatch: operator {self.n_cells}, density {phi.n_cells}")
         # the product is fresh, and nonnegative whenever phi is
-        return GridDensity._trusted(self.matrix @ phi.values,
+        return GridDensity._trusted(self._step(phi.values),
                                     density=phi.density)
 
     def _step(self, values: np.ndarray) -> np.ndarray:
-        return self.matrix @ values
+        """The product `matrix @ values`, bit for bit, as a fresh array.
+        The kernel adds each row's products to a zeroed entry of its output,
+        as scipy's `@` does, and checks no bounds: so `values` is checked
+        against the grid before the call."""
+        mat = self.matrix
+        n = mat.shape[0]
+        values = _on_grid(values, n)
+        out = np.zeros(n)
+        csr_matvec(n, n, mat.indptr, mat.indices, mat.data, values, out)
+        return out
 
 
 class _SingleUse:
     """An operator stepped once, from its sorted entries: no CSR layout and
     no scipy.  `bincount` adds each row's products in CSR order from 0.0, as
-    scipy's CSR product does, so the step equals `build_ulam(...).matrix @ v`
-    bit for bit."""
+    scipy's compiled CSR kernel does, so the step equals
+    `build_ulam(...).matrix @ v` bit for bit.  Building the CSR arrays for
+    one kernel call costs more than the whole step (22-27 us against 14 us
+    at pm, 512 cells).  The vector is checked against the grid first, as
+    `UlamOperator._step` checks it."""
 
     __slots__ = ("keys", "data", "n_cells")
 
@@ -98,6 +127,7 @@ class _SingleUse:
 
     def _step(self, values: np.ndarray) -> np.ndarray:
         n = self.n_cells
+        values = _on_grid(values, n)
         rows = self.keys // n
         cols = self.keys - rows * n
         return np.bincount(rows, weights=self.data * values[cols], minlength=n)
@@ -240,10 +270,12 @@ def ulam_operators(family: MapFamily, params: Iterable,
     """The operator of each parameter in turn, for `step_blocks`: one
     assembly per run of equal consecutive parameters, as `per_run`.
 
-    A run of two or more shares one CSR `UlamOperator`, whose scipy product
-    is the faster once reused.  A run of one, as at every step of an iid
-    stream, is stepped from its sorted entries (`_SingleUse`) and skips the
-    CSR layout and scipy's constructor.  Both steps are bit for bit equal.
+    A run of two or more shares one CSR `UlamOperator`, stepped by scipy's
+    compiled CSR kernel (~5 us a step at 1024 cells, pm), the faster once
+    reused.  A run of one, as at every step of an iid stream, is stepped
+    from its sorted entries (`_SingleUse`) and skips the CSR layout and
+    scipy's constructor, which cost more than the step itself.  Both steps
+    are bit for bit equal to `matrix @ v`.
     """
     for gamma, single, run in _runs(params):
         instance = instantiate(family, gamma)
@@ -262,13 +294,15 @@ def step_blocks(ops: Iterable[UlamOperator],
     blocks; the last block may be shorter.
 
     `ops` are `UlamOperator`s or the single-use operators of
-    `ulam_operators`.  Every step is the operator's raw product: the CSR
-    product `op.matrix @ v`, or its single-use equal.  So each row equals
-    the chain of `UlamOperator.apply` calls bit for bit, and row-wise
-    reductions over a block (`rows.mean(axis=1)`) equal the 1-D calls on
-    each row.  Each block is a view of one buffer that the next block
-    overwrites: reduce it, or copy the rows to keep, before asking for the
-    next.  Memory stays O(STEP_BLOCK * n_cells) whatever the horizon.
+    `ulam_operators`.  Every step is the operator's `_step`: one guarded
+    call of scipy's compiled CSR kernel, or its single-use equal, both bit
+    for bit `op.matrix @ v`; a density on another grid raises
+    `GridMismatchError` before any product.  So each row equals the chain
+    of `UlamOperator.apply` calls bit for bit, and row-wise reductions over
+    a block (`rows.mean(axis=1)`) equal the 1-D calls on each row.  Each
+    block is a view of one buffer that the next block overwrites: reduce
+    it, or copy the rows to keep, before asking for the next.  Memory stays
+    O(STEP_BLOCK * n_cells) whatever the horizon.
     """
     buf = np.empty((STEP_BLOCK, values.size))
     rows = buf.view()
@@ -344,7 +378,7 @@ def fixed_density(op: UlamOperator, tol: float = 1e-12,
     vals = np.ones(op.n_cells)
     residual = np.inf
     for _ in range(max_iter):
-        nxt = op.matrix @ vals
+        nxt = op._step(vals)
         m = nxt.mean()
         if m <= 0:
             raise NonConvergenceError("mass vanished during power iteration")

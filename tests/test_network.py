@@ -262,6 +262,22 @@ def test_two_thread_ensemble_equals_serial_oracle(ensemble, coupling):
         assert np.array_equal(summary.distances, dists)
 
 
+@pytest.mark.parametrize("dither", [3e-13, 2e-12, 1e-3, 0.7])
+def test_dither_buffer_draws_the_uniform_stream(dither):
+    # the reused dither buffer against the oracle's fresh rng.uniform draws;
+    # a coarse dither moves states across bins, so a changed stream shows
+    system = NetworkSystem(node_map=instantiate(doubling_family(), 0.0),
+                           n_nodes=3, alpha_c=0.02)
+    sched = gen_schedule("bursty", 3, horizon=20, seed=2)
+    summary = simulate_ensemble(system, sched, 301, 20, seed=4, n_bins=16,
+                                checkpoint_every=5, dither=dither)
+    counts, dists = serial_simulate_oracle(system, sched, 301, 20, seed=4,
+                                           n_bins=16, checkpoint_every=5,
+                                           dither=dither)
+    assert np.array_equal(summary.counts, counts)
+    assert np.array_equal(summary.distances, dists)
+
+
 def test_ensemble_failure_raises_and_leaks_no_thread(monkeypatch):
     seen = set()
     step = network.step_network

@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from nonstat_dyn.densities import (GridDensity, l1_distance, l1_norm,
+from nonstat_dyn.densities import (GridDensity, GridMismatchError,
+                                   l1_distance, l1_norm,
                                    quasi_holder_seminorm)
 from nonstat_dyn.maps import (breakpoint_family, circle_family,
                               doubling_family, instantiate, lsv_family,
                               pm_family, tent_family)
 from nonstat_dyn import transfer
-from nonstat_dyn.transfer import (AveragingLaw, NonConvergenceError,
-                                  UlamOperator, apply_sequence,
-                                  averaged_operator, build_ulam,
-                                  fit_decay_envelope, fixed_density,
-                                  iterated_bound_margin, lasota_yorke_fit,
-                                  perturbation_probe)
+from nonstat_dyn.transfer import (AveragingLaw, LasotaYorkeFit,
+                                  NonConvergenceError, UlamOperator,
+                                  apply_sequence, averaged_operator,
+                                  build_ulam, fit_decay_envelope,
+                                  fixed_density, iterated_bound_margin,
+                                  lasota_yorke_fit, perturbation_probe,
+                                  step_blocks)
 
 
 def random_density(rng, n):
@@ -120,6 +122,122 @@ def test_single_use_step_matches_csr_product_bitwise(name):
                 got = transfer._SingleUse(*transfer._entries(inst, n, q),
                                           n)._step(v)
                 assert got.tobytes() == want.tobytes(), (gamma, n, q)
+
+
+def assert_products_match_public_matmul(op, v):
+    """`_step`, `apply` and two `step_blocks` rows against scipy's public
+    `matrix @ v`, which shares no code with them but the compiled kernel."""
+    want = op.matrix @ v
+    want2 = op.matrix @ want
+    assert op._step(v).tobytes() == want.tobytes()
+    assert op.apply(GridDensity(v)).values.tobytes() == want.tobytes()
+    (rows,) = step_blocks([op, op], v)
+    assert rows[0].tobytes() == want.tobytes()
+    assert rows[1].tobytes() == want2.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRID))
+def test_kernel_products_match_public_matmul_bitwise(name):
+    family, gammas, unsafe = ORACLE_GRID[name]
+    rng = np.random.default_rng(1)
+    for gamma in gammas:
+        inst = instantiate(family, gamma, unsafe=unsafe)
+        for n in (2, 3, 7, 100, 333, 2048):
+            assert_products_match_public_matmul(build_ulam(inst, n),
+                                                rng.uniform(0.1, 2.0, n))
+
+
+def user_csr_int64(n):
+    rng = np.random.default_rng(3)
+    dense = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.2)
+    mat = scipy.sparse.csr_array(dense)
+    mat.indices = mat.indices.astype(np.int64)
+    mat.indptr = mat.indptr.astype(np.int64)
+    op = UlamOperator(matrix=mat)
+    assert op.matrix.indices.dtype == np.int64
+    return op
+
+
+@pytest.mark.parametrize("make", [
+    lambda: averaged_operator(
+        pm_family(0.5), AveragingLaw(0.1, 0.02, n_samples=8), 300),
+    lambda: UlamOperator(matrix=np.random.default_rng(2).uniform(
+        0.0, 1.0, (57, 57))),
+    lambda: user_csr_int64(211),
+], ids=["averaged", "dense", "user-csr-int64"])
+def test_kernel_products_match_public_matmul_on_other_builds(make):
+    op = make()
+    v = np.random.default_rng(4).uniform(0.1, 2.0, op.n_cells)
+    assert_products_match_public_matmul(op, v)
+
+
+def fixed_density_oracle(op, tol=1e-12, max_iter=20000):
+    """`fixed_density`'s power iteration on scipy's public `matrix @ vals`."""
+    vals = np.ones(op.n_cells)
+    for _ in range(max_iter):
+        nxt = op.matrix @ vals
+        nxt = nxt / nxt.mean()
+        residual = float(np.mean(np.abs(nxt - vals)))
+        vals = nxt
+        if residual <= tol:
+            return np.clip(vals, 0.0, None)
+    raise AssertionError("oracle did not converge")
+
+
+@pytest.mark.parametrize("family,gamma,n", [
+    (pm_family(0.5), 0.1, 64), (pm_family(0.5), 0.05, 1024),
+    (pm_family(0.5), 0.1, 3072), (lsv_family(0.5), 0.2, 256),
+    (lsv_family(0.5), 0.3, 2048), (doubling_family(), 0.3, 512),
+    (doubling_family(), -0.05, 3072),
+])
+def test_fixed_density_matches_matmul_oracle_bitwise(family, gamma, n):
+    op = build_ulam(instantiate(family, gamma), n)
+    assert (fixed_density(op).values.tobytes()
+            == fixed_density_oracle(op).tobytes())
+
+
+@pytest.mark.parametrize("center,radius", [(0.1, 0.02), (0.02, 0.005)])
+def test_fixed_density_of_averaged_operator_matches_matmul_oracle(center,
+                                                                  radius):
+    # the stationary workload's 8-node law, at 256 cells
+    op = averaged_operator(pm_family(0.5),
+                           AveragingLaw(center, radius, n_samples=8), 256)
+    assert (fixed_density(op).values.tobytes()
+            == fixed_density_oracle(op).tobytes())
+
+
+def test_density_on_another_grid_rejected_before_any_product():
+    op = build_ulam(instantiate(pm_family(0.5), 0.1), 128)
+    single = transfer._SingleUse(
+        *transfer._entries(instantiate(pm_family(0.5), 0.1), 128), 128)
+    fit = LasotaYorkeFit(eta_hat=0.5, c_hat=1.0, c_least_squares=1.0,
+                         satisfied_fraction=1.0, alpha=0.5)
+    with pytest.raises(GridMismatchError, match="grid mismatch"):
+        next(step_blocks([op], np.ones(64)))
+    with pytest.raises(GridMismatchError, match="grid mismatch"):
+        iterated_bound_margin(op, GridDensity.uniform(64), fit, 3)
+    with pytest.raises(GridMismatchError, match="grid mismatch"):
+        op.apply(GridDensity.uniform(64))
+    for bad in (np.ones(64), np.ones(129), np.ones((128, 1)), np.ones(0)):
+        for stepper in (op, single):
+            with pytest.raises(GridMismatchError, match="grid mismatch"):
+                stepper._step(bad)
+        with pytest.raises(GridMismatchError, match="grid mismatch"):
+            next(step_blocks([single], bad))
+
+
+def test_other_dtypes_and_layouts_are_converted_not_misread():
+    op = build_ulam(instantiate(pm_family(0.5), 0.1), 128)
+    single = transfer._SingleUse(
+        *transfer._entries(instantiate(pm_family(0.5), 0.1), 128), 128)
+    wide = np.random.default_rng(5).uniform(0.1, 2.0, 256)
+    for v in (wide[::2], wide[:128].astype(np.float32),
+              np.arange(128, dtype=np.int64), wide[::-2]):
+        want = op.matrix @ np.ascontiguousarray(v, dtype=np.float64)
+        for stepper in (op, single):
+            assert stepper._step(v).tobytes() == want.tobytes()
+    with pytest.raises(TypeError):
+        op._step(wide[:128] + 1j)
 
 
 def test_ulam_operators_choose_form_by_run_length():
