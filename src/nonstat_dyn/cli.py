@@ -2,6 +2,7 @@
 
 An experiment's flags are its runner's keyword parameters, typed by their
 defaults; the parser, the INI loader and `--help` all read them from there.
+Their ranges are one table, `BOUNDS`, which `run` checks before any work.
 
 Exit codes: 0 ok, 1 numeric failure, 2 config error.
 """
@@ -131,7 +132,8 @@ def _phi0(kind: str, cells: int) -> GridDensity:
 
 
 def _deltas(text: str) -> list:
-    return [_nonnegative("deltas", float(d)) for d in text.split(",")]
+    return [_check("deltas", float(d), *BOUNDS["delta"])
+            for d in text.split(",")]
 
 
 def _check_balls(family, gamma_hat: float, deltas) -> None:
@@ -144,21 +146,27 @@ def _check_balls(family, gamma_hat: float, deltas) -> None:
             raise ConfigError(f"gamma_hat, delta: {exc}") from None
 
 
-def _positive(key: str, value):
-    if value <= 0:
-        raise ConfigError(f"{key}: must be positive, got {value}")
-    return value
+# flag: (least value, whether the least itself is allowed). Every excluded
+# least is 0 ("must be positive"). A flag has one range in every experiment
+# taking it, and `run` checks each value an experiment receives before any
+# work, whether or not the run reads it.
+BOUNDS = {
+    "cells": (2, True), "nodes": (2, True), "bins": (2, True),
+    "balls": (8, True),
+    "n": (0, False), "sequences": (0, False), "seeds": (0, False),
+    "checkpoint": (0, False), "points": (0, False), "ensemble": (0, False),
+    "samples": (0, False), "n_test": (0, False), "first_gap": (0, False),
+    "quadrature": (0, False), "eps": (0, False),
+    "delta": (0, True), "band_eps": (0, True), "powers": (0, True),
+    "tol": (0, True), "seed": (0, True),
+}
 
 
-def _nonnegative(key: str, value):
-    if value < 0:
-        raise ConfigError(f"{key}: must be nonnegative, got {value}")
-    return value
-
-
-def _at_least(key: str, value, low):
-    if value < low:
-        raise ConfigError(f"{key}: must be at least {low}, got {value}")
+def _check(key: str, value, least, allowed: bool):
+    if not (value > least or (value == least and allowed)):  # rejects nan
+        rule = ("positive" if not allowed else
+                "nonnegative" if least == 0 else f"at least {least}")
+        raise ConfigError(f"{key}: must be {rule}, got {value}")
     return value
 
 
@@ -168,8 +176,6 @@ def run_invariant(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                   b0=0.4, gamma=0.0, cells=4096, quadrature=32,
                   tol=1e-12) -> int:
     family = _family(family, kappa, b0)
-    cells = _at_least("cells", cells, 2)
-    quadrature = _positive("quadrature", quadrature)
     op = build_ulam(instantiate(family, gamma), cells, quadrature=quadrature)
     phi = fixed_density(op, tol=tol)
     applied = op.apply(phi)
@@ -191,10 +197,6 @@ def run_stability(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
     family = _family(family, kappa, b0)
     deltas = _deltas(deltas)
     _check_balls(family, gamma_hat, deltas)
-    n = _positive("n", n)
-    sequences = _positive("sequences", sequences)
-    cells = _at_least("cells", cells, 2)
-    checkpoint = _positive("checkpoint", checkpoint)
     table = stability_experiment(family, gamma_hat, deltas,
                                  _phi0(phi0, cells), n, sequences, seed,
                                  checkpoint_every=checkpoint)
@@ -212,10 +214,7 @@ def run_evolve(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                b0=0.4, gamma_hat=0.1, delta=0.01, cells=1024, n=1000, seed=0,
                phi0="uniform", checkpoint=50) -> int:
     family = _family(family, kappa, b0)
-    _check_balls(family, gamma_hat, [_nonnegative("delta", delta)])
-    n = _positive("n", n)
-    cells = _at_least("cells", cells, 2)
-    checkpoint = _positive("checkpoint", checkpoint)
+    _check_balls(family, gamma_hat, [delta])
     phi0 = _phi0(phi0, cells)
     ref = fixed_density(build_ulam(instantiate(family, gamma_hat), cells))
     seq = ParameterSequence.iid(gamma_hat, delta, seed)
@@ -232,10 +231,6 @@ def run_evolve(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
 
 def run_adversarial(writer: ArtifactWriter, *, kappa=0.5, eps=0.1, n=10000,
                     first_gap=64, cells=1024) -> int:
-    eps = _positive("eps", eps)
-    n = _positive("n", n)
-    first_gap = _positive("first_gap", first_gap)
-    cells = _at_least("cells", cells, 2)
     family = pm_family(kappa=kappa)
     schedule = doubling_gap_schedule(first_gap, n)
     run = adversarial_demo(family, eps, schedule, n_max=n, n_cells=cells)
@@ -260,18 +255,10 @@ def run_birkhoff(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                  points=100, seed=0, band_eps=0.05, psi="x", covariance=0,
                  i_max=4, j_max=14, ensemble=10000, lp=0, balls=64) -> int:
     family = _family(family, kappa, b0)
-    _check_balls(family, gamma_hat, [_nonnegative("delta", delta)])
-    n = _positive("n", n)
-    points = _positive("points", points)
-    cells = _at_least("cells", cells, 2)
-    band_eps = _nonnegative("band_eps", band_eps)
-    if covariance:
-        ensemble = _positive("ensemble", ensemble)
-        if not 0 <= i_max <= j_max or j_max < 1:
-            raise ConfigError(f"i_max, j_max: must satisfy 0 <= i_max <= "
-                              f"j_max and j_max >= 1, got {i_max}, {j_max}")
-    if lp:
-        balls = _at_least("balls", balls, 8)
+    _check_balls(family, gamma_hat, [delta])
+    if covariance and (not 0 <= i_max <= j_max or j_max < 1):
+        raise ConfigError(f"i_max, j_max: must satisfy 0 <= i_max <= j_max "
+                          f"and j_max >= 1, got {i_max}, {j_max}")
     psi = observable(psi, cells)
     seq = ParameterSequence.iid(gamma_hat, delta, seed)
     result = birkhoff_averages(family, seq, points, psi, n, seed=seed)
@@ -319,8 +306,6 @@ def run_cone(writer: ArtifactWriter, *, family="doubling", kappa=0.5, b0=0.4,
              gamma=0.0, cells=256, a=2.0, nu=0.5, rho0=0.25, lam=0.75, seed=0,
              samples=100) -> int:
     family = _family(family, kappa, b0)
-    samples = _positive("samples", samples)
-    cells = _at_least("cells", cells, 2)
     cone = ConeParams(a=a, nu=nu, rho0=rho0, lam=lam)
     op = build_ulam(instantiate(family, gamma), cells)
     image = cone_image_check(op, cone, samples=samples, seed=seed)
@@ -344,15 +329,10 @@ def run_cone(writer: ArtifactWriter, *, family="doubling", kappa=0.5, b0=0.4,
 def run_network(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                 b0=0.4, gamma=0.0, nodes=8, alpha_c=0.01, n=10000,
                 ensemble=10000, seed=0, schedule="bursty", p=0.9,
-                fail_rate=0.05, period=2, coupling="diffusive",
-                bins=64) -> int:
+                fail_rate=0.05, period=2, bins=64) -> int:
     family = _family(family, kappa, b0)
-    n = _positive("n", n)
-    nodes = _at_least("nodes", nodes, 2)
-    ensemble = _positive("ensemble", ensemble)
-    bins = _at_least("bins", bins, 2)
     system = NetworkSystem(node_map=instantiate(family, gamma),
-                           n_nodes=nodes, alpha_c=alpha_c, coupling=coupling)
+                           n_nodes=nodes, alpha_c=alpha_c)
     schedule = gen_schedule(schedule, nodes, n, seed=seed, p=p,
                             fail_rate=fail_rate, period=period)
     summary = simulate_ensemble(system, schedule, ensemble, n, seed=seed,
@@ -379,9 +359,6 @@ def run_ly_fit(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                b0=0.4, gamma=0.0, cells=512, alpha=0.5, n_test=100, seed=0,
                powers=10) -> int:
     family = _family(family, kappa, b0)
-    n_test = _positive("n_test", n_test)
-    powers = _nonnegative("powers", powers)
-    cells = _at_least("cells", cells, 2)
     rng = substream(seed, "ly-test-set")
     test_set = [random_step_density(cells, rng) for _ in range(n_test)]
     fit = lasota_yorke_fit(family, gamma, alpha, test_set, n_powers=powers)
@@ -401,9 +378,6 @@ def run_perturb_probe(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
     family = _family(family, kappa, b0)
     deltas = _deltas(deltas)
     _check_balls(family, gamma_hat, deltas)
-    n = _positive("n", n)
-    seeds = _positive("seeds", seeds)
-    cells = _at_least("cells", cells, 2)
     phi0 = _phi0(phi0, cells)
     rows = []
     fits = {}
@@ -528,6 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(experiment: str, cfg: dict, outdir: str) -> int:
+    for key, value in {**flags(experiment), **cfg}.items():
+        if key in BOUNDS:
+            _check(key, value, *BOUNDS[key])
     writer = ArtifactWriter(outdir, {"experiment": experiment, **cfg})
     start, cpu_start = time.perf_counter(), time.process_time()
     status = EXPERIMENTS[experiment](writer, **cfg)

@@ -48,26 +48,14 @@ class AdjacencySchedule:
     def mean_failure_run_length(self) -> float:
         """Mean length of contiguous absent-edge runs over the horizon
         (edges absent for the entire horizon are ignored)."""
-        present = self.matrices.astype(bool)
-        runs = []
         n = self.n_nodes
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                edge = present[:, i, j]
-                if edge.all() or not edge.any():
-                    continue
-                run = 0
-                for v in edge:
-                    if not v:
-                        run += 1
-                    elif run:
-                        runs.append(run)
-                        run = 0
-                if run:
-                    runs.append(run)
-        return float(np.mean(runs)) if runs else 0.0
+        present = self.matrices.reshape(self.horizon, n * n).astype(bool)
+        absent = ~present[:, present.any(axis=0) & ~present.all(axis=0)]
+        # a run starts at an absent step that is the first or follows a
+        # present one
+        runs = (np.count_nonzero(absent[:1])
+                + np.count_nonzero(absent[1:] & ~absent[:-1]))
+        return float(np.count_nonzero(absent) / runs) if runs else 0.0
 
 
 def _complete(n: int) -> np.ndarray:
@@ -89,10 +77,8 @@ def gen_schedule(kind: str, n_nodes: int, horizon: int, seed: int = 0,
     elif kind == "periodic-failure":
         if period < 2:
             raise ValueError("period must be at least 2")
-        mats = np.repeat(base_mat[None, :, :], horizon, axis=0).copy()
-        for t in range(horizon):
-            if t % period != 0:
-                mats[t, 0, 1] = 0
+        mats = np.repeat(base_mat[None, :, :], horizon, axis=0)
+        mats[np.arange(horizon) % period != 0, 0, 1] = 0
     elif kind == "bursty":
         if not (0.0 < p < 1.0):
             raise ValueError("persistence p must lie in (0, 1)")
@@ -115,24 +101,17 @@ def gen_schedule(kind: str, n_nodes: int, horizon: int, seed: int = 0,
 
 @dataclass(frozen=True)
 class NetworkSystem:
-    """Identical expanding node maps with pairwise coupling of strength
-    alpha_c, either "diffusive" (`diffusive_coupling`, Lipschitz 1) or
-    "zero" (none). For the diffusive coupling, construction enforces the
-    per-node expansion budget min |f'| - |alpha_c| * (n_nodes - 1) > 1, the
-    degree of the complete graph bounding every schedule's in-degree."""
+    """Identical expanding node maps with diffusive pairwise coupling
+    (`diffusive_coupling`, Lipschitz 1) of strength alpha_c; alpha_c = 0
+    leaves the nodes uncoupled. Construction enforces the per-node expansion
+    budget min |f'| - |alpha_c| * (n_nodes - 1) > 1, the degree of the
+    complete graph bounding every schedule's in-degree."""
 
     node_map: MapInstance
     n_nodes: int
     alpha_c: float
-    coupling: str = "diffusive"
 
     def __post_init__(self):
-        known = ("diffusive", "zero")
-        if self.coupling not in known:
-            raise ValueError(
-                f"unknown coupling {self.coupling!r}; known: {list(known)}")
-        if self.coupling == "zero":
-            return
         min_deriv = self.node_map.family.min_expansion(self.node_map.gamma)
         budget = min_deriv - abs(self.alpha_c) * (self.n_nodes - 1)
         if budget <= 1.0:
@@ -166,7 +145,7 @@ def step_network(system: NetworkSystem, state: np.ndarray, t: int,
 
     `state` has shape (n_nodes,) or (ensemble, n_nodes)."""
     x = np.atleast_2d(np.asarray(state, dtype=float))
-    coupled = system.alpha_c != 0.0 and system.coupling == "diffusive"
+    coupled = system.alpha_c != 0.0
     if coupled:
         # summed before f(x) is evaluated, so that at most five
         # ensemble-sized arrays are alive at once

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonstat_dyn.cli import (EXPERIMENTS, build_parser, main,
+from nonstat_dyn.cli import (BOUNDS, EXPERIMENTS, build_parser, flags, main,
                              random_step_density)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -137,6 +137,10 @@ BELOW_MINIMUM = {
        if "cells" in inspect.signature(runner).parameters},
     "network --bins 1": "bins: must be at least 2, got 1",
     "network --nodes 1": "nodes: must be at least 2, got 1",
+    "invariant --tol -1": "tol: must be nonnegative, got -1.0",
+    "invariant --tol nan": "tol: must be nonnegative, got nan",
+    "stability --seed -1": "seed: must be nonnegative, got -1",
+    "adversarial --eps 0": "eps: must be positive, got 0.0",
 }
 
 
@@ -157,7 +161,11 @@ def test_count_below_minimum_is_config_error_before_any_step(tmp_path, capsys,
      "i_max, j_max: must satisfy 0 <= i_max <= j_max and j_max >= 1, got 0, 0"),
     ("--lp 1 --balls 4", "balls: must be at least 8, got 4"),
     ("--band-eps -0.5", "band_eps: must be nonnegative, got -0.5"),
-], ids=["window", "no-lag", "balls", "band-eps"])
+    # a value set out of range is rejected even where the run leaves it unread
+    ("--ensemble 0", "ensemble: must be positive, got 0"),
+    ("--balls 4", "balls: must be at least 8, got 4"),
+], ids=["window", "no-lag", "balls", "band-eps", "ensemble-unread",
+        "balls-unread"])
 def test_birkhoff_option_error_before_any_step(tmp_path, capsys, flags,
                                               message):
     out = tmp_path / "birk"
@@ -176,13 +184,35 @@ def test_negative_powers_is_config_error_before_any_step(tmp_path, capsys):
             "config error: powers: must be nonnegative, got -3\n")
 
 
-def test_unknown_coupling_is_config_error(tmp_path, capsys):
+def test_coupling_flag_is_usage_error(tmp_path, capsys):
+    # the coupling is always diffusive; --alpha-c 0 leaves nodes uncoupled
     out = tmp_path / "net"
-    assert main(["network", "--coupling", "foo", "--nodes", "4",
-                 "--ensemble", "10", "--n", "5", "--out", str(out)]) == 2
-    assert "unknown coupling 'foo'; known: ['diffusive', 'zero']" in \
-        capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["network", "--coupling", "zero", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --coupling zero" in capsys.readouterr().err
     assert not out.exists()
+
+
+# numeric flags without a BOUNDS entry, each with why
+UNBOUNDED = {
+    **dict.fromkeys(["kappa", "a", "nu", "rho0", "lam", "p", "fail_rate",
+                     "period", "alpha"], "the library checks it"),
+    **dict.fromkeys(["gamma", "gamma_hat", "b0", "alpha_c", "i_max", "j_max",
+                     "covariance", "lp"], "no range"),
+}
+
+
+def test_every_numeric_flag_is_bounded_or_listed():
+    numeric = {key for kind in EXPERIMENTS
+               for key, default in flags(kind).items()
+               if type(default) in (int, float)}
+    # a misspelt key would silently drop its check
+    assert set(BOUNDS) <= numeric
+    assert numeric - set(BOUNDS) == set(UNBOUNDED)
+    # `_check` words an excluded least as "must be positive"
+    assert all(least == 0 for least, allowed in BOUNDS.values()
+               if not allowed)
 
 
 def test_cli_import_leaves_solver_modules_unloaded():

@@ -24,9 +24,11 @@ def test_static_complete_schedule():
 
 
 def test_periodic_failure_schedule():
-    sched = gen_schedule("periodic-failure", 3, horizon=8, period=2)
-    for t in range(8):
-        assert sched.matrix_at(t)[0, 1] == (1 if t % 2 == 0 else 0)
+    for period in (2, 3):
+        sched = gen_schedule("periodic-failure", 3, horizon=8, period=period)
+        for t in range(8):
+            assert sched.matrix_at(t)[0, 1] == (1 if t % period == 0 else 0)
+            assert sched.matrix_at(t).sum() == (6 if t % period == 0 else 5)
 
 
 def test_bursty_schedule_mean_run_length():
@@ -34,6 +36,51 @@ def test_bursty_schedule_mean_run_length():
                          fail_rate=0.05)
     mean_run = sched.mean_failure_run_length()
     assert abs(mean_run - 10.0) / 10.0 < 0.1
+
+
+def loop_mean_failure_run_length(schedule):
+    """The mean absent-run length walked edge by edge and step by step."""
+    present = schedule.matrices.astype(bool)
+    runs = []
+    n = schedule.n_nodes
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            edge = present[:, i, j]
+            if edge.all() or not edge.any():
+                continue
+            run = 0
+            for v in edge:
+                if not v:
+                    run += 1
+                elif run:
+                    runs.append(run)
+                    run = 0
+            if run:
+                runs.append(run)
+    return float(np.mean(runs)) if runs else 0.0
+
+
+@pytest.mark.parametrize("kind", ["static", "periodic-failure", "bursty"])
+@pytest.mark.parametrize("n_nodes", [2, 3, 8])
+def test_mean_failure_run_length_equals_loop_oracle(kind, n_nodes):
+    cases = [gen_schedule(kind, n_nodes, horizon, seed=seed, p=p,
+                          fail_rate=fail_rate, period=period)
+             for horizon in (1, 2, 7, 300)
+             for seed in (0, 3)
+             for p, fail_rate in ((0.9, 0.05), (0.3, 0.6), (0.5, 0.0))
+             for period in (2, 5)]
+    # an edge absent throughout, and one absent at the first and last steps
+    mats = np.ones((6, n_nodes, n_nodes), dtype=np.uint8)
+    mats[:, np.arange(n_nodes), np.arange(n_nodes)] = 0
+    mats[:, 1, 0] = 0
+    mats[[0, -1], 0, 1] = 0
+    cases.append(AdjacencySchedule(n_nodes=n_nodes, matrices=mats))
+    for sched in cases:
+        got = sched.mean_failure_run_length()
+        assert type(got) is float
+        assert got == loop_mean_failure_run_length(sched)
 
 
 def test_schedule_determinism():
@@ -68,16 +115,6 @@ def test_uncoupled_step_is_plain_map():
     x = np.array([0.1, 0.2, 0.3, 0.7])
     out = step_network(system, x, 0, sched)
     assert np.array_equal(out, (2 * x) % 1.0)
-
-
-def test_zero_coupling_function_same_as_uncoupled():
-    node = instantiate(doubling_family(), 0.0)
-    sched = gen_schedule("static", 4, horizon=4)
-    a = NetworkSystem(node_map=node, n_nodes=4, alpha_c=0.05, coupling="zero")
-    b = NetworkSystem(node_map=node, n_nodes=4, alpha_c=0.0)
-    x = np.random.default_rng(0).uniform(0, 1, (10, 4))
-    assert np.array_equal(step_network(a, x, 0, sched),
-                          step_network(b, x, 0, sched))
 
 
 def test_symmetric_state_has_no_coupling_drift():
@@ -166,20 +203,17 @@ def test_coupled_ensemble_bits_pinned():
         "b14787e0c7b5f339512465ff05fe1c157106801485285ad2de9961b6b513a9f6")
 
 
-@pytest.mark.parametrize("coupling,expected", [
-    ("diffusive",
-     "3fc1056df50906e1a5ce44721e22128ebd350a98c7884dd69bad3c9b14ded92d"),
-])
-def test_step_states_bits_pinned(coupling, expected):
+def test_step_states_bits_pinned():
     system = NetworkSystem(node_map=instantiate(pm_family(0.5), 0.1),
-                           n_nodes=4, alpha_c=0.02, coupling=coupling)
+                           n_nodes=4, alpha_c=0.02)
     sched = gen_schedule("bursty", 4, horizon=30, seed=4, p=0.8, fail_rate=0.2)
     x = substream(4, "pin").uniform(0.0, 1.0, (50, 4))
     states = []
     for t in range(30):
         x = step_network(system, x, t, sched)
         states.append(x)
-    assert digest(np.array(states)) == expected
+    assert digest(np.array(states)) == (
+        "3fc1056df50906e1a5ce44721e22128ebd350a98c7884dd69bad3c9b14ded92d")
 
 
 def test_diffusive_step_equals_expression():
@@ -242,7 +276,7 @@ def serial_simulate_oracle(system, schedule, ensemble, n_steps, seed=0,
 @pytest.mark.parametrize("ensemble", [1, 2, 7, 10001])
 @pytest.mark.parametrize("coupling", [
     {"alpha_c": 0.02},
-    {"alpha_c": 0.02, "coupling": "zero"},
+    {"alpha_c": -0.02},
     {"alpha_c": 0.0},
 ])
 def test_two_thread_ensemble_equals_serial_oracle(ensemble, coupling):
