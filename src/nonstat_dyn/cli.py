@@ -17,6 +17,7 @@ import os
 import resource
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .birkhoff import (band_pass_check, birkhoff_averages, covariance_decay,
                        quasi_birkhoff_band)
 from .cones import (ConeParams, cone_image_check, contraction_and_diameter,
                     sample_cone_density, theta_holder, theta_plus)
-from .densities import GridDensity, l1_distance, quasi_holder_seminorm
+from .densities import GridDensity, l1_distance
 from .maps import family_by_name, instantiate, pm_family
 from .network import NetworkSystem, gen_schedule, simulate_ensemble
 from .seeding import substream
@@ -61,38 +62,31 @@ class ArtifactWriter:
         self.checksums: dict = {}
         self.timings: dict = {}
 
-    def path(self, name: str) -> str:
-        return os.path.join(self.outdir, name)
-
-    def _create(self, name: str):
-        """Open an artifact for writing; the directory is made by the first
-        write, so a run that fails before writing leaves no directory."""
+    def _write(self, name: str, text: str) -> None:
+        """Write one artifact and record the SHA-256 of the bytes written.
+        The directory is made by the first write, so a run that fails
+        before writing leaves no directory."""
+        data = text.encode()
         os.makedirs(self.outdir, exist_ok=True)
-        return open(self.path(name), "w")
+        with open(os.path.join(self.outdir, name), "wb") as fh:
+            fh.write(data)
+        self.checksums[name] = hashlib.sha256(data).hexdigest()
 
-    def _register(self, name: str):
-        with open(self.path(name), "rb") as fh:
-            self.checksums[name] = hashlib.sha256(fh.read()).hexdigest()
-
-    def write_csv(self, name: str, header, rows, meta: dict | None = None):
+    def write_csv(self, name: str, columns: dict, meta: dict | None = None):
+        """`columns` is {header: values} in column order; each column is
+        flattened in C order, so the grids of `np.indices` line up."""
         lines = [f"# manifest {self.run_id}"]
-        for k in sorted((meta or {})):
-            lines.append(f"# {k} = {_fmt((meta or {})[k])}")
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        with self._create(name) as fh:
-            fh.write("\n".join(lines) + "\n")
-        self._register(name)
+        lines += [f"# {k} = {_fmt(v)}" for k, v in sorted((meta or {}).items())]
+        lines.append(",".join(columns))
+        cols = [np.ravel(c).tolist() for c in columns.values()]
+        lines += [",".join(map(_fmt, row)) for row in zip(*cols)]
+        self._write(name, "\n".join(lines) + "\n")
 
     def write_json(self, name: str, obj):
         payload = {"manifest": self.run_id, "data": obj}
-        with self._create(name) as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        self._register(name)
+        self._write(name, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
-    def finish(self) -> str:
+    def finish(self) -> None:
         manifest = {
             "run_id": self.run_id,
             "version": __version__,
@@ -101,10 +95,9 @@ class ArtifactWriter:
             "timings_ms": self.timings,
             "peak_rss_mb": _peak_rss_mb(),
         }
-        with self._create("run_manifest.json") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        return self.path("run_manifest.json")
+        # serialized before its own write, so the manifest does not list itself
+        self._write("run_manifest.json",
+                    json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
 def _peak_rss_mb() -> float:
@@ -180,8 +173,8 @@ def run_invariant(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
     phi = fixed_density(op, tol=tol)
     applied = op.apply(phi)
     residual = l1_distance(applied, phi)
-    writer.write_csv("invariant_density.csv", ["cell", "value"],
-                     [(i, float(v)) for i, v in enumerate(phi.values)],
+    writer.write_csv("invariant_density.csv",
+                     {"cell": np.arange(phi.n_cells), "value": phi.values},
                      meta={"family": family.name, "gamma": gamma,
                            "residual": residual})
     writer.write_json("invariant_report.json",
@@ -200,13 +193,13 @@ def run_stability(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
     table = stability_experiment(family, gamma_hat, deltas,
                                  _phi0(phi0, cells), n, sequences, seed,
                                  checkpoint_every=checkpoint)
-    rows = [(r.delta, r.worst_post_transient, r.stationary_distance,
-             r.n_sequences) for r in table.rows]
-    writer.write_csv("stability.csv",
-                     ["delta", "worst_post_transient", "stationary_distance",
-                      "sequences"], rows,
-                     meta={"family": family.name, "gamma_hat": gamma_hat,
-                           "n": n, "cells": cells})
+    writer.write_csv("stability.csv", {
+        "delta": [r.delta for r in table.rows],
+        "worst_post_transient": [r.worst_post_transient for r in table.rows],
+        "stationary_distance": [r.stationary_distance for r in table.rows],
+        "sequences": [r.n_sequences for r in table.rows],
+    }, meta={"family": family.name, "gamma_hat": gamma_hat, "n": n,
+             "cells": cells})
     return 0
 
 
@@ -220,12 +213,11 @@ def run_evolve(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
     seq = ParameterSequence.iid(gamma_hat, delta, seed)
     trace = evolve_density(family, seq, phi0, n, checkpoint_every=checkpoint,
                            reference=ref, track_seminorm=True)
-    rows = list(zip(trace.steps.tolist(), trace.masses.tolist(),
-                    trace.distances.tolist(), trace.seminorms.tolist()))
-    writer.write_csv("evolve_trace.csv",
-                     ["step", "mass", "l1_to_reference", "seminorm"], rows,
-                     meta={"family": family.name, "gamma_hat": gamma_hat,
-                           "delta": delta, "n": n})
+    writer.write_csv("evolve_trace.csv", {
+        "step": trace.steps, "mass": trace.masses,
+        "l1_to_reference": trace.distances, "seminorm": trace.seminorms,
+    }, meta={"family": family.name, "gamma_hat": gamma_hat, "delta": delta,
+             "n": n})
     return 0
 
 
@@ -236,11 +228,10 @@ def run_adversarial(writer: ArtifactWriter, *, kappa=0.5, eps=0.1, n=10000,
     run = adversarial_demo(family, eps, schedule, n_max=n, n_cells=cells)
     stride = max(n // 2000, 1)
     keep = np.arange(0, n, stride)
-    rows = list(zip(run.steps[keep].tolist(), run.mass_low[keep].tolist(),
-                    run.dist_plus[keep].tolist()))
-    writer.write_csv("adversarial_curve.csv",
-                     ["step", "mass_near_zero", "l1_to_plus_density"], rows,
-                     meta={"kappa": kappa, "eps": eps, "w": MASS_WINDOW})
+    writer.write_csv("adversarial_curve.csv", {
+        "step": run.steps[keep], "mass_near_zero": run.mass_low[keep],
+        "l1_to_plus_density": run.dist_plus[keep],
+    }, meta={"kappa": kappa, "eps": eps, "w": MASS_WINDOW})
     writer.write_json("adversarial_report.json", {
         "block_ends": [[int(k), kind] for k, kind in run.block_ends],
         "reached_concentration": run.reached_concentration,
@@ -256,7 +247,7 @@ def run_birkhoff(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                  i_max=4, j_max=14, ensemble=10000, lp=0, balls=64) -> int:
     family = _family(family, kappa, b0)
     _check_balls(family, gamma_hat, [delta])
-    if covariance and (not 0 <= i_max <= j_max or j_max < 1):
+    if not 0 <= i_max <= j_max or j_max < 1:
         raise ConfigError(f"i_max, j_max: must satisfy 0 <= i_max <= j_max "
                           f"and j_max >= 1, got {i_max}, {j_max}")
     psi = observable(psi, cells)
@@ -265,28 +256,23 @@ def run_birkhoff(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
     phi_hat = fixed_density(build_ulam(instantiate(family, gamma_hat), cells))
     band = quasi_birkhoff_band(psi, phi_hat, band_eps)
     check = band_pass_check(result, band)
-    writer.write_csv("birkhoff_averages.csv",
-                     ["point", "average", "tail_min", "tail_max", "inside"],
-                     [(i, float(result.averages[0, i]),
-                       float(result.tail_min[0, i]),
-                       float(result.tail_max[0, i]), int(check.inside[i]))
-                      for i in range(points)],
-                     meta={"psi": psi.name, "band_lo": band.lo,
-                           "band_hi": band.hi})
+    writer.write_csv("birkhoff_averages.csv", {
+        "point": np.arange(points), "average": result.averages[0],
+        "tail_min": result.tail_min[0], "tail_max": result.tail_max[0],
+        "inside": check.inside.astype(int),
+    }, meta={"psi": psi.name, "band_lo": band.lo, "band_hi": band.hi})
     writer.write_json("birkhoff_band.json", {
-        "band": {"lo": band.lo, "hi": band.hi, "center": band.center},
+        "band": asdict(band),
         "pass_fraction": check.fraction,
         "wilson": list(check.wilson), "n": n, "points": points,
     })
     if covariance:
-        window = (i_max, j_max)
-        cov = covariance_decay(family, seq, psi, window, ensemble=ensemble,
-                               seed=seed)
+        cov = covariance_decay(family, seq, psi, (i_max, j_max),
+                               ensemble=ensemble, seed=seed)
         lln = lln_summability(cov)
-        writer.write_csv("covariance.csv", ["i", "j", "R", "se"],
-                         [(i, j, float(cov.R[i, j]), float(cov.se[i, j]))
-                          for i in range(window[1] + 1)
-                          for j in range(window[1] + 1)])
+        i, j = np.indices(cov.R.shape)
+        writer.write_csv("covariance.csv",
+                         {"i": i, "j": j, "R": cov.R, "se": cov.se})
         writer.write_json("lln_verdict.json", {
             "verdict": lln.verdict, "q_fit": cov.q_fit, "c_fit": cov.c_fit,
             "partial_sum": lln.partial_sum, "closed_form": lln.closed_form,
@@ -295,10 +281,7 @@ def run_birkhoff(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
         rng = substream(seed, "lp-orbit-start")
         orbit = orbit_points(family, seq, rng.uniform(0, 1, 1), n, seed=seed)
         report = lp_distance(orbit[:, 0], phi_hat, ball_count=balls)
-        writer.write_json("lp_estimate.json", {
-            "estimate": report.estimate, "ball_radius": report.ball_radius,
-            "ball_count": report.ball_count,
-        })
+        writer.write_json("lp_estimate.json", asdict(report))
     return 0
 
 
@@ -314,7 +297,7 @@ def run_cone(writer: ArtifactWriter, *, family="doubling", kappa=0.5, b0=0.4,
     phi1 = sample_cone_density(cells, cone, rng)
     phi2 = sample_cone_density(cells, cone, rng)
     writer.write_json("cone_report.json", {
-        "cone": {"a": cone.a, "nu": cone.nu, "rho0": cone.rho0, "lam": cone.lam},
+        "cone": asdict(cone),
         "image_check": {"passed": image.passed, "worst_a_min": image.worst_a_min,
                         "target": image.target},
         "contraction": {"q_hat": contraction.q_hat,
@@ -337,13 +320,11 @@ def run_network(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                             fail_rate=fail_rate, period=period)
     summary = simulate_ensemble(system, schedule, ensemble, n, seed=seed,
                                 n_bins=bins)
-    rows = []
-    for c, t in enumerate(summary.checkpoints.tolist()):
-        for node in range(nodes):
-            for b in range(summary.n_bins):
-                rows.append((t, node, b, int(summary.counts[c, node, b])))
-    writer.write_csv("network_marginals.csv", ["step", "node", "bin", "count"],
-                     rows, meta={"ensemble": ensemble, "bins": summary.n_bins})
+    c, node, b = np.indices(summary.counts.shape)
+    writer.write_csv("network_marginals.csv", {
+        "step": summary.checkpoints[c], "node": node, "bin": b,
+        "count": summary.counts,
+    }, meta={"ensemble": ensemble, "bins": summary.n_bins})
     writer.write_json("network_summary.json", {
         "checkpoints": summary.checkpoints.tolist(),
         "max_distance": summary.max_distance.tolist(),
@@ -362,13 +343,7 @@ def run_ly_fit(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
     rng = substream(seed, "ly-test-set")
     test_set = [random_step_density(cells, rng) for _ in range(n_test)]
     fit = lasota_yorke_fit(family, gamma, alpha, test_set, n_powers=powers)
-    writer.write_json("ly_fit.json", {
-        "eta_hat": fit.eta_hat, "c_hat": fit.c_hat,
-        "c_least_squares": fit.c_least_squares,
-        "satisfied_fraction": fit.satisfied_fraction,
-        "iterated_margin": fit.iterated_margin,
-        "alpha": alpha, "n_test": n_test,
-    })
+    writer.write_json("ly_fit.json", {**asdict(fit), "n_test": n_test})
     return 0
 
 
@@ -379,42 +354,27 @@ def run_perturb_probe(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
     deltas = _deltas(deltas)
     _check_balls(family, gamma_hat, deltas)
     phi0 = _phi0(phi0, cells)
-    rows = []
-    fits = {}
-    for delta in deltas:
-        curves = []
-        for s in range(seeds):
-            probe = perturbation_probe(family, gamma_hat, delta, n, phi0,
-                                       seq_seed=s)
-            curves.append(probe.curve)
-        mean_curve = np.mean(curves, axis=0)
-        spread = np.std(curves, axis=0)
-        for k, (m, sd) in enumerate(zip(mean_curve, spread)):
-            rows.append((delta, k, float(m), float(sd)))
-        norm_alpha = quasi_holder_seminorm(
-            phi0, min(family.holder_exponent, 1.0)).norm_alpha
-        env = fit_decay_envelope(mean_curve, norm_alpha)
-        fits[repr(delta)] = {"c_fit": env.c_fit, "s_fit": env.s_fit,
-                             "c_dominating": env.c_dominating,
-                             "rel_residual": env.rel_residual}
-    writer.write_csv("perturbation_probe.csv",
-                     ["delta", "n", "mean_deviation", "seed_spread"], rows,
-                     meta={"family": family.name, "gamma_hat": gamma_hat})
-    writer.write_json("perturbation_fit.json", fits)
+    probes = [[perturbation_probe(family, gamma_hat, delta, n, phi0, seq_seed=s)
+               for s in range(seeds)] for delta in deltas]
+    curves = np.array([[probe.curve for probe in row] for row in probes])
+    mean_curve, spread = curves.mean(axis=1), curves.std(axis=1)
+    d, k = np.indices(mean_curve.shape)
+    writer.write_csv("perturbation_probe.csv", {
+        "delta": np.array(deltas)[d], "n": k, "mean_deviation": mean_curve,
+        "seed_spread": spread,
+    }, meta={"family": family.name, "gamma_hat": gamma_hat})
+    norm_alpha = probes[0][0].norm_alpha   # ||phi0||_alpha in every probe
+    writer.write_json("perturbation_fit.json", {
+        repr(delta): asdict(fit_decay_envelope(m, norm_alpha))
+        for delta, m in zip(deltas, mean_curve)})
     return 0
 
 
-def random_step_density(n_cells: int, rng: np.random.Generator,
-                        n_jumps: int = 8) -> GridDensity:
-    """Random positive step density with a handful of jumps, mass one."""
-    edges = np.sort(rng.integers(0, n_cells, n_jumps))
-    levels = rng.uniform(0.2, 2.0, n_jumps + 1)
-    vals = np.empty(n_cells)
-    prev = 0
-    for e, lv in zip(edges, levels[:-1]):
-        vals[prev:e] = lv
-        prev = e
-    vals[prev:] = levels[-1]
+def random_step_density(n_cells: int, rng: np.random.Generator) -> GridDensity:
+    """Random positive step density with eight jumps, mass one."""
+    edges = np.sort(rng.integers(0, n_cells, 8))
+    levels = rng.uniform(0.2, 2.0, 9)
+    vals = np.repeat(levels, np.diff(np.concatenate(([0], edges, [n_cells]))))
     return GridDensity(vals / vals.mean())
 
 

@@ -78,11 +78,9 @@ class GridDensity:
         return GridDensity(vals)
 
     @staticmethod
-    def from_callable(fn, n_cells: int, density: bool = True) -> "GridDensity":
+    def from_callable(fn, n_cells: int) -> "GridDensity":
         """Sample a function at cell centers (midpoint approximation of cell averages)."""
-        centers = (np.arange(n_cells) + 0.5) / n_cells
-        return GridDensity(np.asarray(fn(centers), dtype=float),
-                           density=density)
+        return GridDensity(np.asarray(fn(cell_centers(n_cells)), dtype=float))
 
 
 def cell_centers(n_cells: int) -> np.ndarray:

@@ -68,22 +68,23 @@ def gen_schedule(kind: str, n_nodes: int, horizon: int, seed: int = 0,
     """Adjacency schedules: 'static', 'periodic-failure' (the edge (0, 1)
     present one step in every `period`) or 'bursty' (edges fail
     independently and stay failed for geometric runs with persistence p).
-    A given stream of matrices is an `AdjacencySchedule` made directly."""
+    A given stream of matrices is an `AdjacencySchedule` made directly.
+    Every parameter is checked for every kind, read or not."""
     if n_nodes < 2:
         raise ValueError("n_nodes must be at least 2")
+    if not (0.0 < p < 1.0):
+        raise ValueError("persistence p must lie in (0, 1)")
+    if not (0.0 <= fail_rate < 1.0):
+        raise ValueError("fail_rate must lie in [0, 1)")
+    if period < 2:
+        raise ValueError("period must be at least 2")
     base_mat = _complete(n_nodes)
     if kind == "static":
         mats = np.repeat(base_mat[None, :, :], horizon, axis=0)
     elif kind == "periodic-failure":
-        if period < 2:
-            raise ValueError("period must be at least 2")
         mats = np.repeat(base_mat[None, :, :], horizon, axis=0)
         mats[np.arange(horizon) % period != 0, 0, 1] = 0
     elif kind == "bursty":
-        if not (0.0 < p < 1.0):
-            raise ValueError("persistence p must lie in (0, 1)")
-        if not (0.0 <= fail_rate < 1.0):
-            raise ValueError("fail_rate must lie in [0, 1)")
         rng = substream(seed, "bursty-schedule")
         mats = np.empty((horizon, n_nodes, n_nodes), dtype=np.uint8)
         state = base_mat.copy().astype(bool)   # True = edge working

@@ -505,17 +505,16 @@ def fit_decay_envelope(curve: np.ndarray, scale: float) -> DecayEnvelope:
 class PerturbationProbe:
     deltas_used: np.ndarray      # the sampled parameter sequence
     curve: np.ndarray            # n -> ||L^n_seq phi - L^n_const phi||_1
-    envelope: DecayEnvelope
     norm_alpha: float
-    dominated: bool
 
 
 def perturbation_probe(family: MapFamily, gamma_hat: float, delta: float,
                        n_max: int, phi: GridDensity, seq_seed: int,
                        alpha: Optional[float] = None) -> PerturbationProbe:
     """Deviation curve between one random perturbed composition and the
-    constant composition at gamma_hat, with a fitted geometric envelope
-    C s^n ||phi||_alpha.  The delta-ball must lie inside the family's range."""
+    constant composition at gamma_hat, with the norm ||phi||_alpha that
+    scales its geometric envelope C s^n ||phi||_alpha (`fit_decay_envelope`).
+    The delta-ball must lie inside the family's range."""
     family.check_ball(gamma_hat, delta)
     if alpha is None:
         alpha = min(family.holder_exponent, 1.0)
@@ -531,10 +530,6 @@ def perturbation_probe(family: MapFamily, gamma_hat: float, delta: float,
         curve[k:k + len(seq)] = np.abs(seq - const).mean(axis=1)
         k += len(seq)
     norm_alpha = quasi_holder_seminorm(phi, alpha).norm_alpha
-    env = fit_decay_envelope(curve, norm_alpha)
-    dominated = bool(np.all(
-        curve <= env.c_dominating * norm_alpha * env.s_fit ** np.arange(n_max + 1)
-        + 1e-12))
-    return PerturbationProbe(deltas_used=gammas, curve=curve, envelope=env,
-                             norm_alpha=norm_alpha, dominated=dominated)
+    return PerturbationProbe(deltas_used=gammas, curve=curve,
+                             norm_alpha=norm_alpha)
 

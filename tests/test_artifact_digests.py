@@ -60,13 +60,16 @@ BATTERY = {
 
 
 def run_digests(argv: str, outdir: str) -> dict:
-    """{artifact: SHA-256} of one CLI run written into `outdir`."""
+    """{artifact: SHA-256} of one CLI run written into `outdir`, checked
+    against the checksums its manifest records for the bytes it wrote."""
     assert main([*argv.split(), "--out", outdir]) == 0
     out = {}
     for name in sorted(os.listdir(outdir)):
         if name != "run_manifest.json":
             with open(os.path.join(outdir, name), "rb") as fh:
                 out[name] = hashlib.sha256(fh.read()).hexdigest()
+    with open(os.path.join(outdir, "run_manifest.json")) as fh:
+        assert json.load(fh)["artifacts"] == out
     return out
 
 

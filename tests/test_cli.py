@@ -164,8 +164,10 @@ def test_count_below_minimum_is_config_error_before_any_step(tmp_path, capsys,
     # a value set out of range is rejected even where the run leaves it unread
     ("--ensemble 0", "ensemble: must be positive, got 0"),
     ("--balls 4", "balls: must be at least 8, got 4"),
+    ("--i-max 5 --j-max 3",
+     "i_max, j_max: must satisfy 0 <= i_max <= j_max and j_max >= 1, got 5, 3"),
 ], ids=["window", "no-lag", "balls", "band-eps", "ensemble-unread",
-        "balls-unread"])
+        "balls-unread", "window-unread"])
 def test_birkhoff_option_error_before_any_step(tmp_path, capsys, flags,
                                               message):
     out = tmp_path / "birk"
@@ -184,6 +186,31 @@ def test_negative_powers_is_config_error_before_any_step(tmp_path, capsys):
             "config error: powers: must be nonnegative, got -3\n")
 
 
+@pytest.mark.parametrize("flags,message", [
+    ("--schedule static --p 1.5", "persistence p must lie in (0, 1)"),
+    ("--schedule static --period 1", "period must be at least 2"),
+    ("--schedule periodic-failure --fail-rate 1.0",
+     "fail_rate must lie in [0, 1)"),
+], ids=["static-p", "static-period", "periodic-fail-rate"])
+def test_schedule_parameter_checked_for_every_kind(tmp_path, capsys, flags,
+                                                   message):
+    # each schedule kind here leaves the out-of-range parameter unread
+    out = tmp_path / "net"
+    assert main(["network", *flags.split(), "--nodes", "3", "--n", "5",
+                 "--ensemble", "20", "--bins", "8", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_invariant_zero_tol_converges(tmp_path):
+    # tol 0 is in range: the doubling map's power iteration reaches residual
+    # 0.0 exactly, so only a run that cannot meet it fails (exit 1)
+    out = tmp_path / "inv"
+    assert main(["invariant", "--family", "doubling", "--cells", "256",
+                 "--tol", "0", "--out", str(out)]) == 0
+    assert (out / "invariant_density.csv").exists()
+
+
 def test_coupling_flag_is_usage_error(tmp_path, capsys):
     # the coupling is always diffusive; --alpha-c 0 leaves nodes uncoupled
     out = tmp_path / "net"
@@ -194,12 +221,17 @@ def test_coupling_flag_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-# numeric flags without a BOUNDS entry, each with why
+# numeric flags without a BOUNDS entry, each with why; the schedule
+# parameters and the birkhoff window are checked whether or not a run reads them
 UNBOUNDED = {
-    **dict.fromkeys(["kappa", "a", "nu", "rho0", "lam", "p", "fail_rate",
-                     "period", "alpha"], "the library checks it"),
-    **dict.fromkeys(["gamma", "gamma_hat", "b0", "alpha_c", "i_max", "j_max",
-                     "covariance", "lp"], "no range"),
+    **dict.fromkeys(["kappa", "a", "nu", "rho0", "lam", "alpha"],
+                    "the library checks it"),
+    **dict.fromkeys(["p", "fail_rate", "period"],
+                    "gen_schedule checks it for every schedule kind"),
+    **dict.fromkeys(["i_max", "j_max"],
+                    "run_birkhoff checks the window, with or without covariance"),
+    **dict.fromkeys(["gamma", "gamma_hat", "b0", "alpha_c", "covariance", "lp"],
+                    "no range"),
 }
 
 

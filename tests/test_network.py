@@ -94,6 +94,9 @@ def test_schedule_validation():
         gen_schedule("bursty", 1, horizon=10)
     with pytest.raises(ValueError):
         gen_schedule("bursty", 4, horizon=10, p=1.5)
+    # checked for every kind, though a static schedule does not read p
+    with pytest.raises(ValueError):
+        gen_schedule("static", 4, horizon=10, p=1.5)
     with pytest.raises(ValueError):
         gen_schedule("nope", 4, horizon=10)
     bad = np.ones((2, 3, 3), dtype=np.uint8)
