@@ -108,6 +108,10 @@ def _peak_rss_mb() -> float:
 
 
 def _family(name: str, kappa: float, b0: float):
+    # kappa is checked for every family, as `BOUNDS` checks a flag whether
+    # or not the run reads it; b0 has no range
+    if not 0.0 < kappa < 1.0:
+        raise ConfigError(f"kappa: must lie in (0, 1), got {kappa}")
     kwargs = {}
     if name in ("pm", "lsv"):
         kwargs["kappa"] = kappa

@@ -3,17 +3,16 @@ fixed densities, and empirical operator inequalities."""
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-import scipy.sparse
-# scipy's compiled CSR product, the C loop `csr_array @ vector` ends in.
-# Called straight it gives the same bits without ~2-3 us of Python dispatch
-# per product.  Private, but with this signature in every scipy >= 1.10.
-from scipy.sparse._sparsetools import csr_matvec
 
 from .densities import (GridDensity, GridMismatchError, l1_norm,
                         quasi_holder_seminorm, seminorms)
@@ -32,15 +31,44 @@ SHAPE_CACHE_SIZE = 8
 #: faults a run against under 100 at 16 rows.
 STEP_BLOCK = 16
 
+#: Members `averaged_operator` adds per pass into its running sum: as fast
+#: as summing all at once at 64 nodes, with a third of the memory at
+#: 1024 cells (2.8 against 8.2 MiB of tracemalloc peak).
+AVERAGE_CHUNK = 8
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse routines, loaded from their extension file
+    alone.  `import scipy.sparse` would also load scipy's array-API stack,
+    ~22 MiB of RSS and ~0.15 s per process for one C loop; this file alone
+    adds ~0.14 MiB.  A process that has imported scipy.sparse already gets
+    its module."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    # find_spec of a top-level package does not import it
+    scipy_dir, = importlib.util.find_spec("scipy").submodule_search_locations
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(scipy_dir, "sparse", "_sparsetools" + suffix)
+        if os.path.exists(path):
+            break
+    else:
+        raise ImportError(f"no compiled {name} under {scipy_dir}")
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    return module
+
+
+# scipy's compiled CSR product, the C loop `csr_array @ vector` ends in.
+# Called straight it gives the same bits without ~2-3 us of Python dispatch
+# per product.  Private, but with this signature in every scipy >= 1.10.
+csr_matvec = _load_sparsetools().csr_matvec
+
 
 class NonConvergenceError(RuntimeError):
     """An iterative solver failed to reach the requested tolerance."""
-
-
-def _freeze(mat: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
-    for arr in (mat.data, mat.indices, mat.indptr):
-        arr.flags.writeable = False
-    return mat
 
 
 def _on_grid(values: np.ndarray, n_cells: int) -> np.ndarray:
@@ -55,43 +83,70 @@ def _on_grid(values: np.ndarray, n_cells: int) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
 class UlamOperator:
     """Finite-rank transfer operator on cell averages.
 
     Entries M[i][j] approximate m(U_j ∩ F^{-1} U_i)/m(U_j); columns sum to
     one, so the action on cell-average vectors preserves mass and L1-contracts.
-    `matrix` may be given dense or sparse; it is stored as a read-only
-    `scipy.sparse.csr_array`.  Every product with it (`apply`, the steps of
-    `step_blocks`, `fixed_density`) is one call of `_step`, which checks
-    the vector against the grid and then runs scipy's compiled CSR kernel,
-    the loop `matrix @ v` ends in: the same bits, without scipy's Python
-    dispatch around it.
+    The operator is its read-only CSR arrays `indptr`, `indices` and `data`
+    on `n_cells` cells, in canonical form (sorted, distinct column indices
+    per row).  Every product with it (`apply`, the steps of `step_blocks`,
+    `fixed_density`) is one call of `_step`, which checks the vector against
+    the grid and then runs scipy's compiled CSR kernel, the loop
+    `matrix @ v` ends in: the same bits, with no `scipy.sparse` import and
+    none of its Python dispatch.
+
+    `UlamOperator(matrix)` takes any dense or sparse square matrix, checks
+    it and keeps a canonical float copy with the index dtype it had;
+    operators built in this package skip that.  `matrix` is the operator as
+    a read-only `scipy.sparse.csr_array` on the same arrays, built on first
+    use.
     """
 
-    matrix: scipy.sparse.csr_array
+    __slots__ = ("indptr", "indices", "data", "n_cells", "_matrix")
 
-    def __post_init__(self):
-        mat = scipy.sparse.csr_array(self.matrix, dtype=float, copy=True)
+    def __init__(self, matrix):
+        import scipy.sparse
+        mat = scipy.sparse.csr_array(matrix, dtype=float, copy=True)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("operator matrix must be square")
         mat.sum_duplicates()
         if np.any(mat.data < 0):
             raise ValueError("operator matrix must be entrywise nonnegative")
-        _freeze(mat)
-        object.__setattr__(self, "matrix", mat)
+        self._hold(mat.indptr, mat.indices, mat.data, mat.shape[0], mat)
 
     @classmethod
-    def _trusted(cls, matrix: scipy.sparse.csr_array) -> "UlamOperator":
-        """Wrap a square, canonical, nonnegative CSR matrix built in this
+    def _trusted(cls, indptr: np.ndarray, indices: np.ndarray,
+                 data: np.ndarray, n_cells: int) -> "UlamOperator":
+        """Wrap square, canonical, nonnegative CSR arrays built in this
         package and owned by the caller: no copy and no re-validation."""
         op = object.__new__(cls)
-        object.__setattr__(op, "matrix", _freeze(matrix))
+        op._hold(indptr, indices, data, n_cells, None)
         return op
 
+    def _hold(self, indptr, indices, data, n_cells, matrix):
+        for arr in (indptr, indices, data):
+            arr.flags.writeable = False
+        for name, value in (("indptr", indptr), ("indices", indices),
+                            ("data", data), ("n_cells", n_cells),
+                            ("_matrix", matrix)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"UlamOperator is read-only: cannot set {name!r}")
+
     @property
-    def n_cells(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self):
+        """The operator as a read-only `scipy.sparse.csr_array` sharing
+        `indptr`, `indices` and `data`, with no copy: built, and
+        `scipy.sparse` imported, on first use."""
+        if self._matrix is None:
+            import scipy.sparse
+            n = self.n_cells
+            object.__setattr__(self, "_matrix", scipy.sparse.csr_array(
+                (self.data, self.indices, self.indptr), shape=(n, n),
+                copy=False))
+        return self._matrix
 
     def apply(self, phi: GridDensity) -> GridDensity:
         # the product is fresh, and nonnegative whenever phi is
@@ -103,20 +158,19 @@ class UlamOperator:
         The kernel adds each row's products to a zeroed entry of its output,
         as scipy's `@` does, and checks no bounds: so `values` is checked
         against the grid before the call."""
-        mat = self.matrix
-        n = mat.shape[0]
+        n = self.n_cells
         values = _on_grid(values, n)
         out = np.zeros(n)
-        csr_matvec(n, n, mat.indptr, mat.indices, mat.data, values, out)
+        csr_matvec(n, n, self.indptr, self.indices, self.data, values, out)
         return out
 
 
 class _SingleUse:
     """An operator stepped once, from its sorted entries: no CSR layout and
-    no scipy.  `bincount` adds each row's products in CSR order from 0.0, as
-    scipy's compiled CSR kernel does, so the step equals
-    `build_ulam(...).matrix @ v` bit for bit.  Building the CSR arrays for
-    one kernel call costs more than the whole step (22-27 us against 14 us
+    no kernel call.  `bincount` adds each row's products in CSR order from
+    0.0, as scipy's compiled CSR kernel does, so the step equals
+    `build_ulam(...).matrix @ v` bit for bit.  Laying out the CSR arrays for
+    one kernel call costs more than it saves (19 us a step against 10.5 us
     at pm, 512 cells).  The vector is checked against the grid first, as
     `UlamOperator._step` checks it."""
 
@@ -232,17 +286,22 @@ def _entries(instance: MapInstance, n_cells: int,
     return keys, data
 
 
-def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> UlamOperator:
-    """Discretize the transfer operator of a realized map by the chord rule
-    (see `_entries`) into a read-only CSR `UlamOperator`."""
-    keys, data = _entries(instance, n_cells, quadrature)
+def _from_entries(keys: np.ndarray, data: np.ndarray,
+                  n_cells: int) -> UlamOperator:
+    """The `UlamOperator` of sorted, distinct keys target * n_cells + source
+    and their values: the CSR layout with int32 indices, no copy of `data`."""
     n = n_cells
     rows = keys // n
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     indices = np.subtract(keys, rows * n, dtype=np.int32, casting="unsafe")
-    return UlamOperator._trusted(
-        scipy.sparse.csr_array((data, indices, indptr), shape=(n, n)))
+    return UlamOperator._trusted(indptr, indices, data, n)
+
+
+def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> UlamOperator:
+    """Discretize the transfer operator of a realized map by the chord rule
+    (see `_entries`) into a read-only CSR `UlamOperator`."""
+    return _from_entries(*_entries(instance, n_cells, quadrature), n_cells)
 
 
 def _runs(params: Iterable) -> Iterator:
@@ -273,9 +332,9 @@ def ulam_operators(family: MapFamily, params: Iterable,
     A run of two or more shares one CSR `UlamOperator`, stepped by scipy's
     compiled CSR kernel (~5 us a step at 1024 cells, pm), the faster once
     reused.  A run of one, as at every step of an iid stream, is stepped
-    from its sorted entries (`_SingleUse`) and skips the CSR layout and
-    scipy's constructor, which cost more than the step itself.  Both steps
-    are bit for bit equal to `matrix @ v`.
+    from its sorted entries (`_SingleUse`) and skips the CSR layout, which
+    costs more than the kernel saves on one step.  Both steps are bit for
+    bit equal to `matrix @ v`.
     """
     for gamma, single, run in _runs(params):
         instance = instantiate(family, gamma)
@@ -359,14 +418,38 @@ def averaged_operator(family: MapFamily, nu: AveragingLaw,
 
     A convex combination of column-stochastic nonnegative matrices, so all
     operator properties are inherited; one node at radius 0 reproduces the
-    member operator exactly.
+    member operator exactly.  Members are summed from their entries, up to
+    `AVERAGE_CHUNK` at a time into the running sum, so memory does not grow
+    with the number of nodes.
     """
     nodes, weights = nu.nodes()
-    acc = 0
-    for gamma, w in zip(nodes, weights):
-        member = build_ulam(instantiate(family, float(gamma)), n_cells)
-        acc = acc + w * member.matrix
-    return UlamOperator._trusted(acc)
+    members = zip(nodes, weights)
+    acc = (np.empty(0, dtype=np.int64), np.empty(0))
+    while chunk := list(itertools.islice(members, AVERAGE_CHUNK)):
+        keys, data = [acc[0]], [acc[1]]
+        for gamma, w in chunk:
+            member_keys, member_data = _entries(
+                instantiate(family, float(gamma)), n_cells)
+            keys.append(member_keys)
+            data.append(w * member_data)
+        acc = _sum_in_order(keys, data)
+    return _from_entries(*acc, n_cells)
+
+
+def _sum_in_order(keys: list, data: list) -> tuple:
+    """(sorted distinct keys, their sums) of the entries of each pair
+    (keys[m], data[m]), whose keys are distinct within it.  A stable sort
+    keeps each key's terms in list order and bincount adds them in that
+    order from 0.0: the left fold `acc = acc + w * member.matrix` over the
+    members, bit for bit."""
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    data = np.concatenate(data)[order]
+    new = np.empty(keys.size, dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new], np.bincount(np.cumsum(new) - 1, data)
 
 
 # --- fixed densities -----------------------------------------------------

@@ -141,6 +141,11 @@ BELOW_MINIMUM = {
     "invariant --tol nan": "tol: must be nonnegative, got nan",
     "stability --seed -1": "seed: must be nonnegative, got -1",
     "adversarial --eps 0": "eps: must be positive, got 0.0",
+    # kappa is checked for every family, not only pm and lsv, which read it
+    "invariant --family doubling --kappa -5 --cells 64":
+        "kappa: must lie in (0, 1), got -5.0",
+    "invariant --family pm --kappa 1 --cells 64":
+        "kappa: must lie in (0, 1), got 1.0",
 }
 
 
@@ -224,7 +229,8 @@ def test_coupling_flag_is_usage_error(tmp_path, capsys):
 # numeric flags without a BOUNDS entry, each with why; the schedule
 # parameters and the birkhoff window are checked whether or not a run reads them
 UNBOUNDED = {
-    **dict.fromkeys(["kappa", "a", "nu", "rho0", "lam", "alpha"],
+    "kappa": "_family checks it for every family",
+    **dict.fromkeys(["a", "nu", "rho0", "lam", "alpha"],
                     "the library checks it"),
     **dict.fromkeys(["p", "fail_rate", "period"],
                     "gen_schedule checks it for every schedule kind"),
@@ -247,15 +253,39 @@ def test_every_numeric_flag_is_bounded_or_listed():
                if not allowed)
 
 
-def test_cli_import_leaves_solver_modules_unloaded():
-    # scipy's optimize, sparse.linalg and ndimage load on first use, so that
-    # every experiment does not pay for them at start-up
-    code = ("import sys, nonstat_dyn.cli; print([m for m in ('scipy.optimize', "
-            "'scipy.sparse.linalg', 'scipy.ndimage') if m in sys.modules])")
+HEAVY_SCIPY = ("scipy.optimize", "scipy.sparse", "scipy.sparse.linalg",
+               "scipy.ndimage")
+
+
+def loaded_heavy_scipy(code):
+    """The modules of HEAVY_SCIPY loaded after `code` runs in a fresh
+    interpreter."""
+    code += (f"\nimport sys; print([m for m in {HEAVY_SCIPY!r} "
+             "if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_solver_modules_unloaded():
+    # scipy's optimize, sparse and ndimage load on first use, so that every
+    # experiment does not pay for them at start-up
+    assert loaded_heavy_scipy("import nonstat_dyn.cli") == "[]"
+
+
+def test_runs_leave_sparse_and_ndimage_unloaded(tmp_path):
+    # evolve tracks seminorms and steps reused CSR operators, stability
+    # builds an averaged operator: scipy's CSR kernel is loaded alone and
+    # window extremes are numpy, so neither run imports scipy.sparse or
+    # scipy.ndimage
+    code = (f"from nonstat_dyn.cli import main\n"
+            f"assert main(['evolve', '--family', 'pm', '--cells', '64', "
+            f"'--n', '100', '--out', {str(tmp_path / 'e')!r}]) == 0\n"
+            f"assert main(['stability', '--family', 'pm', '--cells', '64', "
+            f"'--n', '50', '--sequences', '1', "
+            f"'--out', {str(tmp_path / 's')!r}]) == 0")
+    assert loaded_heavy_scipy(code) == "[]"
 
 
 def test_manifest_lists_artifacts(tmp_path):

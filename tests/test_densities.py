@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nonstat_dyn.densities import (GridDensity, GridMismatchError,
-                                   l1_distance, osc_integral,
-                                   quasi_holder_seminorm)
+                                   _window_extremes, l1_distance,
+                                   osc_integral, quasi_holder_seminorm)
 
 
 def brute_force_osc_integral(phi: GridDensity, eps: float, samples_per_cell=9):
@@ -72,6 +72,45 @@ def test_osc_matches_brute_force():
         exact = osc_integral(phi, eps)
         brute = brute_force_osc_integral(phi, eps, samples_per_cell=301)
         assert abs(exact - brute) < 5e-3, eps
+
+
+@pytest.mark.parametrize("n", (20, 33, 512, 3072))
+@pytest.mark.parametrize("rows", (None, 16), ids=("1-D", "16-rows"))
+def test_window_extremes_match_ndimage_bitwise(n, rows):
+    # the seminorm's windows as computed before: ndimage's running max and
+    # min with mode "wrap" and origin lo + size // 2, whose (-q, q + 1)
+    # window is [i - q - 2, i + q - 1]; C order keeps the mean's sum order
+    from scipy.ndimage import maximum_filter1d, minimum_filter1d
+    rng = np.random.default_rng(n)
+    values = rng.uniform(0.1, 2.0, n if rows is None else (rows, n))
+    q_max = int(np.floor(0.05 * n + 1e-12))
+    extremes = _window_extremes(values, q_max)
+    qs = sorted({1, max(1, q_max // 2), q_max})
+    # growing sizes, as the seminorm asks, then shrinking ones, which
+    # rebuild the levels dropped on the way up
+    for q in qs + qs[::-1]:
+        for lo, hi in ((-q, q), (-q - 1, q), (-q, q + 1), (-q - 1, q + 1)):
+            size = hi - lo + 1
+            origin = lo + size // 2
+            mx, mn = extremes(lo, hi)
+            for got, want in (
+                    (mx, maximum_filter1d(values, size, mode="wrap",
+                                          origin=origin)),
+                    (mn, minimum_filter1d(values, size, mode="wrap",
+                                          origin=origin))):
+                assert got.flags.c_contiguous
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (q, lo, hi)
+
+
+def test_right_heavy_window_is_shifted():
+    # the (-q, q + 1) window covers [i - q - 2, i + q - 1]: a spike at cell
+    # 10 is seen from cells 10 - q + 1 .. 10 + q + 2
+    n, q = 20, 2
+    values = np.zeros(n)
+    values[10] = 1.0
+    mx, _ = _window_extremes(values, q)(-q, q + 1)
+    assert np.flatnonzero(mx).tolist() == list(range(10 - q + 1, 10 + q + 3))
 
 
 def test_osc_monotone_in_eps():

@@ -134,19 +134,19 @@ def test_evolve_steps_skip_scans_and_revalidation(monkeypatch):
             pieces.append(dataclasses.replace(p, dlift=dlift))
         return pieces
 
-    def counting(cls):
-        original = cls.__post_init__
+    def counting(cls, validator):
+        original = getattr(cls, validator)
 
-        def post_init(self):
+        def validate(self, *args):
             calls.append(cls.__name__)
-            original(self)
-        monkeypatch.setattr(cls, "__post_init__", post_init)
+            original(self, *args)
+        monkeypatch.setattr(cls, validator, validate)
 
     seq = ParameterSequence.iid(0.1, 0.01, 0)
     phi0 = GridDensity.uniform(128)
     want = evolve_density(fam, seq, phi0, 50).final.values
-    counting(GridDensity)
-    counting(UlamOperator)
+    counting(GridDensity, "__post_init__")
+    counting(UlamOperator, "__init__")
     got = evolve_density(dataclasses.replace(fam, pieces_for=pieces_for),
                          seq, phi0, 50).final.values
     assert calls == []

@@ -447,6 +447,45 @@ def test_averaged_two_node_law_is_midpoint():
     assert np.abs(avg.matrix.toarray() - 0.5 * (m1 + m2)).max() < 1e-15
 
 
+def averaged_operator_oracle(family, nu, n_cells):
+    """The averaged operator as a fold of scipy CSR sums over the members."""
+    nodes, weights = nu.nodes()
+    acc = 0
+    for gamma, w in zip(nodes, weights):
+        acc = acc + w * build_ulam(instantiate(family, float(gamma)),
+                                   n_cells).matrix
+    return acc
+
+
+@pytest.mark.parametrize("n_cells,n_samples", [(300, 8), (128, 64)])
+def test_averaged_operator_matches_csr_fold_bitwise(n_cells, n_samples):
+    fam = pm_family(0.5)
+    nu = AveragingLaw(center=0.1, radius=0.02, n_samples=n_samples)
+    got = averaged_operator(fam, nu, n_cells)
+    want = averaged_operator_oracle(fam, nu, n_cells)
+    assert got.n_cells == n_cells
+    for field in ("indptr", "indices", "data"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+def test_matrix_shares_the_operator_arrays():
+    # built on first use from the operator's own read-only arrays, no copy
+    op = build_ulam(instantiate(pm_family(0.5), 0.1), 256)
+    mat = op.matrix
+    assert mat is op.matrix
+    assert mat.shape == (256, 256)
+    for field in ("indptr", "indices", "data"):
+        # scipy may hold a view of the same memory, never a copy
+        ours, theirs = getattr(op, field), getattr(mat, field)
+        assert np.shares_memory(ours, theirs)
+        assert theirs.tobytes() == ours.tobytes()
+        assert not ours.flags.writeable and not theirs.flags.writeable
+    assert op.indices.dtype == np.int32 and op.indptr.dtype == np.int32
+    assert mat.has_canonical_format
+    with pytest.raises(AttributeError):
+        op.data = op.data.copy()
+
+
 def test_averaging_law_is_uniform_only():
     assert AveragingLaw(center=0.1, radius=0.01).law == "uniform"
     with pytest.raises(ValueError, match="unknown averaging law 'point'"):
