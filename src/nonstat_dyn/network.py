@@ -186,10 +186,14 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
     `step_network` on its own rows."""
     if ensemble < 1:
         raise ValueError("ensemble must be positive")
-    if schedule.n_nodes != system.n_nodes:
-        raise ValueError("schedule and system disagree on the node count")
+    if n_steps < 1:
+        raise ValueError("n_steps must be positive")
     if checkpoint_every is None:
         checkpoint_every = max(n_steps // 20, 1)
+    elif checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be positive")
+    if schedule.n_nodes != system.n_nodes:
+        raise ValueError("schedule and system disagree on the node count")
     rng_init = substream(seed, "network-init")
     x = rng_init.uniform(0.0, 1.0, (ensemble, system.n_nodes))
     rng = substream(seed, "network-dither")

@@ -31,40 +31,46 @@ SHAPE_CACHE_SIZE = 8
 #: faults a run against under 100 at 16 rows.
 STEP_BLOCK = 16
 
-#: Members `averaged_operator` adds per pass into its running sum: as fast
-#: as summing all at once at 64 nodes, with a third of the memory at
-#: 1024 cells (2.8 against 8.2 MiB of tracemalloc peak).
-AVERAGE_CHUNK = 8
-
 
 def _load_sparsetools():
     """scipy's compiled sparse routines, loaded from their extension file
     alone.  `import scipy.sparse` would also load scipy's array-API stack,
-    ~22 MiB of RSS and ~0.15 s per process for one C loop; this file alone
-    adds ~0.14 MiB.  A process that has imported scipy.sparse already gets
-    its module."""
+    ~22 MiB of RSS and ~0.15 s per process for a few C loops; this file
+    alone adds ~0.14 MiB.  A process that has imported scipy.sparse already
+    gets its module.  A module lacking one of the four routines the
+    package calls raises `ImportError` naming it, not an `AttributeError`
+    at first use."""
     name = "scipy.sparse._sparsetools"
-    if name in sys.modules:
-        return sys.modules[name]
-    # find_spec of a top-level package does not import it
-    scipy_dir, = importlib.util.find_spec("scipy").submodule_search_locations
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(scipy_dir, "sparse", "_sparsetools" + suffix)
-        if os.path.exists(path):
-            break
-    else:
-        raise ImportError(f"no compiled {name} under {scipy_dir}")
-    loader = importlib.machinery.ExtensionFileLoader(name, path)
-    module = importlib.util.module_from_spec(
-        importlib.util.spec_from_file_location(name, path, loader=loader))
-    loader.exec_module(module)
+    module = sys.modules.get(name)
+    if module is None:
+        # find_spec of a top-level package does not import it
+        scipy_dir, = importlib.util.find_spec("scipy").submodule_search_locations
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(scipy_dir, "sparse", "_sparsetools" + suffix)
+            if os.path.exists(path):
+                break
+        else:
+            raise ImportError(f"no compiled {name} under {scipy_dir}")
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(name, path, loader=loader))
+        loader.exec_module(module)
+    missing = [f for f in ("csr_matvec", "coo_tocsr", "csr_sum_duplicates",
+                           "csr_plus_csr") if not hasattr(module, f)]
+    if missing:
+        from importlib.metadata import version
+        raise ImportError(f"{name} of scipy {version('scipy')} lacks "
+                          f"{', '.join(missing)}")
     return module
 
 
-# scipy's compiled CSR product, the C loop `csr_array @ vector` ends in.
-# Called straight it gives the same bits without ~2-3 us of Python dispatch
-# per product.  Private, but with this signature in every scipy >= 1.10.
-csr_matvec = _load_sparsetools().csr_matvec
+# scipy's compiled CSR routines, the C loops that `csr_array @ vector`,
+# `coo_array.tocsr()`, `sum_duplicates()` and `csr_array + csr_array` end
+# in: called straight they give the same bits without scipy.sparse or its
+# Python dispatch.  Private, but with these signatures in every
+# scipy >= 1.10.
+_sparsetools = _load_sparsetools()
+csr_matvec = _sparsetools.csr_matvec
 
 
 class NonConvergenceError(RuntimeError):
@@ -165,28 +171,6 @@ class UlamOperator:
         return out
 
 
-class _SingleUse:
-    """An operator stepped once, from its sorted entries: no CSR layout and
-    no kernel call.  `bincount` adds each row's products in CSR order from
-    0.0, as scipy's compiled CSR kernel does, so the step equals
-    `build_ulam(...).matrix @ v` bit for bit.  Laying out the CSR arrays for
-    one kernel call costs more than it saves (19 us a step against 10.5 us
-    at pm, 512 cells).  The vector is checked against the grid first, as
-    `UlamOperator._step` checks it."""
-
-    __slots__ = ("keys", "data", "n_cells")
-
-    def __init__(self, keys: np.ndarray, data: np.ndarray, n_cells: int):
-        self.keys, self.data, self.n_cells = keys, data, n_cells
-
-    def _step(self, values: np.ndarray) -> np.ndarray:
-        n = self.n_cells
-        values = _on_grid(values, n)
-        rows = self.keys // n
-        cols = self.keys - rows * n
-        return np.bincount(rows, weights=self.data * values[cols], minlength=n)
-
-
 @functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def _chord_grid(nq: int) -> np.ndarray:
     """Read-only k / nq for k = 0..nq; each piece's chord nodes are a slice."""
@@ -219,8 +203,10 @@ def _shape_values(shape, nq: int, lo: float, hi: float) -> np.ndarray:
 def _entries(instance: MapInstance, n_cells: int,
              quadrature: int = 32) -> tuple:
     """The chord-rule entries of a realized map's transfer operator, as
-    (keys, data): keys are target * n_cells + source, sorted and distinct,
-    and data their summed values.
+    (keys, data) in cut order: keys are target * n_cells + source, with the
+    target not yet wrapped mod n_cells, and data their values.  An entry
+    met more than once (a cell straddling a piece boundary, or an image
+    wrapping onto a target cell twice on a small grid) is listed each time.
 
     Each piece's lift is replaced by its chord interpolant through the
     edges of `quadrature` equal subintervals per cell.  Entry (i, j) is
@@ -270,55 +256,49 @@ def _entries(instance: MapInstance, n_cells: int,
         np.cumsum(key, out=key)
         keys.append(key[keep])
         weights.append(width[keep] * n)
-    # lay entries out row by row; an entry met more than once (a cell
-    # straddling a piece boundary, or an image wrapping onto a target cell
-    # twice on a small grid) is summed in the order it was met
-    keys = np.concatenate(keys)
-    keys %= n * n
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    data = np.concatenate(weights)[order]
-    new = keys[1:] != keys[:-1]
-    if not new.all():
-        starts = np.flatnonzero(np.concatenate(([True], new)))
-        data = np.add.reduceat(data, starts)
-        keys = keys[starts]
-    return keys, data
-
-
-def _from_entries(keys: np.ndarray, data: np.ndarray,
-                  n_cells: int) -> UlamOperator:
-    """The `UlamOperator` of sorted, distinct keys target * n_cells + source
-    and their values: the CSR layout with int32 indices, no copy of `data`."""
-    n = n_cells
-    rows = keys // n
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    indices = np.subtract(keys, rows * n, dtype=np.int32, casting="unsafe")
-    return UlamOperator._trusted(indptr, indices, data, n)
+    return np.concatenate(keys), np.concatenate(weights)
 
 
 def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> UlamOperator:
     """Discretize the transfer operator of a realized map by the chord rule
-    (see `_entries`) into a read-only CSR `UlamOperator`."""
-    return _from_entries(*_entries(instance, n_cells, quadrature), n_cells)
+    (see `_entries`) into a read-only CSR `UlamOperator` with int32 indices.
 
-
-def _runs(params: Iterable) -> Iterator:
-    """(gamma, single, run) for each run of equal consecutive parameters:
-    `run` iterates over the whole run and `single` says it has one item.
-    Telling peeks one item ahead, so no run is ever listed."""
-    for gamma, run in itertools.groupby(map(float, params)):
-        head = tuple(itertools.islice(run, 2))
-        yield gamma, len(head) == 1, itertools.chain(head, run)
+    scipy's `coo_tocsr` lays the entries out row by row, and
+    `csr_sum_duplicates` sums each repeated entry in the order it was met.
+    """
+    n = n_cells
+    keys, weights = _entries(instance, n, quadrature)
+    # floor division by a scalar is numpy's fast integer path (int64 divmod
+    # and remainder are several times slower); int32 holds both results, as
+    # sources lie in [0, n) and targets within a few wraps of it
+    target = keys // n
+    source = np.subtract(keys, target * n, dtype=np.int32, casting="unsafe")
+    target = target.astype(np.int32)
+    target %= n
+    indptr = np.empty(n + 1, dtype=np.int32)
+    indices = np.empty(keys.size, dtype=np.int32)
+    data = np.empty(keys.size)
+    # Cuts run left to right, across pieces too, so the source never
+    # decreases along the entries; coo_tocsr is a stable counting sort by
+    # row, so each row comes out with its columns ascending and its repeats
+    # adjacent, in cut order: canonical once the repeats are summed.
+    _sparsetools.coo_tocsr(n, n, keys.size, target, source, weights,
+                           indptr, indices, data)
+    _sparsetools.csr_sum_duplicates(n, n, indptr, indices, data)
+    nnz = indptr[-1]
+    if nnz < keys.size:
+        # trimmed to arrays of their own: scipy's csr_array copies a view of
+        # a much larger array, and `matrix` shares the operator's arrays
+        indices, data = indices[:nnz].copy(), data[:nnz].copy()
+    return UlamOperator._trusted(indptr, indices, data, n)
 
 
 def per_run(make: Callable[[float], object], params: Iterable) -> Iterator:
     """make(gamma) for each parameter in turn, called once per run of equal
     consecutive parameters: a constant stream builds once, an iid stream at
     every step, and no item outlives its run, so memory stays flat in the
-    horizon.  `ulam_operators` groups operators the same way."""
-    for gamma, _, run in _runs(params):
+    horizon.  `ulam_operators` is this with `build_ulam`."""
+    for gamma, run in itertools.groupby(map(float, params)):
         item = make(gamma)
         for _ in run:
             yield item
@@ -326,24 +306,10 @@ def per_run(make: Callable[[float], object], params: Iterable) -> Iterator:
 
 def ulam_operators(family: MapFamily, params: Iterable,
                    n_cells: int) -> Iterator:
-    """The operator of each parameter in turn, for `step_blocks`: one
-    assembly per run of equal consecutive parameters, as `per_run`.
-
-    A run of two or more shares one CSR `UlamOperator`, stepped by scipy's
-    compiled CSR kernel (~5 us a step at 1024 cells, pm), the faster once
-    reused.  A run of one, as at every step of an iid stream, is stepped
-    from its sorted entries (`_SingleUse`) and skips the CSR layout, which
-    costs more than the kernel saves on one step.  Both steps are bit for
-    bit equal to `matrix @ v`.
-    """
-    for gamma, single, run in _runs(params):
-        instance = instantiate(family, gamma)
-        if single:
-            yield _SingleUse(*_entries(instance, n_cells), n_cells)
-            continue
-        op = build_ulam(instance, n_cells)
-        for _ in run:
-            yield op
+    """The `UlamOperator` of each parameter in turn, for `step_blocks`: one
+    `build_ulam` per run of equal consecutive parameters, as `per_run`."""
+    return per_run(lambda gamma: build_ulam(instantiate(family, gamma),
+                                            n_cells), params)
 
 
 def step_blocks(ops: Iterable[UlamOperator],
@@ -352,16 +318,14 @@ def step_blocks(ops: Iterable[UlamOperator],
     after steps 1, 2, ... as the rows of read-only (STEP_BLOCK, n_cells)
     blocks; the last block may be shorter.
 
-    `ops` are `UlamOperator`s or the single-use operators of
-    `ulam_operators`.  Every step is the operator's `_step`: one guarded
-    call of scipy's compiled CSR kernel, or its single-use equal, both bit
-    for bit `op.matrix @ v`; a density on another grid raises
-    `GridMismatchError` before any product.  So each row equals the chain
-    of `UlamOperator.apply` calls bit for bit, and row-wise reductions over
-    a block (`rows.mean(axis=1)`) equal the 1-D calls on each row.  Each
-    block is a view of one buffer that the next block overwrites: reduce
-    it, or copy the rows to keep, before asking for the next.  Memory stays
-    O(STEP_BLOCK * n_cells) whatever the horizon.
+    Every step is the operator's `_step`: one guarded call of scipy's
+    compiled CSR kernel, bit for bit `op.matrix @ v`; a density on another
+    grid raises `GridMismatchError` before any product.  So each row equals
+    the chain of `UlamOperator.apply` calls bit for bit, and row-wise
+    reductions over a block (`rows.mean(axis=1)`) equal the 1-D calls on
+    each row.  Each block is a view of one buffer that the next block
+    overwrites: reduce it, or copy the rows to keep, before asking for the
+    next.  Memory stays O(STEP_BLOCK * n_cells) whatever the horizon.
     """
     buf = np.empty((STEP_BLOCK, values.size))
     rows = buf.view()
@@ -418,38 +382,37 @@ def averaged_operator(family: MapFamily, nu: AveragingLaw,
 
     A convex combination of column-stochastic nonnegative matrices, so all
     operator properties are inherited; one node at radius 0 reproduces the
-    member operator exactly.  Members are summed from their entries, up to
-    `AVERAGE_CHUNK` at a time into the running sum, so memory does not grow
-    with the number of nodes.
+    member operator exactly.  The members are added in node order by
+    scipy's `csr_plus_csr`, the loop `acc + w * member.matrix` ends in, so
+    the result is that left fold bit for bit; the first term is `w * data`
+    alone, as `0 + matrix` is a copy.  The sum drops exact zeros, and none
+    arise: every entry of every member is positive.  Each member is dropped
+    once added, and the sums alternate between two output buffers, so
+    memory does not grow with the number of nodes.
     """
+    n = n_cells
     nodes, weights = nu.nodes()
-    members = zip(nodes, weights)
-    acc = (np.empty(0, dtype=np.int64), np.empty(0))
-    while chunk := list(itertools.islice(members, AVERAGE_CHUNK)):
-        keys, data = [acc[0]], [acc[1]]
-        for gamma, w in chunk:
-            member_keys, member_data = _entries(
-                instantiate(family, float(gamma)), n_cells)
-            keys.append(member_keys)
-            data.append(w * member_data)
-        acc = _sum_in_order(keys, data)
-    return _from_entries(*acc, n_cells)
-
-
-def _sum_in_order(keys: list, data: list) -> tuple:
-    """(sorted distinct keys, their sums) of the entries of each pair
-    (keys[m], data[m]), whose keys are distinct within it.  A stable sort
-    keeps each key's terms in list order and bincount adds them in that
-    order from 0.0: the left fold `acc = acc + w * member.matrix` over the
-    members, bit for bit."""
-    keys = np.concatenate(keys)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    data = np.concatenate(data)[order]
-    new = np.empty(keys.size, dtype=bool)
-    new[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    return keys[new], np.bincount(np.cumsum(new) - 1, data)
+    acc = held = spare = None
+    for gamma, w in zip(nodes, weights):
+        member = build_ulam(instantiate(family, float(gamma)), n)
+        data = w * member.data
+        if acc is None:
+            acc = member.indptr, member.indices, data
+            continue
+        need = acc[1].size + data.size
+        if spare is None or spare[1].size < need:
+            # twice the need, so that the union's slow growth seldom
+            # reallocates
+            spare = (np.empty(n + 1, dtype=np.int32),
+                     np.empty(2 * need, dtype=np.int32), np.empty(2 * need))
+        _sparsetools.csr_plus_csr(n, n, *acc, member.indptr, member.indices,
+                                  data, *spare)
+        nnz = spare[0][-1]
+        acc = (spare[0], spare[1][:nnz], spare[2][:nnz])
+        held, spare = spare, held
+    indptr, indices, data = acc
+    # arrays of their own, as in build_ulam
+    return UlamOperator._trusted(indptr, indices.copy(), data.copy(), n)
 
 
 # --- fixed densities -----------------------------------------------------

@@ -89,8 +89,8 @@ def test_orbit_points_deterministic():
 def test_streams_build_once_per_run(monkeypatch):
     # a map or operator is built once per run of equal consecutive
     # parameters: once for a constant stream, at every step of an iid one,
-    # and no instance outlives its step.  A run of two or more shares one
-    # CSR operator; a run of one is a single-use operator and no CSR
+    # and no instance outlives its step.  Every step of a run shares its
+    # one CSR operator
     builds = collections.Counter()
 
     def count_calls(module, name, label):
@@ -104,7 +104,6 @@ def test_streams_build_once_per_run(monkeypatch):
     count_calls(birkhoff, "instantiate", "instantiate")
     count_calls(transfer, "build_ulam", "csr")
     count_calls(sequences, "build_ulam", "csr")
-    count_calls(transfer, "_SingleUse", "single_use")
 
     def builds_of(run):
         builds.clear()
@@ -127,18 +126,18 @@ def test_streams_build_once_per_run(monkeypatch):
     assert builds_of(lambda: evolve_density(fam, const, phi0, 50)) == {
         "csr": 1}
     assert builds_of(lambda: evolve_density(fam, iid, phi0, 50)) == {
-        "single_use": 50}
+        "csr": 50}
     # the +eps operator serves both its blocks and the +eps fixed density
     assert builds_of(lambda: adversarial_demo(
         fam, 0.1, (0, 8, 24, 56), n_max=50, n_cells=64)) == {"csr": 2}
-    # the constant comparison is one CSR operator, the iid side single-use
+    # one operator for the constant comparison, one per step on the iid side
     assert builds_of(lambda: perturbation_probe(
-        fam, 0.1, 0.01, 50, phi0, seq_seed=0)) == {"csr": 1, "single_use": 50}
+        fam, 0.1, 0.01, 50, phi0, seq_seed=0)) == {"csr": 51}
     # the orbit instantiates through birkhoff, the spectral means through
     # transfer
     assert builds_of(lambda: covariance_decay(
         fam, iid, observable("x", 64), (2, 50), ensemble=100)) == {
-        "instantiate": 50, "single_use": 50}
+        "instantiate": 50, "csr": 50}
 
 
 def test_dither_defeats_binary_collapse():

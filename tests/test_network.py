@@ -333,3 +333,25 @@ def test_ensemble_failure_raises_and_leaks_no_thread(monkeypatch):
     assert threading.active_count() == before
     # the main thread and exactly one worker advanced the rows
     assert len(seen) == 2 and threading.get_ident() in seen
+
+
+@pytest.mark.parametrize("ensemble,n_steps,checkpoint_every,message", [
+    (0, 10, None, "ensemble must be positive"),
+    (10, 0, None, "n_steps must be positive"),
+    (10, -1, 2, "n_steps must be positive"),
+    (10, 10, 0, "checkpoint_every must be positive"),
+    (10, 10, -1, "checkpoint_every must be positive"),
+])
+def test_ensemble_edge_inputs_rejected_before_any_work(
+        monkeypatch, ensemble, n_steps, checkpoint_every, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the inputs were checked")
+
+    monkeypatch.setattr(network, "build_ulam", no_work)
+    monkeypatch.setattr(network, "step_network", no_work)
+    system = NetworkSystem(node_map=instantiate(doubling_family(), 0.0),
+                           n_nodes=4, alpha_c=0.02)
+    sched = gen_schedule("static", 4, horizon=10)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simulate_ensemble(system, sched, ensemble, n_steps,
+                          checkpoint_every=checkpoint_every)

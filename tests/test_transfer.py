@@ -1,7 +1,10 @@
 import dataclasses
+import sys
+import types
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse
 
 from nonstat_dyn.densities import (GridDensity, GridMismatchError,
@@ -95,7 +98,11 @@ ORACLE_GRID = {
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GRID))
 def test_merged_assembly_matches_interp_oracle_bitwise(name):
+    # tent has a falling piece and lsv two pieces; every family repeats an
+    # entry (an image wrapping twice, or a cell across a piece boundary) on
+    # some small grid, so the summing of repeats is checked too
     family, gammas, unsafe = ORACLE_GRID[name]
+    repeats = 0
     for gamma in gammas:
         inst = instantiate(family, gamma, unsafe=unsafe)
         for n in (2, 3, 7, 100, 333, 2048):
@@ -105,23 +112,9 @@ def test_merged_assembly_matches_interp_oracle_bitwise(name):
                 for field in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(got, field),
                                           getattr(want, field)), (gamma, n, q, field)
-
-
-@pytest.mark.parametrize("name", sorted(ORACLE_GRID))
-def test_single_use_step_matches_csr_product_bitwise(name):
-    # small n reaches the reduceat branch, tent a falling piece and lsv two
-    # pieces
-    family, gammas, unsafe = ORACLE_GRID[name]
-    rng = np.random.default_rng(0)
-    for gamma in gammas:
-        inst = instantiate(family, gamma, unsafe=unsafe)
-        for n in (2, 3, 7, 100, 333, 2048):
-            v = rng.uniform(0.1, 2.0, n)
-            for q in (1, 3, 32):
-                want = build_ulam(inst, n, q).matrix @ v
-                got = transfer._SingleUse(*transfer._entries(inst, n, q),
-                                          n)._step(v)
-                assert got.tobytes() == want.tobytes(), (gamma, n, q)
+                keys = transfer._entries(inst, n, q)[0] % (n * n)
+                repeats += np.unique(keys).size < keys.size
+    assert repeats > 0
 
 
 def assert_products_match_public_matmul(op, v):
@@ -208,8 +201,6 @@ def test_fixed_density_of_averaged_operator_matches_matmul_oracle(center,
 
 def test_density_on_another_grid_rejected_before_any_product():
     op = build_ulam(instantiate(pm_family(0.5), 0.1), 128)
-    single = transfer._SingleUse(
-        *transfer._entries(instantiate(pm_family(0.5), 0.1), 128), 128)
     fit = LasotaYorkeFit(eta_hat=0.5, c_hat=1.0, c_least_squares=1.0,
                          satisfied_fraction=1.0, alpha=0.5)
     with pytest.raises(GridMismatchError, match="grid mismatch"):
@@ -219,36 +210,48 @@ def test_density_on_another_grid_rejected_before_any_product():
     with pytest.raises(GridMismatchError, match="grid mismatch"):
         op.apply(GridDensity.uniform(64))
     for bad in (np.ones(64), np.ones(129), np.ones((128, 1)), np.ones(0)):
-        for stepper in (op, single):
-            with pytest.raises(GridMismatchError, match="grid mismatch"):
-                stepper._step(bad)
         with pytest.raises(GridMismatchError, match="grid mismatch"):
-            next(step_blocks([single], bad))
+            op._step(bad)
+        with pytest.raises(GridMismatchError, match="grid mismatch"):
+            next(step_blocks([op], bad))
 
 
 def test_other_dtypes_and_layouts_are_converted_not_misread():
     op = build_ulam(instantiate(pm_family(0.5), 0.1), 128)
-    single = transfer._SingleUse(
-        *transfer._entries(instantiate(pm_family(0.5), 0.1), 128), 128)
     wide = np.random.default_rng(5).uniform(0.1, 2.0, 256)
     for v in (wide[::2], wide[:128].astype(np.float32),
               np.arange(128, dtype=np.int64), wide[::-2]):
         want = op.matrix @ np.ascontiguousarray(v, dtype=np.float64)
-        for stepper in (op, single):
-            assert stepper._step(v).tobytes() == want.tobytes()
+        assert op._step(v).tobytes() == want.tobytes()
     with pytest.raises(TypeError):
         op._step(wide[:128] + 1j)
 
 
-def test_ulam_operators_choose_form_by_run_length():
+def test_ulam_operators_give_one_operator_per_run():
     fam = pm_family(0.5)
     ops = list(transfer.ulam_operators(
         fam, [0.1, 0.1, 0.2, 0.3, 0.3, 0.3, 0.1], 64))
-    assert [type(op).__name__ for op in ops] == [
-        "UlamOperator", "UlamOperator", "_SingleUse", "UlamOperator",
-        "UlamOperator", "UlamOperator", "_SingleUse"]
+    assert all(type(op) is UlamOperator for op in ops)
+    # shared within a run, distinct across runs, a rerun parameter rebuilt
+    runs = [ops[0], ops[2], ops[3], ops[6]]
     assert ops[0] is ops[1] and ops[3] is ops[4] is ops[5]
+    assert len({id(op) for op in runs}) == 4
+    assert ops[6].data.tobytes() == ops[0].data.tobytes()
     assert list(transfer.ulam_operators(fam, [], 64)) == []
+
+
+def test_sparsetools_lacking_a_routine_is_named(monkeypatch):
+    stub = types.ModuleType("scipy.sparse._sparsetools")
+    monkeypatch.setitem(sys.modules, stub.__name__, stub)
+    with pytest.raises(ImportError, match=(
+            f"of scipy {scipy.__version__} lacks csr_matvec, coo_tocsr, "
+            "csr_sum_duplicates, csr_plus_csr$")):
+        transfer._load_sparsetools()
+    stub.csr_matvec = stub.coo_tocsr = stub.csr_plus_csr = print
+    with pytest.raises(ImportError, match="lacks csr_sum_duplicates$"):
+        transfer._load_sparsetools()
+    stub.csr_sum_duplicates = print
+    assert transfer._load_sparsetools() is stub
 
 
 def strip_split(instance):
@@ -457,10 +460,15 @@ def averaged_operator_oracle(family, nu, n_cells):
     return acc
 
 
-@pytest.mark.parametrize("n_cells,n_samples", [(300, 8), (128, 64)])
-def test_averaged_operator_matches_csr_fold_bitwise(n_cells, n_samples):
-    fam = pm_family(0.5)
-    nu = AveragingLaw(center=0.1, radius=0.02, n_samples=n_samples)
+@pytest.mark.parametrize("fam,center,n_cells,n_samples", [
+    (pm_family(0.5), 0.1, 300, 8), (pm_family(0.5), 0.1, 128, 64),
+    (pm_family(0.5), 0.1, 300, 1),
+    # a small odd grid on which every member repeats an entry
+    (breakpoint_family(), -0.1, 3, 5),
+], ids=["300-8", "128-64", "300-1", "breakpoint-3-5"])
+def test_averaged_operator_matches_csr_fold_bitwise(fam, center, n_cells,
+                                                    n_samples):
+    nu = AveragingLaw(center=center, radius=0.02, n_samples=n_samples)
     got = averaged_operator(fam, nu, n_cells)
     want = averaged_operator_oracle(fam, nu, n_cells)
     assert got.n_cells == n_cells
