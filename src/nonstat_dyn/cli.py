@@ -108,10 +108,12 @@ def _peak_rss_mb() -> float:
 
 
 def _family(name: str, kappa: float, b0: float):
-    # kappa is checked for every family, as `BOUNDS` checks a flag whether
-    # or not the run reads it; b0 has no range
+    # kappa and b0 are checked for every family, as `BOUNDS` checks a flag
+    # whether or not the run reads it; b0's range is breakpoint_family's
     if not 0.0 < kappa < 1.0:
         raise ConfigError(f"kappa: must lie in (0, 1), got {kappa}")
+    if not 0.05 <= b0 <= 0.95:
+        raise ConfigError(f"b0: must lie in [0.05, 0.95], got {b0}")
     kwargs = {}
     if name in ("pm", "lsv"):
         kwargs["kappa"] = kappa

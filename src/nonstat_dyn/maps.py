@@ -249,6 +249,8 @@ def breakpoint_family(b0: float = 0.4) -> MapFamily:
     the breakpoint by d changes both domains by measure d.
     """
     margin = 0.05
+    if not margin <= b0 <= 1.0 - margin:
+        raise ValueError(f"b0 must lie in [{margin}, {1.0 - margin}], got {b0}")
     lo = -(b0 - margin)
     hi = (1.0 - margin) - b0
 

@@ -8,7 +8,9 @@ import importlib.util
 import itertools
 import math
 import os
+import struct
 import sys
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -297,7 +299,8 @@ def per_run(make: Callable[[float], object], params: Iterable) -> Iterator:
     """make(gamma) for each parameter in turn, called once per run of equal
     consecutive parameters: a constant stream builds once, an iid stream at
     every step, and no item outlives its run, so memory stays flat in the
-    horizon.  `ulam_operators` is this with `build_ulam`."""
+    horizon.  `ulam_operators` gives this with `build_ulam`, sharing the
+    builds with a helper process."""
     for gamma, run in itertools.groupby(map(float, params)):
         item = make(gamma)
         for _ in run:
@@ -307,9 +310,147 @@ def per_run(make: Callable[[float], object], params: Iterable) -> Iterator:
 def ulam_operators(family: MapFamily, params: Iterable,
                    n_cells: int) -> Iterator:
     """The `UlamOperator` of each parameter in turn, for `step_blocks`: one
-    `build_ulam` per run of equal consecutive parameters, as `per_run`."""
-    return per_run(lambda gamma: build_ulam(instantiate(family, gamma),
-                                            n_cells), params)
+    `build_ulam` per run of equal consecutive parameters, as `per_run`.
+
+    The builds are independent, so a stream of two or more runs shares them
+    with a helper process, forked when the second run begins if
+    `_helper_can_run`.  The helper goes on through its own copy of the
+    parameter iterator and builds the odd-numbered runs by the same call,
+    in the same process image, so their bits are the parent's; it writes
+    each one to a pipe as one frame, `_write_frame`.  The parent builds the
+    even-numbered runs and reads the odd ones.  The pipe is the only queue:
+    the helper blocks while it is full, and the parent holds only the
+    current operator, so memory stays flat in the horizon.  A frame that
+    comes up short (the helper stopped, say at a parameter out of range),
+    or that was built for another parameter than the parent's (a copied
+    iterator need not yield what the original does: `random` is reseeded in
+    a forked child), hands that run and every later one back to the parent,
+    whose own build then raises as the in-process one would, after as many
+    operators.  Closing or exhausting the stream closes the pipe and reaps
+    the helper.
+    """
+    def make(gamma):
+        return build_ulam(instantiate(family, gamma), n_cells)
+
+    runs = itertools.groupby(map(float, params))
+    helper = None    # (pid, pipe) of the process building the odd runs
+    try:
+        for index, (gamma, run) in enumerate(runs):
+            op = None
+            if index == 1 and _helper_can_run():
+                helper = _fork_helper(make, gamma, runs)
+            if helper is not None and index % 2:
+                op = _read_frame(helper[1], gamma, n_cells)
+                if op is None:
+                    _reap(helper)
+                    helper = None
+            if op is None:
+                op = make(gamma)
+            for _ in run:
+                yield op
+    finally:
+        if helper is not None:
+            _reap(helper)
+
+
+def _helper_can_run() -> bool:
+    """Whether this process may fork a helper that gets a CPU of its own:
+    `os.fork` exists, two CPUs are available to the process, no other
+    Python thread runs (one could hold a lock when the process forks;
+    numpy's OpenBLAS pool is no such thread, as its own fork handler stops
+    it first), and a CPU of the machine is idle.  Split in two, the work
+    costs more CPU time in all, which only pays on a CPU that would
+    otherwise idle."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        available = len(os.sched_getaffinity(0))
+    else:
+        available = os.cpu_count() or 1
+    return (available >= 2
+            and _runnable_elsewhere() < (os.cpu_count() or 1) - 1)
+
+
+def _runnable_elsewhere() -> int:
+    """The tasks runnable on the machine now, as /proc/loadavg counts them,
+    less the threads of this process that are: an OpenBLAS thread spinning
+    for a while after a solve stops at the fork.  Where /proc cannot be
+    read, one per CPU."""
+    try:
+        with open("/proc/loadavg") as loadavg:
+            runnable = int(loadavg.read().split()[3].split("/")[0])
+        for tid in os.listdir("/proc/self/task"):
+            with open(f"/proc/self/task/{tid}/stat") as stat:
+                runnable -= stat.read().rpartition(")")[2].split()[0] == "R"
+    except (OSError, ValueError, IndexError):
+        return os.cpu_count() or 1
+    return runnable
+
+
+def _fork_helper(make, gamma: float, runs) -> Optional[tuple]:
+    """Fork the process that builds run 1 (parameter `gamma`) and every
+    later odd-numbered run of `runs`, the rest of the groupby, writing each
+    operator to a pipe.  Returns (pid, read end as a buffered file), or None
+    if no process could be forked."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            # every inherited descriptor but the write end: another stream's
+            # read end held here would keep its helper blocked on a full
+            # pipe, and its parent waiting on it, once that stream is closed
+            os.closerange(0, write_end)
+            os.closerange(write_end + 1, os.sysconf("SC_OPEN_MAX"))
+            pipe = os.fdopen(write_end, "wb")
+            _write_frame(pipe, gamma, make(gamma))
+            for index, (gamma, _) in enumerate(runs, 2):
+                if index % 2:
+                    _write_frame(pipe, gamma, make(gamma))
+            status = 0
+        finally:
+            # no atexit handler or inherited stdio buffer runs here
+            os._exit(status)
+    os.close(write_end)
+    return pid, os.fdopen(read_end, "rb")
+
+
+def _reap(helper: tuple) -> None:
+    """Close the read end and wait for the helper: one blocked on a write
+    then stops at the broken pipe."""
+    pid, pipe = helper
+    pipe.close()
+    os.waitpid(pid, 0)
+
+
+def _write_frame(pipe, gamma: float, op: UlamOperator) -> None:
+    """One operator as a frame: its parameter (float64) and nnz (int64),
+    then the raw bytes of `indptr`, `indices` (both int32) and `data`."""
+    pipe.write(struct.pack("=dq", gamma, op.data.size))
+    for arr in (op.indptr, op.indices, op.data):
+        pipe.write(arr)
+    pipe.flush()
+
+
+def _read_frame(pipe, gamma: float, n_cells: int) -> Optional[UlamOperator]:
+    """The operator of the next frame on `pipe`, in fresh arrays, or None if
+    the frame comes up short or was built for another parameter than
+    `gamma` (compared bit for bit)."""
+    head = pipe.read(16)
+    if len(head) < 16 or head[:8] != struct.pack("=d", gamma):
+        return None
+    nnz = struct.unpack("=q", head[8:])[0]
+    arrays = (np.empty(n_cells + 1, dtype=np.int32),
+              np.empty(nnz, dtype=np.int32), np.empty(nnz))
+    for arr in arrays:
+        if pipe.readinto(arr) < arr.nbytes:
+            return None
+    return UlamOperator._trusted(*arrays, n_cells)
 
 
 def step_blocks(ops: Iterable[UlamOperator],

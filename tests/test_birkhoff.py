@@ -1,4 +1,5 @@
 import collections
+import os
 import tracemalloc
 
 import numpy as np
@@ -86,18 +87,26 @@ def test_orbit_points_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_streams_build_once_per_run(monkeypatch):
+def test_streams_build_once_per_run(monkeypatch, tmp_path):
     # a map or operator is built once per run of equal consecutive
     # parameters: once for a constant stream, at every step of an iid one,
     # and no instance outlives its step.  Every step of a run shares its
-    # one CSR operator
-    builds = collections.Counter()
+    # one CSR operator.  An iid density loop builds every other operator on
+    # a helper process, so each call appends its label as one line to a
+    # file opened with O_APPEND, which the calls of both processes reach.
+    # A CPU is taken as idle, so the helper is used whatever else runs
+    monkeypatch.setattr(transfer, "_runnable_elsewhere", lambda: 0)
+    log = tmp_path / "builds"
 
     def count_calls(module, name, label):
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            builds[label] += 1
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                os.write(fd, f"{label}\n".encode())
+            finally:
+                os.close(fd)
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
@@ -106,9 +115,10 @@ def test_streams_build_once_per_run(monkeypatch):
     count_calls(sequences, "build_ulam", "csr")
 
     def builds_of(run):
-        builds.clear()
+        # the stream has reaped its helper once the run returns
+        log.write_bytes(b"")
         run()
-        return dict(builds)
+        return dict(collections.Counter(log.read_text().split()))
 
     fam, n, phi0 = pm_family(0.5), 800, GridDensity.uniform(64)
     const = ParameterSequence.constant(0.1)

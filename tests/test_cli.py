@@ -146,6 +146,17 @@ BELOW_MINIMUM = {
         "kappa: must lie in (0, 1), got -5.0",
     "invariant --family pm --kappa 1 --cells 64":
         "kappa: must lie in (0, 1), got 1.0",
+    # so is b0, breakpoint_family's: not blamed on gamma, nor left unread
+    "invariant --family breakpoint --b0 0.04 --cells 64":
+        "b0: must lie in [0.05, 0.95], got 0.04",
+    "invariant --family breakpoint --b0 0.96 --cells 64":
+        "b0: must lie in [0.05, 0.95], got 0.96",
+    "invariant --family breakpoint --b0 nan --cells 64":
+        "b0: must lie in [0.05, 0.95], got nan",
+    "invariant --family doubling --b0 nan --cells 64":
+        "b0: must lie in [0.05, 0.95], got nan",
+    "invariant --family doubling --b0 2 --cells 64":
+        "b0: must lie in [0.05, 0.95], got 2.0",
 }
 
 
@@ -229,14 +240,14 @@ def test_coupling_flag_is_usage_error(tmp_path, capsys):
 # numeric flags without a BOUNDS entry, each with why; the schedule
 # parameters and the birkhoff window are checked whether or not a run reads them
 UNBOUNDED = {
-    "kappa": "_family checks it for every family",
+    **dict.fromkeys(["kappa", "b0"], "_family checks it for every family"),
     **dict.fromkeys(["a", "nu", "rho0", "lam", "alpha"],
                     "the library checks it"),
     **dict.fromkeys(["p", "fail_rate", "period"],
                     "gen_schedule checks it for every schedule kind"),
     **dict.fromkeys(["i_max", "j_max"],
                     "run_birkhoff checks the window, with or without covariance"),
-    **dict.fromkeys(["gamma", "gamma_hat", "b0", "alpha_c", "covariance", "lp"],
+    **dict.fromkeys(["gamma", "gamma_hat", "alpha_c", "covariance", "lp"],
                     "no range"),
 }
 

@@ -121,6 +121,21 @@ def test_breakpoint_piece_count_stable():
     assert len(instantiate(fam, 0.0).pieces) == len(instantiate(fam, 0.1).pieces)
 
 
+@pytest.mark.parametrize("b0", [0.05, 0.95])
+def test_breakpoint_b0_range_ends_are_in(b0):
+    # an end of the range leaves gamma = 0 on an end of the expanding range
+    fam = breakpoint_family(b0)
+    assert 0.0 in fam.gamma_range
+    assert instantiate(fam, 0.0).pieces[0].hi == b0
+
+
+@pytest.mark.parametrize("b0", [0.04, 0.96, float("nan")])
+def test_breakpoint_b0_out_of_range_is_rejected(b0):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"b0 must lie in [0.05, 0.95], got {b0}")):
+        breakpoint_family(b0)
+
+
 def test_tent_has_decreasing_branch():
     inst = instantiate(tent_family(), 0.0)
     rising, falling = inst.pieces

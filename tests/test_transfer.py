@@ -1,5 +1,10 @@
 import dataclasses
+import os
+import random
+import subprocess
 import sys
+import threading
+import tracemalloc
 import types
 
 import numpy as np
@@ -10,9 +15,9 @@ import scipy.sparse
 from nonstat_dyn.densities import (GridDensity, GridMismatchError,
                                    l1_distance, l1_norm,
                                    quasi_holder_seminorm)
-from nonstat_dyn.maps import (breakpoint_family, circle_family,
-                              doubling_family, instantiate, lsv_family,
-                              pm_family, tent_family)
+from nonstat_dyn.maps import (ExpansionError, breakpoint_family,
+                              circle_family, doubling_family, instantiate,
+                              lsv_family, pm_family, tent_family)
 from nonstat_dyn import transfer
 from nonstat_dyn.transfer import (AveragingLaw, LasotaYorkeFit,
                                   NonConvergenceError, UlamOperator,
@@ -238,6 +243,240 @@ def test_ulam_operators_give_one_operator_per_run():
     assert len({id(op) for op in runs}) == 4
     assert ops[6].data.tobytes() == ops[0].data.tobytes()
     assert list(transfer.ulam_operators(fam, [], 64)) == []
+
+
+STREAM_GRID = {
+    "pm": (pm_family(0.5), (0.05, 0.3), 97),
+    "lsv": (lsv_family(0.5), (0.1, 0.3), 64),
+    "breakpoint": (breakpoint_family(), (0.0, 0.1), 40),
+    "tent": (tent_family(), (-0.1, 0.1), 33),
+    "doubling": (doubling_family(), (-0.05, 1.0), 40),
+    "circle": (circle_family(), (-0.3, 0.3), 40),
+}
+
+
+def idle_cpu(monkeypatch):
+    """Take a CPU of the machine as idle, so that whether a stream forks its
+    helper does not hang on what else runs while the suite does."""
+    monkeypatch.setattr(transfer, "_runnable_elsewhere", lambda: 0)
+
+
+def counting_forks(monkeypatch):
+    """The pids of the helpers forked from here on."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_GRID))
+def test_streamed_operators_match_in_process_builds_bytewise(monkeypatch,
+                                                             name):
+    # half the runs come from the helper, through the pipe; lsv has two
+    # pieces and circle no split lift.  The evenly spaced parameters put
+    # breakpoints and images on cell edges, so nnz varies from one operator
+    # to the next in every family and a frame misread by a few bytes shows
+    family, (lo, hi), n = STREAM_GRID[name]
+    idle_cpu(monkeypatch)
+    forks = counting_forks(monkeypatch)
+    rng = np.random.default_rng(11)
+    runs = np.concatenate([np.linspace(lo, hi, 5), rng.uniform(lo, hi, 25)])
+    gammas = np.repeat(runs, rng.integers(1, 4, 30))
+    ops = list(transfer.ulam_operators(family, gammas, n))
+    assert len(forks) == transfer._helper_can_run()
+    assert len(ops) == gammas.size
+    assert len({op.data.size for op in ops}) > 1
+    for gamma, op in zip(gammas, ops):
+        want = build_ulam(instantiate(family, gamma), n)
+        assert op.n_cells == n
+        for field in ("indptr", "indices", "data"):
+            got, ref = getattr(op, field), getattr(want, field)
+            assert got.dtype == ref.dtype and not got.flags.writeable
+            assert got.tobytes() == ref.tobytes(), (gamma, field)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("setting",
+                         ["two-cpus", "no-fork", "one-cpu", "busy-cpus"])
+def test_helper_builds_the_odd_runs_only_where_it_can(monkeypatch, setting):
+    # without os.fork, a second CPU, or an idle CPU on the machine, the
+    # parent builds every run itself
+    idle_cpu(monkeypatch)
+    if setting == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    elif setting == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif setting == "busy-cpus":
+        monkeypatch.setattr(transfer, "_runnable_elsewhere", os.cpu_count)
+    helper = transfer._helper_can_run()
+    if setting != "two-cpus":
+        assert not helper
+    built, build = [], transfer.build_ulam
+
+    def recording(instance, n_cells):
+        built.append(instance.gamma)
+        return build(instance, n_cells)
+    # the helper's calls are made in its own process, unrecorded here
+    monkeypatch.setattr(transfer, "build_ulam", recording)
+    gammas = [0.1, 0.2, 0.2, 0.3, 0.4, 0.4, 0.5]
+    assert len(list(transfer.ulam_operators(pm_family(0.5), gammas, 64))) == 7
+    assert built == ([0.1, 0.3, 0.5] if helper else [0.1, 0.2, 0.3, 0.4, 0.5])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("bad_run", [4, 5], ids=["parent", "helper"])
+def test_stream_error_raises_as_in_process(monkeypatch, bad_run):
+    # a gamma out of range at an even run raises in the parent's own build;
+    # at an odd run it stops the helper, and the parent builds that run
+    # itself.  Either way the error is the in-process one, after as many
+    # operators
+    idle_cpu(monkeypatch)
+    fam = pm_family(0.5)
+    runs = list(np.linspace(0.05, 0.15, 8))
+    runs[bad_run] = 5.0
+    gammas = np.repeat(runs, [1, 2, 1, 3, 2, 1, 2, 1])
+
+    def drain(stream):
+        count = 0
+        with pytest.raises(ExpansionError) as err:
+            for _ in stream:
+                count += 1
+        return count, type(err.value), str(err.value)
+    streamed = drain(transfer.ulam_operators(fam, gammas, 64))
+    assert streamed == drain(transfer.per_run(
+        lambda gamma: build_ulam(instantiate(fam, gamma), 64), gammas))
+    assert streamed[0] == np.cumsum([1, 2, 1, 3, 2, 1, 2, 1])[bad_run - 1]
+    assert_no_child_left()
+
+
+def test_helper_parameters_that_differ_from_the_parents_are_not_used(
+        monkeypatch):
+    # the helper walks its own copy of the generator, and `random` is
+    # reseeded in a forked child, so the helper draws other gammas: its
+    # first frame is refused and the parent builds every run from its own
+    idle_cpu(monkeypatch)
+    forks = counting_forks(monkeypatch)
+    fam, drawn = pm_family(0.5), []
+
+    def draws():
+        for _ in range(40):
+            drawn.append(random.uniform(0.05, 0.15))
+            yield drawn[-1]
+    ops = list(transfer.ulam_operators(fam, draws(), 64))
+    assert len(forks) == transfer._helper_can_run()
+    assert len(ops) == len(drawn) == 40
+    for gamma, op in zip(drawn, ops):
+        want = build_ulam(instantiate(fam, gamma), 64)
+        for field in ("indptr", "indices", "data"):
+            assert (getattr(op, field).tobytes()
+                    == getattr(want, field).tobytes()), (gamma, field)
+    assert_no_child_left()
+
+
+def test_no_helper_while_another_thread_runs(monkeypatch):
+    # a thread that holds a lock at the fork would hold it in the helper
+    # forever, so a stream opened while one is alive is built in-process
+    idle_cpu(monkeypatch)
+    forks = counting_forks(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert not transfer._helper_can_run()
+        fam, gammas = pm_family(0.5), np.linspace(0.05, 0.15, 9)
+        ops = list(transfer.ulam_operators(fam, gammas, 64))
+    finally:
+        release.set()
+        other.join()
+    assert forks == []
+    for gamma, op in zip(gammas, ops):
+        assert (op.data.tobytes()
+                == build_ulam(instantiate(fam, gamma), 64).data.tobytes())
+
+
+def test_one_shot_generator_streams_in_flat_memory(monkeypatch):
+    idle_cpu(monkeypatch)
+    fam = pm_family(0.5)
+    cycle = (0.09, 0.1, 0.11, 0.095, 0.105, 0.0925, 0.1075)
+    want = {gamma: build_ulam(instantiate(fam, gamma), 16) for gamma in cycle}
+
+    def params(n):
+        # iterable once: the helper goes on through its own copy
+        return (cycle[k % len(cycle)] for k in range(n))
+    n, previous = 10 ** 5, None
+    for k, op in enumerate(transfer.ulam_operators(fam, params(n), 16)):
+        ref = want[cycle[k % len(cycle)]]
+        assert op is not previous
+        assert (op.indptr.tobytes() == ref.indptr.tobytes()
+                and op.indices.tobytes() == ref.indices.tobytes()
+                and op.data.tobytes() == ref.data.tobytes()), k
+        previous = op
+    assert k == n - 1
+    # the parent holds the current operator only: its peak does not grow
+    # with n (traced at smaller n, as tracing slows both processes ~6x)
+    peaks = []
+    for n in (10 ** 3, 10 ** 4):
+        tracemalloc.start()
+        try:
+            for _ in step_blocks(transfer.ulam_operators(fam, params(n), 16),
+                                 np.ones(16)):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2 ** 12, peaks
+    assert_no_child_left()
+
+
+# Streams closed early, each with a helper blocked on a full pipe, or about to
+# be: one stream alone, or two open at once closed in the order argv[1] names.
+# A helper that kept a copy of its own read end, or of another stream's (the
+# second helper is forked while the first stream is open), would never see
+# the broken pipe, and closing that stream would wait on it forever.
+CLOSED_EARLY = """
+import os
+import sys
+import numpy as np
+from nonstat_dyn import transfer
+from nonstat_dyn.maps import pm_family
+from nonstat_dyn.transfer import ulam_operators
+transfer._runnable_elsewhere = lambda: 0    # a CPU taken as idle
+gammas = np.random.default_rng(0).uniform(0.09, 0.11, 400)
+first = ulam_operators(pm_family(0.5), gammas, 512)
+second = ulam_operators(pm_family(0.5), gammas, 512)
+closing = {"alone": [first], "first": [first, second],
+           "second": [second, first]}[sys.argv[1]]
+for stream in (first, second)[:len(closing)]:
+    next(stream)
+    next(stream)    # the second run forks the helper
+for stream in closing:
+    stream.close()
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(0)
+sys.exit("a helper outlived its stream")
+"""
+
+
+@pytest.mark.parametrize("order", ["alone", "first", "second"])
+def test_streams_closed_early_leave_no_child(order):
+    # run in a subprocess, so that a deadlock fails at the timeout instead
+    # of stalling the suite
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", CLOSED_EARLY, order],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_sparsetools_lacking_a_routine_is_named(monkeypatch):
