@@ -97,11 +97,18 @@ def theta_plus(phi1: GridDensity, phi2: GridDensity) -> HilbertDistanceReport:
                                  theta=theta, finite=True)
 
 
-def _holder_alpha(phi1: GridDensity, phi2: GridDensity, cone: ConeParams) -> float:
-    """inf over pointwise ratios and the two-point Holder ratios (may be <= 0)."""
+def _holder_alphas(phi1: GridDensity, phi2: GridDensity,
+                   cone: ConeParams) -> tuple[float, float]:
+    """alpha(phi1, phi2) and alpha(phi2, phi1), each the inf over pointwise
+    ratios and the two-point Holder ratios (may be <= 0), in one pass.
+
+    The swapped direction's numerators and denominators are the forward
+    direction's denominators and numerators, so each pair block is
+    gathered once for both."""
     v1, v2 = phi1.values, phi2.values
     n = phi1.n_cells
-    alpha = float(np.min(v2 / v1))
+    alphas = [float(np.min(v2 / v1)), float(np.min(v1 / v2))]
+    inside = [True, True]
     # scalar exp and power, one per offset: array ones may round differently
     ks, factors = [], []
     for k in _offsets(n, cone.rho0, strict=True):
@@ -114,17 +121,23 @@ def _holder_alpha(phi1: GridDensity, phi2: GridDensity, cone: ConeParams) -> flo
     factors = np.array(factors + factors)
     for rows, partner in _partner_blocks(n, shifts):
         e = factors[rows, None]
-        den = e * v1 - v1[partner]
-        num = e * v2 - v2[partner]
-        # vanishing denominators with positive numerators give +inf ratios
-        # and never bind the infimum; negative numerators there mean phi2
-        # leaves the cone, i.e. alpha <= 0
-        mask = den > PROPORTIONAL_TOL
-        if np.any(~mask & (num < -PROPORTIONAL_TOL)):
-            return 0.0
-        if np.any(mask):
-            alpha = min(alpha, float(np.min(num[mask] / den[mask])))
-    return alpha
+        diff1 = e * v1 - v1[partner]
+        diff2 = e * v2 - v2[partner]
+        for i, (den, num) in enumerate(((diff1, diff2), (diff2, diff1))):
+            if not inside[i]:
+                continue
+            # vanishing denominators with positive numerators give +inf
+            # ratios and never bind the infimum; negative numerators there
+            # mean the image leaves the cone, i.e. alpha <= 0
+            mask = den > PROPORTIONAL_TOL
+            if np.any(~mask & (num < -PROPORTIONAL_TOL)):
+                alphas[i] = 0.0
+                inside[i] = False
+            elif np.any(mask):
+                alphas[i] = min(alphas[i], float(np.min(num[mask] / den[mask])))
+        if not any(inside):
+            break
+    return alphas[0], alphas[1]
 
 
 def theta_holder(phi1: GridDensity, phi2: GridDensity,
@@ -138,8 +151,7 @@ def theta_holder(phi1: GridDensity, phi2: GridDensity,
     for phi in (phi1, phi2):
         if np.any(phi.values <= 0):
             raise ValueError("cone members must be strictly positive")
-    alpha = _holder_alpha(phi1, phi2, cone)
-    alpha_swapped = _holder_alpha(phi2, phi1, cone)
+    alpha, alpha_swapped = _holder_alphas(phi1, phi2, cone)
     if alpha <= 0 or alpha_swapped <= 0:
         return HilbertDistanceReport(alpha_val=max(alpha, 0.0),
                                      beta_val=np.inf, theta=np.inf, finite=False)

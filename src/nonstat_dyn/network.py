@@ -12,6 +12,7 @@ from .seeding import substream
 from .transfer import build_ulam, fixed_density
 
 TWO_PI = 2.0 * np.pi
+TILE_VALUES = 1 << 14   # state values per stepped tile: 128 KiB per temporary
 
 
 def diffusive_coupling(xj, xi):
@@ -183,7 +184,8 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
     the uncoupled invariant density at every checkpoint.
 
     The ensemble's two row halves are stepped on two threads, each calling
-    `step_network` on its own rows."""
+    `step_network` on its own rows, one tile of at most `TILE_VALUES`
+    values at a time."""
     if ensemble < 1:
         raise ValueError("ensemble must be positive")
     if n_steps < 1:
@@ -192,14 +194,13 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
         checkpoint_every = max(n_steps // 20, 1)
     elif checkpoint_every < 1:
         raise ValueError("checkpoint_every must be positive")
+    if not dither >= 0:
+        raise ValueError("dither must be nonnegative")
     if schedule.n_nodes != system.n_nodes:
         raise ValueError("schedule and system disagree on the node count")
     rng_init = substream(seed, "network-init")
     x = rng_init.uniform(0.0, 1.0, (ensemble, system.n_nodes))
     rng = substream(seed, "network-dither")
-    # the dither is drawn into one buffer, not a fresh array every step:
-    # the same stream as rng.uniform(-dither / 2, dither / 2, x.shape)
-    noise = np.empty_like(x) if dither > 0 else None
     invariant = fixed_density(build_ulam(system.node_map, n_bins))
     checkpoints, counts, dists = [], [], []
 
@@ -215,25 +216,45 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
         counts.append(cnt)
         dists.append(dst)
 
+    # the dither is drawn into two buffers in turn, not a fresh array every
+    # step: the same stream as rng.uniform(-dither / 2, dither / 2, x.shape)
+    buffers = [np.empty_like(x), np.empty_like(x)] if dither > 0 else None
+
+    def draw(t):
+        noise = buffers[t % 2]
+        rng.random(out=noise)
+        noise *= dither
+        noise -= 0.5 * dither
+        return noise
+
     # Rows are independent, so the two row halves advance on two threads
     # (the target machine has two cores), each writing its own rows back;
     # every row sees a one-thread step's float operations, so its bits.
+    # A half is stepped in tiles whose temporaries stay in cache and are
+    # small enough for the allocator to reuse, not map afresh every step;
+    # each tile is dithered and wrapped mod 1 while it is still in cache.
     half = ensemble // 2
+    tile = max(TILE_VALUES // system.n_nodes, 1)
 
-    def advance(x, rows, t):
-        x[rows] = step_network(system, x[rows], t, schedule)
+    def advance(lo, hi, t, noise):
+        for start in range(lo, hi, tile):
+            rows = slice(start, min(start + tile, hi))
+            stepped = step_network(system, x[rows], t, schedule)
+            if noise is None:
+                x[rows] = stepped
+            else:
+                stepped += noise[rows]
+                x[rows] = mod1(stepped)
 
+    noise = draw(0) if buffers else None
     with ThreadPoolExecutor(max_workers=1) as worker:
         for t in range(n_steps):
-            upper = worker.submit(advance, x, slice(half, None), t)
-            advance(x, slice(None, half), t)
+            upper = worker.submit(advance, half, ensemble, t, noise)
+            # the next step's dither is drawn while the worker steps
+            ahead = draw(t + 1) if buffers and t + 1 < n_steps else None
+            advance(0, half, t, noise)
             upper.result()
-            if dither > 0:
-                rng.random(out=noise)
-                noise *= dither
-                noise -= 0.5 * dither
-                x += noise
-                x = mod1(x)
+            noise = ahead
             if (t + 1) % checkpoint_every == 0 or t + 1 == n_steps:
                 record(t + 1, x)
     counts = np.array(counts)

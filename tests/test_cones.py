@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from nonstat_dyn.cones import (PROPORTIONAL_TOL, ConeExitError, ConeParams,
-                               _holder_alpha, _offsets, cone_image_check,
-                               contraction_and_diameter, log_holder_constant,
-                               sample_cone_density, theta_holder, theta_plus)
+                               _holder_alphas, _offsets, _partner_blocks,
+                               cone_image_check, contraction_and_diameter,
+                               log_holder_constant, sample_cone_density,
+                               theta_holder, theta_plus)
 from nonstat_dyn.densities import GridDensity
 from nonstat_dyn.maps import circle_family, doubling_family, instantiate, \
     pm_family
@@ -311,5 +312,44 @@ def test_gathered_metrics_equal_offset_loops():
                 assert repr(got) == repr(want)
             for p1, p2 in ((phis[0], phis[1]), (phis[1], phis[0]),
                            (phis[0], phis[2])):
-                assert repr(_holder_alpha(p1, p2, cone)) == repr(
-                    loop_holder_alpha(p1, p2, cone))
+                assert_alpha_pair_equals_loops(p1, p2, cone)
+
+
+def assert_alpha_pair_equals_loops(p1, p2, cone):
+    got = _holder_alphas(p1, p2, cone)
+    want = (loop_holder_alpha(p1, p2, cone), loop_holder_alpha(p2, p1, cone))
+    assert repr(got) == repr(want)
+    return want
+
+
+def test_one_pass_alpha_pair_equals_loops_in_both_directions():
+    # at n = 1024 the 510 shifts of CONE fill 16 gathered blocks
+    n = 1024
+    shifts = np.arange(2 * (len(_offsets(n, CONE.rho0, strict=True))))
+    assert sum(1 for _ in _partner_blocks(n, shifts)) == 16
+    rng = substream(12, "alpha-pair")
+    member = sample_cone_density(n, CONE, rng)
+    other = sample_cone_density(n, CONE, rng)
+    # values below PROPORTIONAL_TOL leave every denominator vanishing, so
+    # the direction whose numerators go negative leaves the cone; a log
+    # ramp of slope 6.3 breaks the (2, 1/2) Holder bound only beyond
+    # d = 0.1, i.e. in a later block than the first
+    tiny = GridDensity(1e-14 * member.values)
+    x = (np.arange(n) + 0.5) / n
+    ramp = GridDensity(np.exp(6.3 * np.minimum(x, 1.0 - x)))
+    spike = GridDensity(np.where(np.arange(n) == 300, 50.0, 1.0)
+                        * other.values)
+    # tiny and ramp on opposite halves: both directions leave, and the
+    # fold stops after the later of the two exits
+    front = np.arange(n) < n // 2
+    split = GridDensity(np.where(front, 1e-14, ramp.values))
+    mirror = GridDensity(np.where(front, ramp.values, 1e-14))
+    seen = set()
+    for p1, p2 in ((member, other), (tiny, ramp), (tiny, spike),
+                   (member, spike), (split, mirror)):
+        for a, b in ((p1, p2), (p2, p1)):
+            forward, swapped = assert_alpha_pair_equals_loops(a, b, CONE)
+            seen.add((forward == 0.0, swapped == 0.0))
+    # exits in neither direction, in each one alone, and in both
+    assert seen == {(False, False), (True, False), (False, True),
+                    (True, True)}

@@ -276,14 +276,21 @@ def serial_simulate_oracle(system, schedule, ensemble, n_steps, seed=0,
     return np.array(counts), np.array(dists)
 
 
-@pytest.mark.parametrize("ensemble", [1, 2, 7, 10001])
+# rows of one stepped tile at 4 and 3 nodes
+TILE_ROWS_4 = network.TILE_VALUES // 4
+TILE_ROWS_3 = network.TILE_VALUES // 3
+
+
+@pytest.mark.parametrize("ensemble", [1, 2, 7, 10001, 2 * TILE_ROWS_4 + 3,
+                                      4 * TILE_ROWS_4 + 1])
 @pytest.mark.parametrize("coupling", [
     {"alpha_c": 0.02},
     {"alpha_c": -0.02},
     {"alpha_c": 0.0},
 ])
 def test_two_thread_ensemble_equals_serial_oracle(ensemble, coupling):
-    # an ensemble of 1 leaves one half empty; odd ensembles split unevenly
+    # an ensemble of 1 leaves one half empty; odd ensembles split unevenly;
+    # the largest span one tile and more per half, with odd remainders
     system = NetworkSystem(node_map=instantiate(pm_family(0.5), 0.1),
                            n_nodes=4, **coupling)
     sched = gen_schedule("bursty", 4, horizon=12, seed=5, p=0.8, fail_rate=0.2)
@@ -306,13 +313,19 @@ def test_dither_buffer_draws_the_uniform_stream(dither):
     system = NetworkSystem(node_map=instantiate(doubling_family(), 0.0),
                            n_nodes=3, alpha_c=0.02)
     sched = gen_schedule("bursty", 3, horizon=20, seed=2)
-    summary = simulate_ensemble(system, sched, 301, 20, seed=4, n_bins=16,
-                                checkpoint_every=5, dither=dither)
-    counts, dists = serial_simulate_oracle(system, sched, 301, 20, seed=4,
-                                           n_bins=16, checkpoint_every=5,
-                                           dither=dither)
-    assert np.array_equal(summary.counts, counts)
-    assert np.array_equal(summary.distances, dists)
+    # the step-ahead draws alternate between two buffers; the larger
+    # ensembles span several tiles per half with odd remainders
+    for ensemble, n_steps in ((301, 20), (2 * TILE_ROWS_3 + 3, 3),
+                              (4 * TILE_ROWS_3 + 1, 4)):
+        summary = simulate_ensemble(system, sched, ensemble, n_steps, seed=4,
+                                    n_bins=16, checkpoint_every=5,
+                                    dither=dither)
+        counts, dists = serial_simulate_oracle(system, sched, ensemble,
+                                               n_steps, seed=4, n_bins=16,
+                                               checkpoint_every=5,
+                                               dither=dither)
+        assert np.array_equal(summary.counts, counts)
+        assert np.array_equal(summary.distances, dists)
 
 
 def test_ensemble_failure_raises_and_leaks_no_thread(monkeypatch):
@@ -335,15 +348,17 @@ def test_ensemble_failure_raises_and_leaks_no_thread(monkeypatch):
     assert len(seen) == 2 and threading.get_ident() in seen
 
 
-@pytest.mark.parametrize("ensemble,n_steps,checkpoint_every,message", [
-    (0, 10, None, "ensemble must be positive"),
-    (10, 0, None, "n_steps must be positive"),
-    (10, -1, 2, "n_steps must be positive"),
-    (10, 10, 0, "checkpoint_every must be positive"),
-    (10, 10, -1, "checkpoint_every must be positive"),
+@pytest.mark.parametrize("ensemble,n_steps,checkpoint_every,message,dither", [
+    (0, 10, None, "ensemble must be positive", 1e-12),
+    (10, 0, None, "n_steps must be positive", 1e-12),
+    (10, -1, 2, "n_steps must be positive", 1e-12),
+    (10, 10, 0, "checkpoint_every must be positive", 1e-12),
+    (10, 10, -1, "checkpoint_every must be positive", 1e-12),
+    (10, 10, None, "dither must be nonnegative", -1e-12),
+    (10, 10, None, "dither must be nonnegative", float("nan")),
 ])
 def test_ensemble_edge_inputs_rejected_before_any_work(
-        monkeypatch, ensemble, n_steps, checkpoint_every, message):
+        monkeypatch, ensemble, n_steps, checkpoint_every, message, dither):
     def no_work(*args, **kwargs):
         raise AssertionError("work began before the inputs were checked")
 
@@ -354,4 +369,4 @@ def test_ensemble_edge_inputs_rejected_before_any_work(
     sched = gen_schedule("static", 4, horizon=10)
     with pytest.raises(ValueError, match=f"^{message}$"):
         simulate_ensemble(system, sched, ensemble, n_steps,
-                          checkpoint_every=checkpoint_every)
+                          checkpoint_every=checkpoint_every, dither=dither)
