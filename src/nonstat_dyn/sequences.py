@@ -12,8 +12,9 @@ from .densities import (GridDensity, _check_same_grid, l1_distance,
                         quasi_holder_seminorm, seminorms)
 from .maps import MapFamily, instantiate
 from .seeding import substream
-from .transfer import (STEP_BLOCK, AveragingLaw, averaged_operator,
-                       build_ulam, fixed_density, step_blocks, ulam_operators)
+from .transfer import (STEP_BLOCK, AveragingLaw, _row_distances,
+                       averaged_operator, build_ulam, fixed_density,
+                       step_blocks, ulam_operators)
 
 
 @dataclass(frozen=True)
@@ -212,12 +213,17 @@ MASS_WINDOW = 0.05
 
 @dataclass(frozen=True)
 class AdversarialRun:
-    steps: np.ndarray            # 1..n
     mass_low: np.ndarray         # mass in [0, MASS_WINDOW) after each step
     dist_plus: np.ndarray        # L1 distance to the +eps fixed density
     block_ends: tuple            # (step, '+'|'-') for completed blocks
     reached_concentration: bool  # some -eps block end with mass_low > 0.9
     reached_return: bool         # some +eps block end with dist_plus < 0.1
+
+    @property
+    def steps(self) -> np.ndarray:
+        """1..n, the step after which each entry was taken: made on request,
+        so a run holds no third array of the horizon's size."""
+        return np.arange(1, self.mass_low.size + 1)
 
 
 def _mass_below(rows: np.ndarray, w: float) -> np.ndarray:
@@ -262,10 +268,14 @@ def adversarial_demo(family: MapFamily, eps: float, k_schedule,
         for j, (lo, hi) in enumerate(zip(ks, ks[1:])) if lo < n_max)
     mass_low = np.empty(n_max)
     dist_plus = np.empty(n_max)
+    # phi_plus once per block row, so each block's distances are one
+    # same-shape subtract into one scratch block
+    tiled = np.tile(phi_plus.values, (STEP_BLOCK, 1))
+    scratch = np.empty_like(tiled)
     k = 0
     for rows in step_blocks(ops, phi0.values):
         mass_low[k:k + len(rows)] = _mass_below(rows, MASS_WINDOW)
-        dist_plus[k:k + len(rows)] = np.abs(rows - phi_plus.values).mean(axis=1)
+        _row_distances(rows, tiled, scratch, dist_plus[k:k + len(rows)])
         k += len(rows)
     block_ends = tuple((k, "+" if j % 2 == 0 else "-")
                        for j, k in enumerate(ks[1:]) if k <= n_max)
@@ -273,7 +283,7 @@ def adversarial_demo(family: MapFamily, eps: float, k_schedule,
                        for k, kind in block_ends)
     reached_ret = any(kind == "+" and dist_plus[k - 1] < 0.1
                       for k, kind in block_ends)
-    return AdversarialRun(steps=np.arange(1, n_max + 1), mass_low=mass_low,
+    return AdversarialRun(mass_low=mass_low,
                           dist_plus=dist_plus, block_ends=block_ends,
                           reached_concentration=reached_conc,
                           reached_return=reached_ret)

@@ -27,10 +27,11 @@ from .seeding import substream
 SHAPE_CACHE_SIZE = 8
 
 #: Densities per block of `step_blocks`: 128 KiB of rows at 1024 cells.
-#: Measured on the adversarial demo (pm, 1024 cells, 10^4 steps), blocks of
-#: 8 to 128 rows cost about the same. 512 rows cost more: glibc maps and
-#: returns their 4 MiB temporaries block after block, ~20k minor page
-#: faults a run against under 100 at 16 rows.
+#: At 8, 16, 32, 64, 128 and 512 rows the adversarial demo (pm, 1024 cells,
+#: 10^4 steps) took 39.5, 37.0, 33.8, 35.5, 38.4 and 43.7 ms, and
+#: `evolve_density` with a seminorm after each of 2000 steps 285, 301, 321,
+#: 330, 380 and 386 ms (median of 5-7 runs, 2-core VM): 16 is near the best
+#: of both.
 STEP_BLOCK = 16
 
 
@@ -98,11 +99,12 @@ class UlamOperator:
     one, so the action on cell-average vectors preserves mass and L1-contracts.
     The operator is its read-only CSR arrays `indptr`, `indices` and `data`
     on `n_cells` cells, in canonical form (sorted, distinct column indices
-    per row).  Every product with it (`apply`, the steps of `step_blocks`,
-    `fixed_density`) is one call of `_step`, which checks the vector against
-    the grid and then runs scipy's compiled CSR kernel, the loop
-    `matrix @ v` ends in: the same bits, with no `scipy.sparse` import and
-    none of its Python dispatch.
+    per row).  Every product with it is one call of scipy's compiled CSR
+    kernel, the loop `matrix @ v` ends in, into a zeroed output: the same
+    bits, with no `scipy.sparse` import and none of its Python dispatch.
+    `apply` and `fixed_density` call it through `_step`, which checks the
+    vector against the grid; `step_blocks` checks its start vector once and
+    writes each product into its row of a block buffer.
 
     `UlamOperator(matrix)` takes any dense or sparse square matrix, checks
     it and keeps a canonical float copy with the index dtype it had;
@@ -150,10 +152,15 @@ class UlamOperator:
         `scipy.sparse` imported, on first use."""
         if self._matrix is None:
             import scipy.sparse
-            n = self.n_cells
-            object.__setattr__(self, "_matrix", scipy.sparse.csr_array(
-                (self.data, self.indices, self.indptr), shape=(n, n),
-                copy=False))
+            # the arrays are canonical already, so the public constructor's
+            # format checks are skipped: the wrap sets the five attributes
+            # that constructor sets in scipy 1.17, as a test checks
+            mat = object.__new__(scipy.sparse.csr_array)
+            mat._shape = (int(self.n_cells), int(self.n_cells))
+            mat.maxprint = scipy.sparse._base.MAXPRINT
+            mat.indptr, mat.indices, mat.data = (self.indptr, self.indices,
+                                                 self.data)
+            object.__setattr__(self, "_matrix", mat)
         return self._matrix
 
     def apply(self, phi: GridDensity) -> GridDensity:
@@ -161,14 +168,19 @@ class UlamOperator:
         return GridDensity._trusted(self._step(phi.values),
                                     density=phi.density)
 
-    def _step(self, values: np.ndarray) -> np.ndarray:
-        """The product `matrix @ values`, bit for bit, as a fresh array.
-        The kernel adds each row's products to a zeroed entry of its output,
-        as scipy's `@` does, and checks no bounds: so `values` is checked
-        against the grid before the call."""
+    def _step(self, values: np.ndarray,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The product `matrix @ values`, bit for bit, written into `out`
+        (a float64 (n_cells,) vector, not `values`) or into a fresh array.
+        The kernel adds each row's products to its entry of the output, so
+        the output is zeroed first, as scipy's `@` does; it checks no
+        bounds, so `values` is checked against the grid before the call."""
         n = self.n_cells
         values = _on_grid(values, n)
-        out = np.zeros(n)
+        if out is None:
+            out = np.zeros(n)
+        else:
+            out.fill(0.0)
         csr_matvec(n, n, self.indptr, self.indices, self.data, values, out)
         return out
 
@@ -459,28 +471,55 @@ def step_blocks(ops: Iterable[UlamOperator],
     after steps 1, 2, ... as the rows of read-only (STEP_BLOCK, n_cells)
     blocks; the last block may be shorter.
 
-    Every step is the operator's `_step`: one guarded call of scipy's
-    compiled CSR kernel, bit for bit `op.matrix @ v`; a density on another
-    grid raises `GridMismatchError` before any product.  So each row equals
-    the chain of `UlamOperator.apply` calls bit for bit, and row-wise
-    reductions over a block (`rows.mean(axis=1)`) equal the 1-D calls on
-    each row.  Each block is a view of one buffer that the next block
-    overwrites: reduce it, or copy the rows to keep, before asking for the
-    next.  Memory stays O(STEP_BLOCK * n_cells) whatever the horizon.
+    Every step is one call of scipy's compiled CSR kernel, bit for bit
+    `op.matrix @ v`, written straight into its row of the block buffer:
+    no vector is allocated or copied per step.  `values` is checked once
+    against the first operator's grid (`_on_grid`); an operator on another
+    grid raises `GridMismatchError` before its product, after the rows of
+    the operators before it.  So each row equals the chain of
+    `UlamOperator.apply` calls bit for bit, and row-wise reductions over a
+    block (`rows.mean(axis=1)`) equal the 1-D calls on each row.  Each
+    block is a view of one buffer that the next block overwrites: reduce
+    it, or copy the rows to keep, before asking for the next.  Memory stays
+    O(STEP_BLOCK * n_cells) whatever the horizon.
     """
-    buf = np.empty((STEP_BLOCK, values.size))
+    ops = iter(ops)
+    first = next(ops, None)
+    if first is None:
+        return
+    n = first.n_cells
+    cur = _on_grid(values, n)
+    buf = np.empty((STEP_BLOCK, n))
     rows = buf.view()
     rows.flags.writeable = False
-    cur, i = values, 0
-    for op in ops:
-        cur = op._step(cur)
-        buf[i] = cur
+    outs = list(buf)
+    i = 0
+    for op in itertools.chain((first,), ops):
+        if op.n_cells != n:
+            _on_grid(cur, op.n_cells)    # raises GridMismatchError
+        out = outs[i]
+        out.fill(0.0)    # the kernel adds to its output
+        csr_matvec(n, n, op.indptr, op.indices, op.data, cur, out)
+        cur = out
         i += 1
         if i == STEP_BLOCK:
             yield rows
             i = 0
     if i:
         yield rows[:i]
+
+
+def _row_distances(rows: np.ndarray, ref: np.ndarray, scratch: np.ndarray,
+                  out: np.ndarray) -> None:
+    """`np.abs(rows - ref[:len(rows)]).mean(axis=1)` written into `out`, bit
+    for bit, with `scratch` (a float64 array of at least `rows`' shape) as
+    the one temporary: the L1 distance of each row of a `step_blocks` block
+    to the same row of `ref`."""
+    diff = scratch[:len(rows)]
+    np.subtract(rows, ref[:len(rows)], out=diff)
+    np.abs(diff, out=diff)
+    np.add.reduce(diff, axis=1, out=out)
+    out /= rows.shape[1]
 
 
 def apply_sequence(ops: Sequence[UlamOperator], phi: GridDensity) -> GridDensity:
@@ -562,16 +601,22 @@ def fixed_density(op: UlamOperator, tol: float = 1e-12,
                   max_iter: int = 20000) -> GridDensity:
     """Power iteration from the uniform start; returns a probability density
     with residual ||M phi - phi||_1 <= tol."""
-    vals = np.ones(op.n_cells)
+    n = op.n_cells
+    # two iterates swapped each step and one scratch vector; `mean` is
+    # `add.reduce / n`, so every step keeps the bits of `nxt / nxt.mean()`
+    # and of the residual `mean(abs(nxt - vals))`
+    vals, nxt, diff = np.ones(n), np.empty(n), np.empty(n)
     residual = np.inf
     for _ in range(max_iter):
-        nxt = op._step(vals)
-        m = nxt.mean()
+        op._step(vals, nxt)
+        m = np.add.reduce(nxt) / n
         if m <= 0:
             raise NonConvergenceError("mass vanished during power iteration")
-        nxt = nxt / m
-        residual = float(np.mean(np.abs(nxt - vals)))
-        vals = nxt
+        np.divide(nxt, m, out=nxt)
+        np.subtract(nxt, vals, out=diff)
+        np.abs(diff, out=diff)
+        residual = float(np.add.reduce(diff) / n)
+        vals, nxt = nxt, vals
         if residual <= tol:
             return GridDensity(np.clip(vals, 0.0, None))
     raise NonConvergenceError(
@@ -709,12 +754,13 @@ def perturbation_probe(family: MapFamily, gamma_hat: float, delta: float,
     gammas = rng.uniform(gamma_hat - delta, gamma_hat + delta, n_max)
     base = build_ulam(instantiate(family, float(gamma_hat)), phi.n_cells)
     curve = np.zeros(n_max + 1)
+    scratch = np.empty((STEP_BLOCK, phi.n_cells))
     k = 1
     for seq, const in zip(
             step_blocks(ulam_operators(family, gammas, phi.n_cells),
                         phi.values),
             step_blocks(itertools.repeat(base, n_max), phi.values)):
-        curve[k:k + len(seq)] = np.abs(seq - const).mean(axis=1)
+        _row_distances(seq, const, scratch, curve[k:k + len(seq)])
         k += len(seq)
     norm_alpha = quasi_holder_seminorm(phi, alpha).norm_alpha
     return PerturbationProbe(deltas_used=gammas, curve=curve,

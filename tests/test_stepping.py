@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from nonstat_dyn.birkhoff import covariance_decay, observable
-from nonstat_dyn.densities import GridDensity, quasi_holder_seminorm, seminorms
+from nonstat_dyn import transfer
+from nonstat_dyn.densities import (GridDensity, GridMismatchError,
+                                   quasi_holder_seminorm, seminorms)
 from nonstat_dyn.maps import doubling_family, instantiate, lsv_family, pm_family
 from nonstat_dyn.seeding import substream
 from nonstat_dyn.sequences import (ParameterSequence, adversarial_demo,
@@ -280,6 +282,43 @@ def test_step_blocks_overwrites_one_read_only_buffer():
         if k == B - 1:
             assert np.array_equal(held[-1], cur.values)
     assert np.array_equal(second[-1], cur.values)
+
+
+@pytest.mark.parametrize("before", [2, B + 2])
+def test_operator_on_another_grid_raises_after_the_rows_before_it(
+        before, monkeypatch):
+    # the start vector is checked once; each later operator's grid is
+    # compared before its product, so the rows before it are made and no
+    # product is made with it
+    op = build_ulam(instantiate(pm_family(0.5), 0.1), CELLS)
+    other = build_ulam(instantiate(pm_family(0.5), 0.1), CELLS // 2)
+    products = []
+
+    def kernel(*args):
+        products.append(None)
+        transfer._sparsetools.csr_matvec(*args)
+    monkeypatch.setattr(transfer, "csr_matvec", kernel)
+    blocks = step_blocks([op] * before + [other, op],
+                         step_density(CELLS, 2).values)
+    assert [len(b) for b in itertools.islice(blocks, before // B)] == (
+        [B] * (before // B))
+    with pytest.raises(GridMismatchError, match="grid mismatch"):
+        next(blocks)
+    assert len(products) == before
+
+
+def test_int_and_strided_starts_step_like_chained_apply():
+    op = build_ulam(instantiate(pm_family(0.5), 0.1), CELLS)
+    wide = np.random.default_rng(8).uniform(0.1, 2.0, 2 * CELLS)
+    for start in (np.arange(CELLS), np.arange(CELLS, dtype=np.int32),
+                  wide[::2], wide[::-2], wide[:CELLS].astype(np.float32)):
+        kept = start.copy()
+        (rows,) = step_blocks([op] * 3, start)
+        cur = GridDensity(start)
+        for row in rows:
+            cur = op.apply(cur)
+            assert row.tobytes() == cur.values.tobytes()
+        assert np.array_equal(start, kept)
 
 
 def test_adversarial_memory_flat_in_horizon():

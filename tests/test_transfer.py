@@ -204,6 +204,94 @@ def test_fixed_density_of_averaged_operator_matches_matmul_oracle(center,
             == fixed_density_oracle(op).tobytes())
 
 
+def fixed_density_fresh_vectors(op, tol=1e-12, max_iter=20000):
+    """`fixed_density` as it was written before its buffers: a fresh vector
+    per product, `nxt / nxt.mean()` and `np.mean(np.abs(nxt - vals))`.
+    Returns (density, iterations), or raises the solver's error."""
+    vals = np.ones(op.n_cells)
+    residual = np.inf
+    for it in range(1, max_iter + 1):
+        nxt = op._step(vals)
+        m = nxt.mean()
+        nxt = nxt / m
+        residual = float(np.mean(np.abs(nxt - vals)))
+        vals = nxt
+        if residual <= tol:
+            return np.clip(vals, 0.0, None), it
+    raise NonConvergenceError(
+        f"power iteration did not reach tol={tol} in {max_iter} steps "
+        f"(final residual {residual:.3e}); the spectral gap may be too small "
+        "or the operator invalid")
+
+
+def counting_kernel(monkeypatch):
+    """Count the calls of the compiled CSR product from here on."""
+    calls = []
+
+    def kernel(*args):
+        calls.append(None)
+        transfer._sparsetools.csr_matvec(*args)
+    monkeypatch.setattr(transfer, "csr_matvec", kernel)
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_ulam(instantiate(pm_family(0.5), 0.1), 64),
+    lambda: build_ulam(instantiate(doubling_family(), 0.3), 1024),
+    lambda: averaged_operator(pm_family(0.5),
+                              AveragingLaw(0.02, 0.005, n_samples=8), 3072),
+], ids=["pm-64", "doubling-1024", "averaged-3072"])
+def test_fixed_density_buffers_keep_bits_and_iterations(make, monkeypatch):
+    op = make()
+    want, iterations = fixed_density_fresh_vectors(op)
+    calls = counting_kernel(monkeypatch)
+    got = fixed_density(op)
+    assert got.values.tobytes() == want.tobytes()
+    assert len(calls) == iterations
+
+
+def test_fixed_density_nonconvergence_message_unchanged():
+    op = build_ulam(instantiate(pm_family(0.5), 0.1), 256)
+    with pytest.raises(NonConvergenceError) as want:
+        fixed_density_fresh_vectors(op, max_iter=7)
+    with pytest.raises(NonConvergenceError) as got:
+        fixed_density(op, max_iter=7)
+    assert str(got.value) == str(want.value)
+
+
+def test_step_out_is_zeroed_and_returned():
+    op = build_ulam(instantiate(pm_family(0.5), 0.1), 128)
+    v = np.random.default_rng(6).uniform(0.1, 2.0, 128)
+    out = np.full(128, np.nan)
+    assert op._step(v, out) is out
+    assert out.tobytes() == (op.matrix @ v).tobytes()
+
+
+def test_matrix_wrap_matches_public_constructor():
+    # `matrix` skips scipy's public constructor and sets its attributes
+    # itself, so it is held to what that constructor builds
+    op = build_ulam(instantiate(pm_family(0.5), 0.1), 512)
+    n = op.n_cells
+    public = scipy.sparse.csr_array((op.data, op.indices, op.indptr),
+                                    shape=(n, n), copy=False)
+    wrap = op.matrix
+    where = f"scipy {scipy.__version__}"
+    assert type(wrap) is type(public), where
+    assert ({k: type(v) for k, v in vars(wrap).items()}
+            == {k: type(v) for k, v in vars(public).items()}), where
+    assert wrap.shape == public.shape and wrap.maxprint == public.maxprint, where
+    assert wrap.has_canonical_format and public.has_canonical_format, where
+    wrap.check_format(full_check=True)
+    for field in ("indptr", "indices", "data"):
+        ours = getattr(op, field)
+        for mat in (wrap, public):
+            assert np.shares_memory(getattr(mat, field), ours), where
+            assert not getattr(mat, field).flags.writeable, where
+    v = np.random.default_rng(7).uniform(0.1, 2.0, n)
+    assert (wrap @ v).tobytes() == (public @ v).tobytes(), where
+    assert (wrap @ (wrap @ v)).tobytes() == (public @ (public @ v)).tobytes()
+
+
 def test_density_on_another_grid_rejected_before_any_product():
     op = build_ulam(instantiate(pm_family(0.5), 0.1), 128)
     fit = LasotaYorkeFit(eta_hat=0.5, c_hat=1.0, c_least_squares=1.0,
