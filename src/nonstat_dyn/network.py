@@ -1,7 +1,8 @@
 """Coupled expanding maps on a directed network with time-varying adjacency."""
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -9,10 +10,10 @@ import numpy as np
 
 from .maps import MapInstance, mod1
 from .seeding import substream
-from .transfer import build_ulam, fixed_density
+from .transfer import _can_fork, _fork_helper, _reap, build_ulam, fixed_density
 
 TWO_PI = 2.0 * np.pi
-TILE_VALUES = 1 << 14   # state values per stepped tile: 128 KiB per temporary
+TILE_VALUES = 1 << 13   # state values per stepped tile: 64 KiB per temporary
 
 
 def diffusive_coupling(xj, xi):
@@ -183,9 +184,15 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
     """Evolve an iid-uniform ensemble and compare per-node marginals against
     the uncoupled invariant density at every checkpoint.
 
-    The ensemble's two row halves are stepped on two threads, each calling
-    `step_network` on its own rows, one tile of at most `TILE_VALUES`
-    values at a time."""
+    Rows are independent, so where `transfer._can_fork` finds a second CPU
+    usable, a forked helper process steps the upper half of the rows while
+    this process steps the lower half; the helper sends its rows' histogram
+    counts at every checkpoint through a pipe, and they are added to this
+    process's own, exactly.  Each side runs `_walk_rows`, so every row gets
+    the float operations, and the dither, of a one-process run: the bits
+    do not depend on the split.  If the helper stops early, its rows are
+    stepped here from their initial states instead, with the same result.
+    Otherwise this process steps every row itself."""
     if ensemble < 1:
         raise ValueError("ensemble must be positive")
     if n_steps < 1:
@@ -198,68 +205,108 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
         raise ValueError("dither must be nonnegative")
     if schedule.n_nodes != system.n_nodes:
         raise ValueError("schedule and system disagree on the node count")
+    if schedule.horizon < n_steps:
+        raise ValueError(f"schedule horizon {schedule.horizon} is shorter "
+                         f"than n_steps {n_steps}")
     rng_init = substream(seed, "network-init")
     x = rng_init.uniform(0.0, 1.0, (ensemble, system.n_nodes))
-    rng = substream(seed, "network-dither")
     invariant = fixed_density(build_ulam(system.node_map, n_bins))
-    checkpoints, counts, dists = [], [], []
-
-    def record(t, x):
-        cnt = np.empty((system.n_nodes, n_bins), dtype=np.int64)
-        dst = np.empty(system.n_nodes)
-        for i in range(system.n_nodes):
-            cnt[i] = np.bincount(np.minimum((x[:, i] * n_bins).astype(int),
-                                            n_bins - 1), minlength=n_bins)
-            marginal = cnt[i] * (n_bins / ensemble)
-            dst[i] = float(np.mean(np.abs(marginal - invariant.values)))
-        checkpoints.append(t)
-        counts.append(cnt)
-        dists.append(dst)
-
-    # the dither is drawn into two buffers in turn, not a fresh array every
-    # step: the same stream as rng.uniform(-dither / 2, dither / 2, x.shape)
-    buffers = [np.empty_like(x), np.empty_like(x)] if dither > 0 else None
-
-    def draw(t):
-        noise = buffers[t % 2]
-        rng.random(out=noise)
-        noise *= dither
-        noise -= 0.5 * dither
-        return noise
-
-    # Rows are independent, so the two row halves advance on two threads
-    # (the target machine has two cores), each writing its own rows back;
-    # every row sees a one-thread step's float operations, so its bits.
-    # A half is stepped in tiles whose temporaries stay in cache and are
-    # small enough for the allocator to reuse, not map afresh every step;
-    # each tile is dithered and wrapped mod 1 while it is still in cache.
+    checkpoints = [t for t in range(1, n_steps + 1)
+                   if t % checkpoint_every == 0 or t == n_steps]
+    walk = functools.partial(_walk_rows, system, schedule, x, checkpoints,
+                             seed, n_bins, dither)
     half = ensemble // 2
-    tile = max(TILE_VALUES // system.n_nodes, 1)
-
-    def advance(lo, hi, t, noise):
-        for start in range(lo, hi, tile):
-            rows = slice(start, min(start + tile, hi))
-            stepped = step_network(system, x[rows], t, schedule)
-            if noise is None:
-                x[rows] = stepped
-            else:
-                stepped += noise[rows]
-                x[rows] = mod1(stepped)
-
-    noise = draw(0) if buffers else None
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        for t in range(n_steps):
-            upper = worker.submit(advance, half, ensemble, t, noise)
-            # the next step's dither is drawn while the worker steps
-            ahead = draw(t + 1) if buffers and t + 1 < n_steps else None
-            advance(0, half, t, noise)
-            upper.result()
-            noise = ahead
-            if (t + 1) % checkpoint_every == 0 or t + 1 == n_steps:
-                record(t + 1, x)
+    helper = None    # (pid, pipe) of the helper stepping rows [half, ensemble)
+    if half and _can_fork():
+        helper = _fork_helper(functools.partial(_send_counts,
+                                                walk(half, ensemble)))
+    upper = None     # the upper rows' counts, if stepped here
+    counts = []
+    try:
+        for index, cnt in enumerate(walk(0, half if helper else ensemble)):
+            if helper is not None:
+                part = _read_counts(helper[1], cnt.shape)
+                if part is None:
+                    # the helper stopped; this process's copy of its rows
+                    # still holds their initial states, so they are stepped
+                    # here from the start, past the checkpoints read already
+                    _reap(helper)
+                    helper = None
+                    upper = itertools.islice(walk(half, ensemble), index,
+                                             None)
+                else:
+                    cnt += part
+            if upper is not None:
+                cnt += next(upper)
+            counts.append(cnt)
+    finally:
+        if helper is not None:
+            _reap(helper)
     counts = np.array(counts)
-    dists = np.array(dists)
+    dists = np.array([[float(np.mean(np.abs(c * (n_bins / ensemble)
+                                            - invariant.values)))
+                       for c in cnt] for cnt in counts])
     return NetworkSummary(checkpoints=np.array(checkpoints), counts=counts,
                           distances=dists, max_distance=dists.max(axis=1),
                           noise_floor=histogram_noise_floor(ensemble, n_bins),
                           n_bins=n_bins)
+
+
+def _walk_rows(system, schedule, x, checkpoints, seed, n_bins, dither, lo,
+               hi):
+    """Step rows [lo, hi) of the ensemble `x` in place up to the last of the
+    ascending `checkpoints`, yielding their (n_nodes, n_bins) int64
+    histogram counts after each checkpoint step.
+
+    The dither of a step is these rows' share of one full-shape draw of
+    `substream(seed, "network-dither")`: the stream is advanced past the
+    rows before and after them, and their values are drawn into a buffer
+    with `rng.random(out=...)`, scaled and shifted in place, the same
+    values as `rng.uniform(-dither / 2, dither / 2, x.shape)[lo:hi]`, bit
+    for bit.  The rows are stepped in tiles whose temporaries stay in cache
+    and are small enough for the allocator to reuse, not map afresh every
+    step; each tile is dithered and wrapped mod 1 while it is still in
+    cache."""
+    ensemble, n_nodes = x.shape
+    own = x[lo:hi]
+    rng = substream(seed, "network-dither")
+    noise = np.empty_like(own) if dither > 0 else None
+    tile = max(TILE_VALUES // n_nodes, 1)
+    marks = set(checkpoints)
+    for t in range(checkpoints[-1]):
+        if noise is not None:
+            rng.bit_generator.advance(lo * n_nodes)
+            rng.random(out=noise)
+            noise *= dither
+            noise -= 0.5 * dither
+            rng.bit_generator.advance((ensemble - hi) * n_nodes)
+        for start in range(0, hi - lo, tile):
+            rows = slice(start, start + tile)
+            stepped = step_network(system, own[rows], t, schedule)
+            if noise is None:
+                own[rows] = stepped
+            else:
+                stepped += noise[rows]
+                own[rows] = mod1(stepped)
+        if t + 1 in marks:
+            cnt = np.empty((n_nodes, n_bins), dtype=np.int64)
+            for i in range(n_nodes):
+                cnt[i] = np.bincount(
+                    np.minimum((own[:, i] * n_bins).astype(int), n_bins - 1),
+                    minlength=n_bins)
+            yield cnt
+
+
+def _send_counts(walk, pipe) -> None:
+    """The helper of `simulate_ensemble`: write the raw bytes of each
+    checkpoint's counts from `walk` to `pipe` as they come."""
+    for cnt in walk:
+        pipe.write(cnt)
+        pipe.flush()
+
+
+def _read_counts(pipe, shape) -> Optional[np.ndarray]:
+    """The next checkpoint's counts on `pipe`, or None if they come up
+    short."""
+    cnt = np.empty(shape, dtype=np.int64)
+    return cnt if pipe.readinto(cnt) == cnt.nbytes else None

@@ -8,6 +8,7 @@ import importlib.util
 import itertools
 import math
 import os
+import signal
 import struct
 import sys
 import threading
@@ -350,7 +351,8 @@ def ulam_operators(family: MapFamily, params: Iterable,
         for index, (gamma, run) in enumerate(runs):
             op = None
             if index == 1 and _helper_can_run():
-                helper = _fork_helper(make, gamma, runs)
+                helper = _fork_helper(functools.partial(_build_odd_runs,
+                                                        make, gamma, runs))
             if helper is not None and index % 2:
                 op = _read_frame(helper[1], gamma, n_cells)
                 if op is None:
@@ -367,20 +369,24 @@ def ulam_operators(family: MapFamily, params: Iterable,
 
 def _helper_can_run() -> bool:
     """Whether this process may fork a helper that gets a CPU of its own:
-    `os.fork` exists, two CPUs are available to the process, no other
-    Python thread runs (one could hold a lock when the process forks;
-    numpy's OpenBLAS pool is no such thread, as its own fork handler stops
-    it first), and a CPU of the machine is idle.  Split in two, the work
-    costs more CPU time in all, which only pays on a CPU that would
-    otherwise idle."""
+    `_can_fork`, and a CPU of the machine is idle.  Split in two, the builds
+    of a stream cost more CPU time in all, which only pays on a CPU that
+    would otherwise idle."""
+    return _can_fork() and _runnable_elsewhere() < (os.cpu_count() or 1) - 1
+
+
+def _can_fork() -> bool:
+    """Whether a forked helper could run beside this process: `os.fork`
+    exists, two CPUs are available to the process, and no other Python
+    thread runs (one could hold a lock when the process forks; numpy's
+    OpenBLAS pool is no such thread, as its own fork handler stops it
+    first).  Whether the machine has a CPU idle is `_helper_can_run`'s
+    test, left to work that costs more CPU time when split."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return False
     if hasattr(os, "sched_getaffinity"):
-        available = len(os.sched_getaffinity(0))
-    else:
-        available = os.cpu_count() or 1
-    return (available >= 2
-            and _runnable_elsewhere() < (os.cpu_count() or 1) - 1)
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
 
 
 def _runnable_elsewhere() -> int:
@@ -399,11 +405,10 @@ def _runnable_elsewhere() -> int:
     return runnable
 
 
-def _fork_helper(make, gamma: float, runs) -> Optional[tuple]:
-    """Fork the process that builds run 1 (parameter `gamma`) and every
-    later odd-numbered run of `runs`, the rest of the groupby, writing each
-    operator to a pipe.  Returns (pid, read end as a buffered file), or None
-    if no process could be forked."""
+def _fork_helper(work: Callable) -> Optional[tuple]:
+    """Fork a helper process that calls work(pipe) on the write end of a
+    pipe, as a buffered file, and exits.  Returns (pid, read end as a
+    buffered file), or None if no process could be forked."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -414,16 +419,12 @@ def _fork_helper(make, gamma: float, runs) -> Optional[tuple]:
     if pid == 0:
         status = 1
         try:
-            # every inherited descriptor but the write end: another stream's
-            # read end held here would keep its helper blocked on a full
-            # pipe, and its parent waiting on it, once that stream is closed
+            # every inherited descriptor but the write end: another helper's
+            # read end held here would keep that helper blocked on a full
+            # pipe, and its parent waiting on it, once its parent is done
             os.closerange(0, write_end)
             os.closerange(write_end + 1, os.sysconf("SC_OPEN_MAX"))
-            pipe = os.fdopen(write_end, "wb")
-            _write_frame(pipe, gamma, make(gamma))
-            for index, (gamma, _) in enumerate(runs, 2):
-                if index % 2:
-                    _write_frame(pipe, gamma, make(gamma))
+            work(os.fdopen(write_end, "wb"))
             status = 0
         finally:
             # no atexit handler or inherited stdio buffer runs here
@@ -432,11 +433,24 @@ def _fork_helper(make, gamma: float, runs) -> Optional[tuple]:
     return pid, os.fdopen(read_end, "rb")
 
 
+def _build_odd_runs(make, gamma: float, runs, pipe) -> None:
+    """The helper of `ulam_operators`: build run 1 (parameter `gamma`) and
+    every later odd-numbered run of `runs`, the rest of the groupby,
+    writing each operator to `pipe`."""
+    _write_frame(pipe, gamma, make(gamma))
+    for index, (gamma, _) in enumerate(runs, 2):
+        if index % 2:
+            _write_frame(pipe, gamma, make(gamma))
+
+
 def _reap(helper: tuple) -> None:
-    """Close the read end and wait for the helper: one blocked on a write
-    then stops at the broken pipe."""
+    """Close the read end, stop the helper and wait for it: whatever it has
+    left to do is work nobody reads, such as the rest of a network half
+    after the parent's own half raised.  Until it is waited for, its pid
+    cannot be reused, so the kill reaches no other process."""
     pid, pipe = helper
     pipe.close()
+    os.kill(pid, signal.SIGKILL)
     os.waitpid(pid, 0)
 
 

@@ -1,13 +1,18 @@
 import hashlib
+import os
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nonstat_dyn.maps import (circle_family, doubling_family, instantiate,
                               mod1, pm_family)
-from nonstat_dyn import network
+from nonstat_dyn import network, transfer
 from nonstat_dyn.network import (AdjacencySchedule, NetworkSystem,
                                  diffusive_coupling, gen_schedule,
                                  histogram_noise_floor, simulate_ensemble,
@@ -276,76 +281,158 @@ def serial_simulate_oracle(system, schedule, ensemble, n_steps, seed=0,
     return np.array(counts), np.array(dists)
 
 
+def on_both_paths(monkeypatch, simulate):
+    """simulate() on the path that forks a helper for the upper rows, then on
+    the one-process path, with the fork condition off; the two results and
+    the helpers forked by the first."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def no_fork():
+        raise AssertionError("forked with the fork condition off")
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", counted)
+        forked = simulate()
+    with monkeypatch.context() as patch:
+        patch.setattr(network, "_can_fork", lambda: False)
+        patch.setattr(os, "fork", no_fork)
+        alone = simulate()
+    assert_no_child_left()
+    return (forked, alone), len(pids)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # rows of one stepped tile at 4 and 3 nodes
 TILE_ROWS_4 = network.TILE_VALUES // 4
 TILE_ROWS_3 = network.TILE_VALUES // 3
 
 
-@pytest.mark.parametrize("ensemble", [1, 2, 7, 10001, 2 * TILE_ROWS_4 + 3,
-                                      4 * TILE_ROWS_4 + 1])
+@pytest.mark.parametrize("ensemble", [1, 2, 7, 10001, 4 * TILE_ROWS_4 + 3,
+                                      8 * TILE_ROWS_4 + 1])
 @pytest.mark.parametrize("coupling", [
     {"alpha_c": 0.02},
     {"alpha_c": -0.02},
     {"alpha_c": 0.0},
 ])
-def test_two_thread_ensemble_equals_serial_oracle(ensemble, coupling):
-    # an ensemble of 1 leaves one half empty; odd ensembles split unevenly;
-    # the largest span one tile and more per half, with odd remainders
+def test_two_thread_ensemble_equals_serial_oracle(monkeypatch, ensemble,
+                                                  coupling):
+    # both paths against the oracle (the name is kept from when a worker
+    # thread stepped the upper rows).  An ensemble of 1 leaves one half
+    # empty and forks no helper; odd ensembles split unevenly; the largest
+    # span two and four tiles and more per half, with odd remainders
     system = NetworkSystem(node_map=instantiate(pm_family(0.5), 0.1),
                            n_nodes=4, **coupling)
     sched = gen_schedule("bursty", 4, horizon=12, seed=5, p=0.8, fail_rate=0.2)
     for dither in (1e-12, 0.0):
-        summary = simulate_ensemble(system, sched, ensemble, 12, seed=11,
-                                    n_bins=16, checkpoint_every=4,
-                                    dither=dither)
+        summaries, forks = on_both_paths(
+            monkeypatch, lambda: simulate_ensemble(
+                system, sched, ensemble, 12, seed=11, n_bins=16,
+                checkpoint_every=4, dither=dither))
+        assert forks == (ensemble > 1 and transfer._can_fork())
         counts, dists = serial_simulate_oracle(system, sched, ensemble, 12,
                                                seed=11, n_bins=16,
                                                checkpoint_every=4,
                                                dither=dither)
-        assert np.array_equal(summary.counts, counts)
-        assert np.array_equal(summary.distances, dists)
+        for summary in summaries:
+            assert np.array_equal(summary.counts, counts)
+            assert np.array_equal(summary.distances, dists)
 
 
 @pytest.mark.parametrize("dither", [3e-13, 2e-12, 1e-3, 0.7])
-def test_dither_buffer_draws_the_uniform_stream(dither):
-    # the reused dither buffer against the oracle's fresh rng.uniform draws;
-    # a coarse dither moves states across bins, so a changed stream shows
+def test_dither_buffer_draws_the_uniform_stream(monkeypatch, dither):
+    # each side's share of the dither, drawn into its own buffer between
+    # advances of the stream, against the oracle's full-shape rng.uniform
+    # draws; a coarse dither moves states across bins, so a changed stream
+    # shows.  The larger ensembles span several tiles per half with odd
+    # remainders
     system = NetworkSystem(node_map=instantiate(doubling_family(), 0.0),
                            n_nodes=3, alpha_c=0.02)
     sched = gen_schedule("bursty", 3, horizon=20, seed=2)
-    # the step-ahead draws alternate between two buffers; the larger
-    # ensembles span several tiles per half with odd remainders
-    for ensemble, n_steps in ((301, 20), (2 * TILE_ROWS_3 + 3, 3),
-                              (4 * TILE_ROWS_3 + 1, 4)):
-        summary = simulate_ensemble(system, sched, ensemble, n_steps, seed=4,
-                                    n_bins=16, checkpoint_every=5,
-                                    dither=dither)
+    for ensemble, n_steps in ((301, 20), (4 * TILE_ROWS_3 + 3, 3),
+                              (8 * TILE_ROWS_3 + 1, 4)):
+        summaries, forks = on_both_paths(
+            monkeypatch, lambda: simulate_ensemble(
+                system, sched, ensemble, n_steps, seed=4, n_bins=16,
+                checkpoint_every=5, dither=dither))
+        assert forks == transfer._can_fork()
         counts, dists = serial_simulate_oracle(system, sched, ensemble,
                                                n_steps, seed=4, n_bins=16,
                                                checkpoint_every=5,
                                                dither=dither)
-        assert np.array_equal(summary.counts, counts)
-        assert np.array_equal(summary.distances, dists)
+        for summary in summaries:
+            assert np.array_equal(summary.counts, counts)
+            assert np.array_equal(summary.distances, dists)
 
 
-def test_ensemble_failure_raises_and_leaks_no_thread(monkeypatch):
-    seen = set()
-    step = network.step_network
+def test_ensemble_failure_raises_and_leaks_no_process(monkeypatch):
+    # a step that fails in this process propagates its own exception; the
+    # helper, stalled on its half, is killed and reaped rather than waited
+    # for, and no thread is left
+    parent, step = os.getpid(), network.step_network
 
-    def recording_step(*args):
-        seen.add(threading.get_ident())
-        return step(*args)
-
-    monkeypatch.setattr(network, "step_network", recording_step)
+    def failing_step(system, state, t, schedule):
+        if t == 5:
+            if os.getpid() == parent:
+                raise RuntimeError("step failed at t=5")
+            time.sleep(60)
+        return step(system, state, t, schedule)
+    monkeypatch.setattr(network, "step_network", failing_step)
     system = NetworkSystem(node_map=instantiate(doubling_family(), 0.0),
                            n_nodes=4, alpha_c=0.02)
-    sched = gen_schedule("static", 4, horizon=5)
+    sched = gen_schedule("static", 4, horizon=10)
     before = threading.active_count()
-    with pytest.raises(IndexError, match=r"^schedule horizon 5 exceeded at t=5$"):
-        simulate_ensemble(system, sched, 100, 10, seed=1)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"^step failed at t=5$"):
+        simulate_ensemble(system, sched, 100, 10, seed=1, checkpoint_every=2)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
     assert threading.active_count() == before
-    # the main thread and exactly one worker advanced the rows
-    assert len(seen) == 2 and threading.get_ident() in seen
+
+
+@pytest.mark.parametrize("dies_at", [0, 5, 11])
+def test_ensemble_equals_oracle_when_the_helper_dies(monkeypatch, dies_at):
+    # a helper that exits before its first checkpoint, between two, or just
+    # before its last: its rows are stepped here from their initial states,
+    # past the checkpoints already read, and the summary keeps its bits
+    parent, step = os.getpid(), network.step_network
+
+    def dying_step(system, state, t, schedule):
+        if t == dies_at and os.getpid() != parent:
+            os._exit(1)
+        return step(system, state, t, schedule)
+    monkeypatch.setattr(network, "step_network", dying_step)
+    system = NetworkSystem(node_map=instantiate(pm_family(0.5), 0.1),
+                           n_nodes=4, alpha_c=0.02)
+    sched = gen_schedule("bursty", 4, horizon=12, seed=5, p=0.8, fail_rate=0.2)
+    summary = simulate_ensemble(system, sched, 4 * TILE_ROWS_4 + 3, 12,
+                                seed=11, n_bins=16, checkpoint_every=4)
+    counts, dists = serial_simulate_oracle(system, sched, 4 * TILE_ROWS_4 + 3,
+                                           12, seed=11, n_bins=16,
+                                           checkpoint_every=4)
+    assert np.array_equal(summary.counts, counts)
+    assert np.array_equal(summary.distances, dists)
+    assert_no_child_left()
+
+
+def test_package_import_starts_no_thread_pool():
+    # concurrent.futures, and the logging it pulls in, stay unloaded
+    code = ("import sys, threading, nonstat_dyn; "
+            "print('concurrent.futures' in sys.modules, "
+            "threading.active_count())")
+    src = str(Path(network.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "1"]
 
 
 @pytest.mark.parametrize("ensemble,n_steps,checkpoint_every,message,dither", [
@@ -356,6 +443,7 @@ def test_ensemble_failure_raises_and_leaks_no_thread(monkeypatch):
     (10, 10, -1, "checkpoint_every must be positive", 1e-12),
     (10, 10, None, "dither must be nonnegative", -1e-12),
     (10, 10, None, "dither must be nonnegative", float("nan")),
+    (10, 11, None, "schedule horizon 10 is shorter than n_steps 11", 1e-12),
 ])
 def test_ensemble_edge_inputs_rejected_before_any_work(
         monkeypatch, ensemble, n_steps, checkpoint_every, message, dither):
