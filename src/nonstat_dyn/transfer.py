@@ -218,10 +218,10 @@ def _shape_values(shape, nq: int, lo: float, hi: float) -> np.ndarray:
 def _entries(instance: MapInstance, n_cells: int,
              quadrature: int = 32) -> tuple:
     """The chord-rule entries of a realized map's transfer operator, as
-    (keys, data) in cut order: keys are target * n_cells + source, with the
-    target not yet wrapped mod n_cells, and data their values.  An entry
-    met more than once (a cell straddling a piece boundary, or an image
-    wrapping onto a target cell twice on a small grid) is listed each time.
+    (targets, sources, weights) in cut order: int32 target cells wrapped mod
+    n_cells, int32 source cells and float64 values.  An entry met more than
+    once (a cell straddling a piece boundary, or an image wrapping onto a
+    target cell twice on a small grid) is listed each time.
 
     Each piece's lift is replaced by its chord interpolant through the
     edges of `quadrature` equal subintervals per cell.  Entry (i, j) is
@@ -230,17 +230,21 @@ def _entries(instance: MapInstance, n_cells: int,
     the cell edges and at the interpolant's preimages of the cell edges.
     Both cut lists are sorted, so one merge labels every interval: each
     cell edge passed moves it to the next source cell, each level passed to
-    the next target cell.  The rule is exact for affine branches, columns
-    sum to one, and entries are continuous in the map parameter, unlike
-    point binning.  A piece that declares its lift as slope*x + shape(x)
-    reads the shape's values at its chord nodes from a cache.
+    the next target cell (the previous one on a falling piece).  The rule is
+    exact for affine branches, columns sum to one, and entries are
+    continuous in the map parameter, unlike point binning.  A piece that
+    declares its lift as slope*x + shape(x) reads the shape's values at its
+    chord nodes from a cache.  The cell edges k / n_cells are every
+    `quadrature`-th node of the cached chord grid: both are the correctly
+    rounded quotient, so the same floats.
     """
     if n_cells < 2:
         raise ValueError("n_cells must be at least 2")
     if quadrature < 1:
         raise ValueError("quadrature must be at least 1")
-    n, nq = n_cells, n_cells * quadrature
-    keys, weights = [], []
+    n, q = n_cells, quadrature
+    nq = n * q
+    targets, sources, weights = [], [], []
     for piece in instance.pieces:
         xs = _chord_nodes(nq, piece.lo, piece.hi)
         if piece.split is None:
@@ -250,58 +254,69 @@ def _entries(instance: MapInstance, n_cells: int,
             ys = slope * xs
             ys += _shape_values(shape, nq, piece.lo, piece.hi)
             ys *= n
-        up = ys[-1] >= ys[0]
-        levels = np.arange(np.floor(min(ys[0], ys[-1])) + 1.0,
-                           np.ceil(max(ys[0], ys[-1])))
+        x0, x1 = float(xs[0]), float(xs[-1])
+        y0, y1 = float(ys[0]), float(ys[-1])
+        up = y1 >= y0
+        levels = np.arange(math.floor(min(y0, y1)) + 1.0, math.ceil(max(y0, y1)))
         preimages = (np.interp(levels, ys, xs) if up
                      else np.interp(levels, ys[::-1], xs[::-1]))
-        edges = np.arange(np.floor(xs[0] * n) + 1.0, np.ceil(xs[-1] * n)) / n
+        cell = math.floor(x0 * n)
+        edges = _chord_grid(nq)[(cell + 1) * q:math.ceil(x1 * n) * q:q]
         inner_cuts = np.concatenate([edges, preimages])
         order = np.argsort(inner_cuts, kind="stable")
-        cuts = np.concatenate([xs[:1], inner_cuts[order], xs[-1:]])
+        m = order.size + 1    # intervals
+        cuts = np.empty(m + 1)
+        cuts[0], cuts[-1] = x0, x1
+        np.take(inner_cuts, order, out=cuts[1:-1])
         width = cuts[1:] - cuts[:-1]
         keep = width > 1e-15
-        # key = target * n + source of each interval before wrapping the
-        # target mod n: an edge adds 1, a level n (or -n on a decreasing
-        # piece), from the first interval's key
-        target = int(np.floor(ys[0]) if up else np.ceil(ys[0]) - 1.0)
-        key = np.empty(order.size + 1, dtype=np.int64)
-        key[0] = target * n + int(np.floor(xs[0] * n))
-        key[1:] = np.where(order < edges.size, 1, n if up else -n)
-        np.cumsum(key, out=key)
-        keys.append(key[keep])
-        weights.append(width[keep] * n)
-    return np.concatenate(keys), np.concatenate(weights)
+        width *= n
+        # the interval after k cuts has passed src[k] edges and k - src[k]
+        # levels
+        src = np.empty(m, dtype=np.int32)
+        src[0] = 0
+        np.cumsum(order < edges.size, dtype=np.int32, out=src[1:])
+        tgt = np.arange(m, dtype=np.int32)
+        tgt -= src
+        if up:
+            tgt += math.floor(y0)
+        else:
+            np.subtract(math.ceil(y0) - 1, tgt, out=tgt)
+        tgt %= n
+        src += cell
+        if not keep.all():
+            tgt, src, width = tgt[keep], src[keep], width[keep]
+        targets.append(tgt)
+        sources.append(src)
+        weights.append(width)
+    if len(targets) == 1:
+        return targets[0], sources[0], weights[0]
+    return (np.concatenate(targets), np.concatenate(sources),
+            np.concatenate(weights))
 
 
 def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> UlamOperator:
     """Discretize the transfer operator of a realized map by the chord rule
     (see `_entries`) into a read-only CSR `UlamOperator` with int32 indices.
 
-    scipy's `coo_tocsr` lays the entries out row by row, and
+    `_entries` gives each entry's target and source cell as int32 already,
+    so scipy's `coo_tocsr` lays them out row by row as they come, and
     `csr_sum_duplicates` sums each repeated entry in the order it was met.
     """
     n = n_cells
-    keys, weights = _entries(instance, n, quadrature)
-    # floor division by a scalar is numpy's fast integer path (int64 divmod
-    # and remainder are several times slower); int32 holds both results, as
-    # sources lie in [0, n) and targets within a few wraps of it
-    target = keys // n
-    source = np.subtract(keys, target * n, dtype=np.int32, casting="unsafe")
-    target = target.astype(np.int32)
-    target %= n
+    target, source, weights = _entries(instance, n, quadrature)
     indptr = np.empty(n + 1, dtype=np.int32)
-    indices = np.empty(keys.size, dtype=np.int32)
-    data = np.empty(keys.size)
+    indices = np.empty(weights.size, dtype=np.int32)
+    data = np.empty(weights.size)
     # Cuts run left to right, across pieces too, so the source never
     # decreases along the entries; coo_tocsr is a stable counting sort by
     # row, so each row comes out with its columns ascending and its repeats
     # adjacent, in cut order: canonical once the repeats are summed.
-    _sparsetools.coo_tocsr(n, n, keys.size, target, source, weights,
+    _sparsetools.coo_tocsr(n, n, weights.size, target, source, weights,
                            indptr, indices, data)
     _sparsetools.csr_sum_duplicates(n, n, indptr, indices, data)
     nnz = indptr[-1]
-    if nnz < keys.size:
+    if nnz < weights.size:
         # trimmed to arrays of their own: scipy's csr_array copies a view of
         # a much larger array, and `matrix` shares the operator's arrays
         indices, data = indices[:nnz].copy(), data[:nnz].copy()
@@ -326,34 +341,44 @@ def ulam_operators(family: MapFamily, params: Iterable,
     `build_ulam` per run of equal consecutive parameters, as `per_run`.
 
     The builds are independent, so a stream of two or more runs shares them
-    with a helper process, forked when the second run begins if
-    `_helper_can_run`.  The helper goes on through its own copy of the
-    parameter iterator and builds the odd-numbered runs by the same call,
-    in the same process image, so their bits are the parent's; it writes
-    each one to a pipe as one frame, `_write_frame`.  The parent builds the
-    even-numbered runs and reads the odd ones.  The pipe is the only queue:
-    the helper blocks while it is full, and the parent holds only the
-    current operator, so memory stays flat in the horizon.  A frame that
-    comes up short (the helper stopped, say at a parameter out of range),
-    or that was built for another parameter than the parent's (a copied
-    iterator need not yield what the original does: `random` is reseeded in
-    a forked child), hands that run and every later one back to the parent,
-    whose own build then raises as the in-process one would, after as many
-    operators.  Closing or exhausting the stream closes the pipe and reaps
-    the helper.
+    with a helper process, forked when a run begins if `_helper_can_run`.
+    That is tested at run 1 and, while it fails, again at runs 2, 4, 8, ...
+    (the powers of two): a momentary load, such as this process's own
+    OpenBLAS thread still spinning just after numpy's import, does not keep
+    a long stream in one process, and at ~30 us a test costs at most ~0.3 ms
+    per 2000 runs.  The helper goes on through its own copy of the parameter
+    iterator and builds the run at which it was forked and every other run
+    after it by the same call, in the same process image, so their bits are
+    the parent's; it writes each one to a pipe as one frame, `_write_frame`.
+    The parent builds the runs before the fork and every other run after it,
+    and reads the helper's.  The pipe is the only queue: the helper blocks
+    while it is full, and the parent holds only the current operator, so
+    memory stays flat in the horizon.  A frame that comes up short (the
+    helper stopped, say at a parameter out of range), or that was built for
+    another parameter than the parent's (a copied iterator need not yield
+    what the original does: `random` is reseeded in a forked child), hands
+    that run and every later one back to the parent, whose own build then
+    raises as the in-process one would, after as many operators; no helper
+    is forked again.  Closing or exhausting the stream closes the pipe and
+    reaps the helper.
     """
     def make(gamma):
         return build_ulam(instantiate(family, gamma), n_cells)
 
     runs = itertools.groupby(map(float, params))
-    helper = None    # (pid, pipe) of the process building the odd runs
+    helper = None    # (pid, pipe) of the process building every other run
+    test_at = 1      # the next run to test `_helper_can_run` at; 0 for none
+    forked_at = 0
     try:
         for index, (gamma, run) in enumerate(runs):
             op = None
-            if index == 1 and _helper_can_run():
-                helper = _fork_helper(functools.partial(_build_odd_runs,
-                                                        make, gamma, runs))
-            if helper is not None and index % 2:
+            if index == test_at:
+                test_at *= 2
+                if _helper_can_run():
+                    test_at, forked_at = 0, index
+                    helper = _fork_helper(functools.partial(
+                        _build_every_other_run, make, gamma, runs))
+            if helper is not None and (index - forked_at) % 2 == 0:
                 op = _read_frame(helper[1], gamma, n_cells)
                 if op is None:
                     _reap(helper)
@@ -371,7 +396,9 @@ def _helper_can_run() -> bool:
     """Whether this process may fork a helper that gets a CPU of its own:
     `_can_fork`, and a CPU of the machine is idle.  Split in two, the builds
     of a stream cost more CPU time in all, which only pays on a CPU that
-    would otherwise idle."""
+    would otherwise idle.  The idle test reads the load of one moment, so
+    `ulam_operators` asks again at runs 2, 4, 8, ... of a stream refused at
+    run 1."""
     return _can_fork() and _runnable_elsewhere() < (os.cpu_count() or 1) - 1
 
 
@@ -433,13 +460,13 @@ def _fork_helper(work: Callable) -> Optional[tuple]:
     return pid, os.fdopen(read_end, "rb")
 
 
-def _build_odd_runs(make, gamma: float, runs, pipe) -> None:
-    """The helper of `ulam_operators`: build run 1 (parameter `gamma`) and
-    every later odd-numbered run of `runs`, the rest of the groupby,
-    writing each operator to `pipe`."""
+def _build_every_other_run(make, gamma: float, runs, pipe) -> None:
+    """The helper of `ulam_operators`: build the run it was forked at
+    (parameter `gamma`) and every other run after it in `runs`, the rest of
+    the groupby, writing each operator to `pipe`."""
     _write_frame(pipe, gamma, make(gamma))
-    for index, (gamma, _) in enumerate(runs, 2):
-        if index % 2:
+    for index, (gamma, _) in enumerate(runs, 1):
+        if index % 2 == 0:
             _write_frame(pipe, gamma, make(gamma))
 
 

@@ -105,9 +105,10 @@ ORACLE_GRID = {
 def test_merged_assembly_matches_interp_oracle_bitwise(name):
     # tent has a falling piece and lsv two pieces; every family repeats an
     # entry (an image wrapping twice, or a cell across a piece boundary) on
-    # some small grid, so the summing of repeats is checked too
+    # some small grid, so the summing of repeats is checked too, and drops
+    # a sliver on some grid, so both ways out of a piece's cuts are checked
     family, gammas, unsafe = ORACLE_GRID[name]
-    repeats = 0
+    repeats = slivers = 0
     for gamma in gammas:
         inst = instantiate(family, gamma, unsafe=unsafe)
         for n in (2, 3, 7, 100, 333, 2048):
@@ -117,9 +118,28 @@ def test_merged_assembly_matches_interp_oracle_bitwise(name):
                 for field in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(got, field),
                                           getattr(want, field)), (gamma, n, q, field)
-                keys = transfer._entries(inst, n, q)[0] % (n * n)
+                targets, sources, _ = transfer._entries(inst, n, q)
+                keys = targets.astype(np.int64) * n + sources
                 repeats += np.unique(keys).size < keys.size
+                slivers += keys.size < sum(
+                    _cut_intervals(piece, n, q) for piece in inst.pieces)
     assert repeats > 0
+    assert slivers > 0
+
+
+def _cut_intervals(piece, n, q):
+    """The intervals a piece's cuts make before slivers are dropped: one
+    more than its inner cell edges and levels, from the lift values
+    `_entries` takes."""
+    xs = transfer._chord_nodes(n * q, piece.lo, piece.hi)
+    if piece.split is None:
+        ys = np.asarray(piece.lift(xs), dtype=float) * n
+    else:
+        slope, shape = piece.split
+        ys = (slope * xs + shape(xs)) * n
+    lo, hi = sorted((ys[0], ys[-1]))
+    return (1 + np.arange(np.floor(xs[0] * n) + 1.0, np.ceil(xs[-1] * n)).size
+            + np.arange(np.floor(lo) + 1.0, np.ceil(hi)).size)
 
 
 def assert_products_match_public_matmul(op, v):
@@ -422,13 +442,47 @@ def test_helper_builds_the_odd_runs_only_where_it_can(monkeypatch, setting):
     assert_no_child_left()
 
 
+def test_helper_refused_at_run_one_is_forked_at_the_next_test(monkeypatch):
+    # a machine busy at run 1 and idle from then on: the stream tests again
+    # at run 2, forks there, and the helper builds runs 2, 4, 6, ...
+    calls = []
+
+    def busy_once():
+        calls.append(None)
+        return os.cpu_count() if len(calls) == 1 else 0
+    monkeypatch.setattr(transfer, "_runnable_elsewhere", busy_once)
+    forks = counting_forks(monkeypatch)
+    built, build = [], transfer.build_ulam
+
+    def recording(instance, n_cells):
+        built.append(instance.gamma)
+        return build(instance, n_cells)
+    monkeypatch.setattr(transfer, "build_ulam", recording)
+    fam = pm_family(0.5)
+    runs = np.linspace(0.05, 0.15, 9)
+    gammas = np.repeat(runs, [1, 2, 1, 3, 2, 1, 2, 1, 1])
+    ops = list(transfer.ulam_operators(fam, gammas, 64))
+    can_fork = transfer._can_fork()
+    assert len(forks) == can_fork
+    assert len(calls) == (2 if can_fork else 0)
+    assert built == list(runs[[0, 1, 3, 5, 7]] if can_fork else runs)
+    assert len(ops) == gammas.size
+    for gamma, op in zip(gammas, ops):
+        want = build_ulam(instantiate(fam, gamma), 64)
+        for field in ("indptr", "indices", "data"):
+            assert (getattr(op, field).tobytes()
+                    == getattr(want, field).tobytes()), (gamma, field)
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("bad_run", [4, 5], ids=["parent", "helper"])
 def test_stream_error_raises_as_in_process(monkeypatch, bad_run):
     # a gamma out of range at an even run raises in the parent's own build;
     # at an odd run it stops the helper, and the parent builds that run
     # itself.  Either way the error is the in-process one, after as many
-    # operators
+    # operators, and no second helper is forked
     idle_cpu(monkeypatch)
+    forks = counting_forks(monkeypatch)
     fam = pm_family(0.5)
     runs = list(np.linspace(0.05, 0.15, 8))
     runs[bad_run] = 5.0
@@ -444,6 +498,7 @@ def test_stream_error_raises_as_in_process(monkeypatch, bad_run):
     assert streamed == drain(transfer.per_run(
         lambda gamma: build_ulam(instantiate(fam, gamma), 64), gammas))
     assert streamed[0] == np.cumsum([1, 2, 1, 3, 2, 1, 2, 1])[bad_run - 1]
+    assert len(forks) == transfer._helper_can_run()
     assert_no_child_left()
 
 
@@ -451,7 +506,8 @@ def test_helper_parameters_that_differ_from_the_parents_are_not_used(
         monkeypatch):
     # the helper walks its own copy of the generator, and `random` is
     # reseeded in a forked child, so the helper draws other gammas: its
-    # first frame is refused and the parent builds every run from its own
+    # first frame of its own draw is refused, the parent builds every run
+    # from then on, and no second helper is forked for the ~36 runs left
     idle_cpu(monkeypatch)
     forks = counting_forks(monkeypatch)
     fam, drawn = pm_family(0.5), []
