@@ -14,6 +14,7 @@ from .sequences import _as_gammas
 from .transfer import per_run, step_blocks, ulam_operators
 
 DEFAULT_DITHER = 1e-12
+DITHER_BLOCK = 1 << 14     # orbit dither values per draw: 128 KiB
 WILSON_Z = 1.96            # the 95% normal quantile of `wilson_interval`
 SUMMABILITY_TERMS = 1000   # terms of the partial sums in `lln_summability`
 
@@ -62,11 +63,24 @@ def _orbit(family: MapFamily, gammas, x: np.ndarray, rng,
            dither: float):
     """The points F_{gamma_k} o ... o F_{gamma_1}(x) for k = 1, 2, ...: each
     step evaluates the map, adds uniform noise of width `dither` drawn from
-    `rng`, and wraps mod 1.  Every yielded array is fresh."""
+    `rng`, and wraps mod 1.  Every yielded array is fresh.
+
+    The noise of a block of steps, about DITHER_BLOCK values, is drawn in
+    one `rng.uniform` call; it fills in C order from the same stream, so
+    row j is bit for bit the per-step draw of step j.  The values drawn past
+    the last step advance `rng` beyond where per-step draws would leave it:
+    every caller passes a substream of its own that nothing reads after the
+    orbit."""
+    steps = max(1, DITHER_BLOCK // max(x.size, 1))
+    noise, j = (), 0
     for instance in per_run(lambda gamma: instantiate(family, gamma), gammas):
         fx = instance.evaluate(x)
         if dither > 0:
-            fx += rng.uniform(-0.5 * dither, 0.5 * dither, x.shape)
+            if j == len(noise):
+                noise, j = rng.uniform(-0.5 * dither, 0.5 * dither,
+                                       (steps,) + x.shape), 0
+            fx += noise[j]
+            j += 1
         x = mod1(fx)
         yield x
 
@@ -113,17 +127,18 @@ def birkhoff_averages(family: MapFamily, seq, initial_points: int, psi,
     tail_start = int(np.floor(0.9 * n))
     tail_min = np.full((len(obs), initial_points), np.inf)
     tail_max = np.full((len(obs), initial_points), -np.inf)
+    avg = np.empty_like(sums)
     if tail_start <= 1:
-        avg = sums / 1.0
-        tail_min = np.minimum(tail_min, avg)
-        tail_max = np.maximum(tail_max, avg)
+        np.divide(sums, 1.0, out=avg)
+        np.minimum(tail_min, avg, out=tail_min)
+        np.maximum(tail_max, avg, out=tail_max)
     for t, x in enumerate(_orbit(family, gammas, x, rng, dither), 2):
         for j, o in enumerate(obs):
             sums[j] += o.fn(x)
         if t >= tail_start:
-            avg = sums / t
-            tail_min = np.minimum(tail_min, avg)
-            tail_max = np.maximum(tail_max, avg)
+            np.divide(sums, t, out=avg)
+            np.minimum(tail_min, avg, out=tail_min)
+            np.maximum(tail_max, avg, out=tail_max)
     return BirkhoffResult(averages=sums / n, tail_min=tail_min,
                           tail_max=tail_max)
 

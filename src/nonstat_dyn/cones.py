@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .densities import GridDensity
 from .seeding import substream
@@ -57,16 +58,23 @@ def _offsets(n: int, rho0: float, strict: bool) -> np.ndarray:
     return np.arange(1, k_max + 1)
 
 
-def _partner_blocks(n: int, shifts: np.ndarray):
-    """Blocks of at most GATHER_BLOCK pairs (x, y = x + shift cells mod n),
-    one row per shift: yields (rows, partner) with partner[r, i] the cell
-    paired with cell i."""
-    cells = np.arange(n)
+def _shifted_rows(v: np.ndarray, first: int, count: int,
+                  sign: int) -> np.ndarray:
+    """Read-only (count, n) view whose row r, column i is v[(i + k) % n] for
+    the shift k = first + sign * r cells, |k| <= n: strided into one copy of
+    v laid three times end to end, so no index array is built."""
+    n = v.size
+    tripled = np.concatenate((v, v, v))
+    return as_strided(tripled[n + first:], shape=(count, n),
+                      strides=(sign * v.itemsize, v.itemsize),
+                      writeable=False)
+
+
+def _row_blocks(count: int, n: int):
+    """Row slices of at most GATHER_BLOCK cell pairs covering `count` rows
+    of n cells."""
     step = max(1, GATHER_BLOCK // n)
-    for lo in range(0, len(shifts), step):
-        rows = slice(lo, lo + step)
-        partner = cells + shifts[rows, None]
-        yield rows, np.remainder(partner, n, out=partner)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def log_holder_constant(phi: GridDensity, nu: float, rho0: float) -> float:
@@ -79,8 +87,9 @@ def log_holder_constant(phi: GridDensity, nu: float, rho0: float) -> float:
     # scalar powers, one per offset: an array power may round differently
     scale = np.array([min(k / n, 1.0 - k / n) ** nu for k in ks])
     worst = 0.0
-    for rows, partner in _partner_blocks(n, ks):
-        gaps = np.abs(logs - logs[partner])
+    shifted = _shifted_rows(logs, 1, len(ks), 1)    # row r: shift ks[r]
+    for rows in _row_blocks(len(ks), n):
+        gaps = np.abs(logs - shifted[rows])
         worst = max(worst, np.max(gaps.max(axis=1) / scale[rows]))
     return worst
 
@@ -103,40 +112,53 @@ def _holder_alphas(phi1: GridDensity, phi2: GridDensity,
     ratios and the two-point Holder ratios (may be <= 0), in one pass.
 
     The swapped direction's numerators and denominators are the forward
-    direction's denominators and numerators, so each pair block is
-    gathered once for both."""
+    direction's denominators and numerators, so each block of shifted rows
+    serves both.  The +k rows come first, then the -k rows; minima and exit
+    tests do not depend on that order."""
     v1, v2 = phi1.values, phi2.values
     n = phi1.n_cells
     alphas = [float(np.min(v2 / v1)), float(np.min(v1 / v2))]
     inside = [True, True]
-    # scalar exp and power, one per offset: array ones may round differently
-    ks, factors = [], []
+    # scalar exp and power, one per offset: array ones may round differently.
+    # d grows with k, so the offsets kept are 1, 2, ..., len(factors)
+    factors = []
     for k in _offsets(n, cone.rho0, strict=True):
         d = min(k / n, 1.0 - k / n)
-        if 0 < d < cone.rho0:
-            ks.append(int(k))
-            factors.append(np.exp(cone.a * d ** cone.nu))
-    # every offset in both directions: y = x + k and y = x - k cells
-    shifts = np.array(ks + [-k for k in ks], dtype=np.int64)
-    factors = np.array(factors + factors)
-    for rows, partner in _partner_blocks(n, shifts):
-        e = factors[rows, None]
-        diff1 = e * v1 - v1[partner]
-        diff2 = e * v2 - v2[partner]
-        for i, (den, num) in enumerate(((diff1, diff2), (diff2, diff1))):
-            if not inside[i]:
-                continue
-            # vanishing denominators with positive numerators give +inf
-            # ratios and never bind the infimum; negative numerators there
-            # mean the image leaves the cone, i.e. alpha <= 0
-            mask = den > PROPORTIONAL_TOL
-            if np.any(~mask & (num < -PROPORTIONAL_TOL)):
-                alphas[i] = 0.0
-                inside[i] = False
-            elif np.any(mask):
-                alphas[i] = min(alphas[i], float(np.min(num[mask] / den[mask])))
-        if not any(inside):
+        if not 0 < d < cone.rho0:
             break
+        factors.append(np.exp(cone.a * d ** cone.nu))
+    factors = np.array(factors)[:, None]
+    count = len(factors)
+    blocks = _row_blocks(count, n)
+    # one set of block buffers, reused: the last block may be shorter
+    buffers = np.empty((3, blocks[0].stop if blocks else 0, n))
+    # every offset in both directions: y = x + k and y = x - k cells
+    for sign in (1, -1):
+        shifted1 = _shifted_rows(v1, sign, count, sign)
+        shifted2 = _shifted_rows(v2, sign, count, sign)
+        for rows in blocks:
+            diff1, diff2, ratios = buffers[:, :rows.stop - rows.start]
+            e = factors[rows]
+            np.subtract(np.multiply(e, v1, out=diff1), shifted1[rows],
+                        out=diff1)
+            np.subtract(np.multiply(e, v2, out=diff2), shifted2[rows],
+                        out=diff2)
+            for i, (den, num) in enumerate(((diff1, diff2), (diff2, diff1))):
+                if not inside[i]:
+                    continue
+                # vanishing denominators with positive numerators give +inf
+                # ratios and never bind the infimum; negative numerators
+                # there mean the image leaves the cone, i.e. alpha <= 0
+                mask = den > PROPORTIONAL_TOL
+                if np.any(~mask & (num < -PROPORTIONAL_TOL)):
+                    alphas[i] = 0.0
+                    inside[i] = False
+                else:
+                    ratios.fill(np.inf)
+                    np.divide(num, den, out=ratios, where=mask)
+                    alphas[i] = min(alphas[i], float(ratios.min()))
+            if not any(inside):
+                return alphas[0], alphas[1]
     return alphas[0], alphas[1]
 
 
@@ -168,7 +190,8 @@ def _midpoint_displacement(n: int, nu: float, rng: np.random.Generator) -> np.nd
     g = rng.uniform(-1.0, 1.0, m)
     while m < 2 * n:
         spacing = 1.0 / m
-        mids = 0.5 * (g + np.roll(g, -1)) + rng.uniform(-1.0, 1.0, m) * spacing ** nu
+        right = np.concatenate((g[1:], g[:1]))    # g[i + 1 mod m]
+        mids = 0.5 * (g + right) + rng.uniform(-1.0, 1.0, m) * spacing ** nu
         out = np.empty(2 * m)
         out[0::2] = g
         out[1::2] = mids

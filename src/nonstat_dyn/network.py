@@ -14,6 +14,11 @@ from .transfer import _can_fork, _fork_helper, _reap, build_ulam, fixed_density
 
 TWO_PI = 2.0 * np.pi
 TILE_VALUES = 1 << 13   # state values per stepped tile: 64 KiB per temporary
+#: Rows x nodes x steps above which `simulate_ensemble` forks a helper: the
+#: fork and its pipe cost ~2 ms, the time one process takes for ~10^5 (pm,
+#: 4 nodes, median of 9 runs: 4.5 ms forked against 4.2 ms alone at 96,000,
+#: 6.3 against 7.7 ms at 192,000).
+FORK_MIN_VALUES = 1 << 17
 
 
 def diffusive_coupling(xj, xi):
@@ -184,9 +189,10 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
     """Evolve an iid-uniform ensemble and compare per-node marginals against
     the uncoupled invariant density at every checkpoint.
 
-    Rows are independent, so where `transfer._can_fork` finds a second CPU
-    usable, a forked helper process steps the upper half of the rows while
-    this process steps the lower half; the helper sends its rows' histogram
+    Rows are independent, so where rows x nodes x steps exceeds
+    FORK_MIN_VALUES and `transfer._can_fork` finds a second CPU usable, a
+    forked helper process steps the upper half of the rows while this
+    process steps the lower half; the helper sends its rows' histogram
     counts at every checkpoint through a pipe, and they are added to this
     process's own, exactly.  Each side runs `_walk_rows`, so every row gets
     the float operations, and the dither, of a one-process run: the bits
@@ -217,7 +223,8 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
                              seed, n_bins, dither)
     half = ensemble // 2
     helper = None    # (pid, pipe) of the helper stepping rows [half, ensemble)
-    if half and _can_fork():
+    if (half and ensemble * system.n_nodes * n_steps > FORK_MIN_VALUES
+            and _can_fork()):
         helper = _fork_helper(functools.partial(_send_counts,
                                                 walk(half, ensemble)))
     upper = None     # the upper rows' counts, if stepped here

@@ -3,6 +3,7 @@ import os
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from nonstat_dyn import birkhoff, sequences, transfer
 from nonstat_dyn.birkhoff import (band_pass_check,
@@ -11,10 +12,12 @@ from nonstat_dyn.birkhoff import (band_pass_check,
                                   orbit_points, quasi_birkhoff_band,
                                   wilson_interval)
 from nonstat_dyn.densities import GridDensity
-from nonstat_dyn.maps import doubling_family, instantiate, pm_family
+from nonstat_dyn.maps import doubling_family, instantiate, mod1, pm_family
+from nonstat_dyn.seeding import substream
 from nonstat_dyn.sequences import (ParameterSequence, adversarial_demo,
                                    evolve_density)
-from nonstat_dyn.transfer import build_ulam, fixed_density, perturbation_probe
+from nonstat_dyn.transfer import (build_ulam, fixed_density, per_run,
+                                  perturbation_probe)
 
 
 def test_observable_norms():
@@ -148,6 +151,33 @@ def test_streams_build_once_per_run(monkeypatch, tmp_path):
     assert builds_of(lambda: covariance_decay(
         fam, iid, observable("x", 64), (2, 50), ensemble=100)) == {
         "instantiate": 50, "csr": 50}
+
+
+def per_step_orbit(family, gammas, x, rng, dither):
+    """Reference: the dither drawn by one rng.uniform call per step."""
+    for instance in per_run(lambda gamma: instantiate(family, gamma), gammas):
+        fx = instance.evaluate(x)
+        fx += rng.uniform(-0.5 * dither, 0.5 * dither, x.shape)
+        x = mod1(fx)
+        yield x
+
+
+@pytest.mark.parametrize("points", [1, 100, 10 ** 4])
+def test_block_dither_equals_per_step_draws(points):
+    # horizons on both sides of one draw's block of steps, and past three;
+    # a coarse dither on a few runs of parameters makes a changed stream show
+    fam = pm_family(0.5)
+    block = max(1, birkhoff.DITHER_BLOCK // points)
+    x0 = substream(3, "block-dither-x").uniform(0.0, 1.0, points)
+    for horizon in (1, block - 1, block, block + 1, 3 * block + 5):
+        gammas = np.repeat([0.05, 0.1, 0.15, 0.1], -(-horizon // 4))[:horizon]
+        got = birkhoff._orbit(fam, gammas, x0, substream(4, "d"), 1e-3)
+        want = per_step_orbit(fam, gammas, x0, substream(4, "d"), 1e-3)
+        steps = 0
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+            steps += 1
+        assert steps == horizon
 
 
 def test_dither_defeats_binary_collapse():

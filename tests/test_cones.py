@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nonstat_dyn.cones import (PROPORTIONAL_TOL, ConeExitError, ConeParams,
-                               _holder_alphas, _offsets, _partner_blocks,
+                               GATHER_BLOCK, _holder_alphas, _offsets,
+                               _row_blocks, _shifted_rows,
                                cone_image_check, contraction_and_diameter,
                                log_holder_constant, sample_cone_density,
                                theta_holder, theta_plus)
@@ -299,8 +300,12 @@ def loop_holder_alpha(phi1, phi2, cone):
 
 def test_gathered_metrics_equal_offset_loops():
     rng = substream(11, "gather-vs-loop")
-    # rho0 just under 1/3: at n = 3 and 99 the largest offset is 1/3 >= rho0
-    for n in (3, 7, 16, 99, 100, 257, 640):
+    # rho0 just under 1/3: at n = 3 and 99 the largest offset is 1/3 >= rho0.
+    # At 640, 1000 and 1024 cells the shifted rows span several blocks, the
+    # last one short (CONE's 249 offsets at 1000 cells leave 25 rows of 32)
+    block = GATHER_BLOCK // 1000
+    assert len(_offsets(1000, CONE.rho0, strict=True)) % block == 25
+    for n in (3, 7, 16, 99, 100, 257, 640, 1000, 1024):
         for cone in (CONE, ConeParams(a=6.0, nu=1.0, rho0=0.5),
                      ConeParams(a=0.5, nu=0.3, rho0=0.1),
                      ConeParams(a=3.0, nu=0.7, rho0=1 / 3 - 1e-14)):
@@ -315,6 +320,20 @@ def test_gathered_metrics_equal_offset_loops():
                 assert_alpha_pair_equals_loops(p1, p2, cone)
 
 
+def test_shifted_rows_equal_the_gather():
+    # row r of the strided view is v shifted by first + sign * r cells, up
+    # to half the circle either way, and the view cannot be written
+    for n in (1, 2, 5, 8, 9):
+        v = substream(n, "shifted").uniform(0.5, 2.0, n)
+        count = max(n // 2, 1)
+        for sign in (1, -1):
+            rows = _shifted_rows(v, sign, count, sign)
+            ks = sign * np.arange(1, count + 1)
+            want = v[(np.arange(n) + ks[:, None]) % n]
+            assert rows.tobytes() == want.tobytes()
+            assert not rows.flags.writeable
+
+
 def assert_alpha_pair_equals_loops(p1, p2, cone):
     got = _holder_alphas(p1, p2, cone)
     want = (loop_holder_alpha(p1, p2, cone), loop_holder_alpha(p2, p1, cone))
@@ -323,10 +342,11 @@ def assert_alpha_pair_equals_loops(p1, p2, cone):
 
 
 def test_one_pass_alpha_pair_equals_loops_in_both_directions():
-    # at n = 1024 the 510 shifts of CONE fill 16 gathered blocks
+    # at n = 1024 the 255 offsets of CONE fill 8 blocks of shifted rows in
+    # each direction, 16 in all
     n = 1024
-    shifts = np.arange(2 * (len(_offsets(n, CONE.rho0, strict=True))))
-    assert sum(1 for _ in _partner_blocks(n, shifts)) == 16
+    assert 2 * len(_row_blocks(len(_offsets(n, CONE.rho0, strict=True)),
+                               n)) == 16
     rng = substream(12, "alpha-pair")
     member = sample_cone_density(n, CONE, rng)
     other = sample_cone_density(n, CONE, rng)

@@ -281,10 +281,9 @@ def serial_simulate_oracle(system, schedule, ensemble, n_steps, seed=0,
     return np.array(counts), np.array(dists)
 
 
-def on_both_paths(monkeypatch, simulate):
-    """simulate() on the path that forks a helper for the upper rows, then on
-    the one-process path, with the fork condition off; the two results and
-    the helpers forked by the first."""
+def counting_forks(patch):
+    """Patch os.fork to record the pid of every child it starts; the list
+    of pids."""
     pids, fork = [], os.fork
 
     def counted():
@@ -292,11 +291,25 @@ def on_both_paths(monkeypatch, simulate):
         if pid:
             pids.append(pid)
         return pid
+    patch.setattr(os, "fork", counted)
+    return pids
 
+
+def forks_helper(ensemble, n_nodes, n_steps):
+    """Whether simulate_ensemble forks a helper for a run of this size."""
+    return (ensemble > 1
+            and ensemble * n_nodes * n_steps > network.FORK_MIN_VALUES
+            and transfer._can_fork())
+
+
+def on_both_paths(monkeypatch, simulate):
+    """simulate() on the path that forks a helper for the upper rows where
+    the run is large enough, then on the one-process path, with the fork
+    condition off; the two results and the helpers forked by the first."""
     def no_fork():
         raise AssertionError("forked with the fork condition off")
     with monkeypatch.context() as patch:
-        patch.setattr(os, "fork", counted)
+        pids = counting_forks(patch)
         forked = simulate()
     with monkeypatch.context() as patch:
         patch.setattr(network, "_can_fork", lambda: False)
@@ -325,10 +338,11 @@ TILE_ROWS_3 = network.TILE_VALUES // 3
 ])
 def test_two_thread_ensemble_equals_serial_oracle(monkeypatch, ensemble,
                                                   coupling):
-    # both paths against the oracle (the name is kept from when a worker
-    # thread stepped the upper rows).  An ensemble of 1 leaves one half
-    # empty and forks no helper; odd ensembles split unevenly; the largest
-    # span two and four tiles and more per half, with odd remainders
+    # both paths against the oracle: the largest ensembles step their upper
+    # halves on a forked helper (the name is kept from when a worker thread
+    # stepped them).  Ensembles of 1, 2 and 7 are below FORK_MIN_VALUES and
+    # fork no helper; odd ensembles split unevenly; the largest span two and
+    # four tiles and more per half, with odd remainders
     system = NetworkSystem(node_map=instantiate(pm_family(0.5), 0.1),
                            n_nodes=4, **coupling)
     sched = gen_schedule("bursty", 4, horizon=12, seed=5, p=0.8, fail_rate=0.2)
@@ -337,7 +351,7 @@ def test_two_thread_ensemble_equals_serial_oracle(monkeypatch, ensemble,
             monkeypatch, lambda: simulate_ensemble(
                 system, sched, ensemble, 12, seed=11, n_bins=16,
                 checkpoint_every=4, dither=dither))
-        assert forks == (ensemble > 1 and transfer._can_fork())
+        assert forks == forks_helper(ensemble, 4, 12)
         counts, dists = serial_simulate_oracle(system, sched, ensemble, 12,
                                                seed=11, n_bins=16,
                                                checkpoint_every=4,
@@ -353,17 +367,18 @@ def test_dither_buffer_draws_the_uniform_stream(monkeypatch, dither):
     # advances of the stream, against the oracle's full-shape rng.uniform
     # draws; a coarse dither moves states across bins, so a changed stream
     # shows.  The larger ensembles span several tiles per half with odd
-    # remainders
+    # remainders, and are large enough to fork a helper
     system = NetworkSystem(node_map=instantiate(doubling_family(), 0.0),
                            n_nodes=3, alpha_c=0.02)
     sched = gen_schedule("bursty", 3, horizon=20, seed=2)
-    for ensemble, n_steps in ((301, 20), (4 * TILE_ROWS_3 + 3, 3),
+    for ensemble, n_steps in ((301, 20), (4 * TILE_ROWS_3 + 3, 5),
                               (8 * TILE_ROWS_3 + 1, 4)):
         summaries, forks = on_both_paths(
             monkeypatch, lambda: simulate_ensemble(
                 system, sched, ensemble, n_steps, seed=4, n_bins=16,
                 checkpoint_every=5, dither=dither))
-        assert forks == transfer._can_fork()
+        assert forks == forks_helper(ensemble, 3, n_steps)
+        assert forks == (ensemble > 301 and transfer._can_fork())
         counts, dists = serial_simulate_oracle(system, sched, ensemble,
                                                n_steps, seed=4, n_bins=16,
                                                checkpoint_every=5,
@@ -390,10 +405,13 @@ def test_ensemble_failure_raises_and_leaks_no_process(monkeypatch):
                            n_nodes=4, alpha_c=0.02)
     sched = gen_schedule("static", 4, horizon=10)
     before = threading.active_count()
+    pids = counting_forks(monkeypatch)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match=r"^step failed at t=5$"):
-        simulate_ensemble(system, sched, 100, 10, seed=1, checkpoint_every=2)
+        simulate_ensemble(system, sched, 4 * TILE_ROWS_4 + 3, 10, seed=1,
+                          checkpoint_every=2)
     assert time.monotonic() - start < 30
+    assert len(pids) == forks_helper(4 * TILE_ROWS_4 + 3, 4, 10)
     assert_no_child_left()
     assert threading.active_count() == before
 
@@ -413,13 +431,41 @@ def test_ensemble_equals_oracle_when_the_helper_dies(monkeypatch, dies_at):
     system = NetworkSystem(node_map=instantiate(pm_family(0.5), 0.1),
                            n_nodes=4, alpha_c=0.02)
     sched = gen_schedule("bursty", 4, horizon=12, seed=5, p=0.8, fail_rate=0.2)
+    pids = counting_forks(monkeypatch)
     summary = simulate_ensemble(system, sched, 4 * TILE_ROWS_4 + 3, 12,
                                 seed=11, n_bins=16, checkpoint_every=4)
+    assert len(pids) == forks_helper(4 * TILE_ROWS_4 + 3, 4, 12)
     counts, dists = serial_simulate_oracle(system, sched, 4 * TILE_ROWS_4 + 3,
                                            12, seed=11, n_bins=16,
                                            checkpoint_every=4)
     assert np.array_equal(summary.counts, counts)
     assert np.array_equal(summary.distances, dists)
+    assert_no_child_left()
+
+
+def test_small_ensemble_forks_no_helper(monkeypatch):
+    # at and just below FORK_MIN_VALUES the rows are stepped in this
+    # process, with the oracle's bits; one row more forks a helper
+    system = NetworkSystem(node_map=instantiate(pm_family(0.5), 0.1),
+                           n_nodes=4, alpha_c=0.02)
+    sched = gen_schedule("bursty", 4, horizon=16, seed=5, p=0.8, fail_rate=0.2)
+    rows = network.FORK_MIN_VALUES // (4 * 16)
+    for ensemble in (100, rows):
+        with monkeypatch.context() as patch:
+            pids = counting_forks(patch)
+            summary = simulate_ensemble(system, sched, ensemble, 16, seed=3,
+                                        n_bins=16, checkpoint_every=4)
+        assert pids == []
+        counts, dists = serial_simulate_oracle(system, sched, ensemble, 16,
+                                               seed=3, n_bins=16,
+                                               checkpoint_every=4)
+        assert np.array_equal(summary.counts, counts)
+        assert np.array_equal(summary.distances, dists)
+    with monkeypatch.context() as patch:
+        pids = counting_forks(patch)
+        simulate_ensemble(system, sched, rows + 1, 16, seed=3, n_bins=16,
+                          checkpoint_every=4)
+    assert len(pids) == transfer._can_fork()
     assert_no_child_left()
 
 
