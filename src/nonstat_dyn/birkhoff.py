@@ -65,13 +65,13 @@ def _orbit(family: MapFamily, gammas, x: np.ndarray, rng,
     step evaluates the map, adds uniform noise of width `dither` drawn from
     `rng`, and wraps mod 1.  Every yielded array is fresh.
 
-    The noise of a block of steps, about DITHER_BLOCK values, is drawn in
-    one `rng.uniform` call; it fills in C order from the same stream, so
-    row j is bit for bit the per-step draw of step j.  The values drawn past
-    the last step advance `rng` beyond where per-step draws would leave it:
-    every caller passes a substream of its own that nothing reads after the
-    orbit."""
-    steps = max(1, DITHER_BLOCK // max(x.size, 1))
+    The noise of a block of steps, about DITHER_BLOCK values and at most
+    the horizon, is drawn in one `rng.uniform` call; it fills in C order
+    from the same stream, so row j is bit for bit the per-step draw of step
+    j.  The values drawn past the last step advance `rng` beyond where
+    per-step draws would leave it: every caller passes a substream of its
+    own that nothing reads after the orbit."""
+    steps = max(1, min(len(gammas), DITHER_BLOCK // max(x.size, 1)))
     noise, j = (), 0
     for instance in per_run(lambda gamma: instantiate(family, gamma), gammas):
         fx = instance.evaluate(x)

@@ -165,19 +165,23 @@ def per_step_orbit(family, gammas, x, rng, dither):
 @pytest.mark.parametrize("points", [1, 100, 10 ** 4])
 def test_block_dither_equals_per_step_draws(points):
     # horizons on both sides of one draw's block of steps, and past three;
-    # a coarse dither on a few runs of parameters makes a changed stream show
+    # a coarse dither on a few runs of parameters makes a changed stream show.
+    # An orbit no longer than a block draws no value past its last step
     fam = pm_family(0.5)
     block = max(1, birkhoff.DITHER_BLOCK // points)
     x0 = substream(3, "block-dither-x").uniform(0.0, 1.0, points)
     for horizon in (1, block - 1, block, block + 1, 3 * block + 5):
         gammas = np.repeat([0.05, 0.1, 0.15, 0.1], -(-horizon // 4))[:horizon]
-        got = birkhoff._orbit(fam, gammas, x0, substream(4, "d"), 1e-3)
-        want = per_step_orbit(fam, gammas, x0, substream(4, "d"), 1e-3)
+        rng, ref = substream(4, "d"), substream(4, "d")
+        got = birkhoff._orbit(fam, gammas, x0, rng, 1e-3)
+        want = per_step_orbit(fam, gammas, x0, ref, 1e-3)
         steps = 0
         for a, b in zip(got, want, strict=True):
             assert a.tobytes() == b.tobytes()
             steps += 1
         assert steps == horizon
+        if horizon <= block:
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_dither_defeats_binary_collapse():

@@ -295,20 +295,15 @@ def counting_forks(patch):
     return pids
 
 
-def forks_helper(ensemble, n_nodes, n_steps):
-    """Whether simulate_ensemble forks a helper for a run of this size."""
-    return (ensemble > 1
-            and ensemble * n_nodes * n_steps > network.FORK_MIN_VALUES
-            and transfer._can_fork())
-
-
 def on_both_paths(monkeypatch, simulate):
-    """simulate() on the path that forks a helper for the upper rows where
-    the run is large enough, then on the one-process path, with the fork
-    condition off; the two results and the helpers forked by the first."""
+    """simulate() on the path that forks a helper for the upper rows, with
+    FORK_MIN_VALUES at 0 so that any run of 2 rows or more forks, then on
+    the one-process path, with the fork condition off; the two results and
+    the helpers forked by the first."""
     def no_fork():
         raise AssertionError("forked with the fork condition off")
     with monkeypatch.context() as patch:
+        patch.setattr(network, "FORK_MIN_VALUES", 0)
         pids = counting_forks(patch)
         forked = simulate()
     with monkeypatch.context() as patch:
@@ -338,11 +333,11 @@ TILE_ROWS_3 = network.TILE_VALUES // 3
 ])
 def test_two_thread_ensemble_equals_serial_oracle(monkeypatch, ensemble,
                                                   coupling):
-    # both paths against the oracle: the largest ensembles step their upper
-    # halves on a forked helper (the name is kept from when a worker thread
-    # stepped them).  Ensembles of 1, 2 and 7 are below FORK_MIN_VALUES and
-    # fork no helper; odd ensembles split unevenly; the largest span two and
-    # four tiles and more per half, with odd remainders
+    # both paths against the oracle: every ensemble of 2 rows or more steps
+    # its upper half on a forked helper (the name is kept from when a worker
+    # thread stepped it).  An ensemble of 1 leaves one half empty and forks
+    # no helper; odd ensembles split unevenly; the largest span two and four
+    # tiles and more per half, with odd remainders
     system = NetworkSystem(node_map=instantiate(pm_family(0.5), 0.1),
                            n_nodes=4, **coupling)
     sched = gen_schedule("bursty", 4, horizon=12, seed=5, p=0.8, fail_rate=0.2)
@@ -351,7 +346,7 @@ def test_two_thread_ensemble_equals_serial_oracle(monkeypatch, ensemble,
             monkeypatch, lambda: simulate_ensemble(
                 system, sched, ensemble, 12, seed=11, n_bins=16,
                 checkpoint_every=4, dither=dither))
-        assert forks == forks_helper(ensemble, 4, 12)
+        assert forks == (ensemble > 1 and transfer._can_fork())
         counts, dists = serial_simulate_oracle(system, sched, ensemble, 12,
                                                seed=11, n_bins=16,
                                                checkpoint_every=4,
@@ -367,18 +362,17 @@ def test_dither_buffer_draws_the_uniform_stream(monkeypatch, dither):
     # advances of the stream, against the oracle's full-shape rng.uniform
     # draws; a coarse dither moves states across bins, so a changed stream
     # shows.  The larger ensembles span several tiles per half with odd
-    # remainders, and are large enough to fork a helper
+    # remainders
     system = NetworkSystem(node_map=instantiate(doubling_family(), 0.0),
                            n_nodes=3, alpha_c=0.02)
     sched = gen_schedule("bursty", 3, horizon=20, seed=2)
-    for ensemble, n_steps in ((301, 20), (4 * TILE_ROWS_3 + 3, 5),
+    for ensemble, n_steps in ((301, 20), (4 * TILE_ROWS_3 + 3, 3),
                               (8 * TILE_ROWS_3 + 1, 4)):
         summaries, forks = on_both_paths(
             monkeypatch, lambda: simulate_ensemble(
                 system, sched, ensemble, n_steps, seed=4, n_bins=16,
                 checkpoint_every=5, dither=dither))
-        assert forks == forks_helper(ensemble, 3, n_steps)
-        assert forks == (ensemble > 301 and transfer._can_fork())
+        assert forks == transfer._can_fork()
         counts, dists = serial_simulate_oracle(system, sched, ensemble,
                                                n_steps, seed=4, n_bins=16,
                                                checkpoint_every=5,
@@ -401,6 +395,7 @@ def test_ensemble_failure_raises_and_leaks_no_process(monkeypatch):
             time.sleep(60)
         return step(system, state, t, schedule)
     monkeypatch.setattr(network, "step_network", failing_step)
+    monkeypatch.setattr(network, "FORK_MIN_VALUES", 0)
     system = NetworkSystem(node_map=instantiate(doubling_family(), 0.0),
                            n_nodes=4, alpha_c=0.02)
     sched = gen_schedule("static", 4, horizon=10)
@@ -408,10 +403,9 @@ def test_ensemble_failure_raises_and_leaks_no_process(monkeypatch):
     pids = counting_forks(monkeypatch)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match=r"^step failed at t=5$"):
-        simulate_ensemble(system, sched, 4 * TILE_ROWS_4 + 3, 10, seed=1,
-                          checkpoint_every=2)
+        simulate_ensemble(system, sched, 100, 10, seed=1, checkpoint_every=2)
     assert time.monotonic() - start < 30
-    assert len(pids) == forks_helper(4 * TILE_ROWS_4 + 3, 4, 10)
+    assert len(pids) == transfer._can_fork()
     assert_no_child_left()
     assert threading.active_count() == before
 
@@ -428,13 +422,14 @@ def test_ensemble_equals_oracle_when_the_helper_dies(monkeypatch, dies_at):
             os._exit(1)
         return step(system, state, t, schedule)
     monkeypatch.setattr(network, "step_network", dying_step)
+    monkeypatch.setattr(network, "FORK_MIN_VALUES", 0)
     system = NetworkSystem(node_map=instantiate(pm_family(0.5), 0.1),
                            n_nodes=4, alpha_c=0.02)
     sched = gen_schedule("bursty", 4, horizon=12, seed=5, p=0.8, fail_rate=0.2)
     pids = counting_forks(monkeypatch)
     summary = simulate_ensemble(system, sched, 4 * TILE_ROWS_4 + 3, 12,
                                 seed=11, n_bins=16, checkpoint_every=4)
-    assert len(pids) == forks_helper(4 * TILE_ROWS_4 + 3, 4, 12)
+    assert len(pids) == transfer._can_fork()
     counts, dists = serial_simulate_oracle(system, sched, 4 * TILE_ROWS_4 + 3,
                                            12, seed=11, n_bins=16,
                                            checkpoint_every=4)

@@ -284,25 +284,6 @@ def test_step_blocks_overwrites_one_read_only_buffer():
     assert np.array_equal(second[-1], cur.values)
 
 
-@pytest.mark.parametrize("n", (1, B - 1, B, B + 1, 2 * B, 2 * B + 1))
-def test_every_row_equals_chained_one_step_products(n):
-    # every row of every block, on both sides of a block boundary, is the
-    # chain of _step products, and so is the last full block, which
-    # apply_sequence reads after the operators run out
-    rng = np.random.default_rng(40 + n)
-    ops = [build_ulam(instantiate(pm_family(0.5), float(g)), CELLS)
-           for g in rng.uniform(0.05, 0.15, n)]
-    phi = step_density(CELLS, n)
-    chain, cur = [], phi.values
-    for op in ops:
-        cur = op._step(cur)
-        chain.append(cur.tobytes())
-    got = [row.tobytes() for rows in step_blocks(ops, phi.values)
-           for row in rows]
-    assert got == chain
-    assert apply_sequence(ops, phi).values.tobytes() == chain[-1]
-
-
 @pytest.mark.parametrize("before", [2, B + 2])
 def test_operator_on_another_grid_raises_after_the_rows_before_it(
         before, monkeypatch):
