@@ -13,11 +13,15 @@ from .seeding import substream
 from .transfer import _can_fork, _fork_helper, _reap, build_ulam, fixed_density
 
 TWO_PI = 2.0 * np.pi
-TILE_VALUES = 1 << 13   # state values per stepped tile: 64 KiB per temporary
+#: State values per stepped tile, 64 KiB per temporary: with the trig
+#: grouped, 2^12 and 2^14 tiles still lost `cli` `wall_s` (+8%, +5% in the
+#: median of 8 pairs).
+TILE_VALUES = 1 << 13
 #: Rows x nodes x steps above which `simulate_ensemble` forks a helper: the
-#: fork and its pipe cost ~2 ms, the time one process takes for ~10^5 (pm,
-#: 4 nodes, median of 9 runs: 4.5 ms forked against 4.2 ms alone at 96,000,
-#: 6.3 against 7.7 ms at 192,000).
+#: fork and its pipe cost what one process takes for 2-4 x 10^5 (pm, 4
+#: nodes, median of 9 runs: 9.7 ms forked against 8.6 ms alone at 192,000,
+#: 15.1 against 16.6 ms at 400,000, on a host where a fork took ~4 ms). No
+#: benchmark workload runs near it, so it was left at 2^17.
 FORK_MIN_VALUES = 1 << 17
 
 
@@ -34,11 +38,13 @@ class AdjacencySchedule:
     matrices: np.ndarray   # (horizon, n, n) uint8
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=np.uint8)
-        if mats.ndim != 3 or mats.shape[1] != self.n_nodes or mats.shape[2] != self.n_nodes:
+        given = np.asarray(self.matrices)
+        if given.ndim != 3 or given.shape[1] != self.n_nodes or given.shape[2] != self.n_nodes:
             raise ValueError("matrices must have shape (horizon, n, n)")
-        if np.any(mats > 1):
+        # checked before the cast, which would turn 0.5 into 0 and 257 into 1
+        if not np.all((given == 0) | (given == 1)):
             raise ValueError("adjacency entries must be 0 or 1")
+        mats = np.asarray(given, dtype=np.uint8)
         if np.any(mats[:, np.arange(self.n_nodes), np.arange(self.n_nodes)] != 0):
             raise ValueError("adjacency diagonal must be zero")
         object.__setattr__(self, "matrices", mats)
@@ -128,16 +134,36 @@ class NetworkSystem:
                 f"= {budget:.4g} <= 1; reduce alpha_c")
 
 
+def _grouped_sin_cos(c: np.ndarray) -> np.ndarray:
+    """sin(c), with the C-contiguous `c` overwritten by cos(c).
+
+    glibc's `sin` and `cos` branch on the argument's range. Fresh chaotic
+    states come in random order, so those branches miss about half the
+    time, which doubles the cost of the trig (145 against 61 us for 8192
+    fresh values). So both are taken over the arguments grouped by one
+    byte of their exponent and top mantissa bits, an integer key that
+    raises no warning on NaN or inf, and put back in their places: each
+    value is the one `np.sin(c)` and `np.cos(c)` give, bit for bit."""
+    flat = c.reshape(-1)
+    order = np.argsort((flat.view(np.uint64) >> 47).astype(np.uint8),
+                       kind="stable")
+    grouped = flat[order]
+    sin_grouped = np.sin(grouped)
+    flat[order] = np.cos(grouped, out=grouped)
+    grouped[order] = sin_grouped    # reused: four tile-sized arrays at most
+    return grouped.reshape(c.shape)
+
+
 def _diffusive_sum(x: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Rows of sum_j A_ij sin(2 pi (x_j - x_i)) / (2 pi).
 
     The sine is expanded so the pairwise sum becomes two node-space matmuls
     instead of an (ensemble, n, n) tensor. The in-place steps evaluate
     (c * (s @ A.T) - s * (c @ A.T)) / TWO_PI in that order, with
-    s, c = sin, cos(2 pi x)."""
-    c = TWO_PI * x
-    s = np.sin(c)
-    np.cos(c, out=c)
+    s, c = sin, cos(2 pi x), taken in an order grouped by the argument's
+    range (`_grouped_sin_cos`) so that glibc's branches predict."""
+    c = np.multiply(TWO_PI, x, order="C")
+    s = _grouped_sin_cos(c)
     total = s @ A.T
     total *= c
     cos_sum = c @ A.T

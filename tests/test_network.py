@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,18 @@ def test_schedule_validation():
     bad = np.ones((2, 3, 3), dtype=np.uint8)
     with pytest.raises(ValueError):
         AdjacencySchedule(n_nodes=3, matrices=bad)  # diagonal
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.9, np.int64(257)])
+def test_schedule_entries_checked_before_the_cast(entry):
+    # a uint8 cast would make 0.5 a dropped edge and 1.9 or 257 an edge
+    mats = network._complete(3)[None].astype(np.asarray(entry).dtype)
+    mats[0, 0, 1] = entry
+    with pytest.raises(ValueError, match="0 or 1"):
+        AdjacencySchedule(n_nodes=3, matrices=mats)
+    mats[0, 0, 1] = 1
+    schedule = AdjacencySchedule(n_nodes=3, matrices=mats)
+    assert schedule.matrices.dtype == np.uint8
 
 
 def test_coupling_budget_enforced():
@@ -253,6 +266,105 @@ def test_ensemble_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 3.7 * 2 ** 20
+
+
+def plain_sin_cos(c):
+    """The trig of network._diffusive_sum before it was grouped."""
+    s = np.sin(c)
+    np.cos(c, out=c)
+    return s
+
+
+def ungrouped_sum(x, A):
+    """network._diffusive_sum as it was before its trig was grouped."""
+    c = network.TWO_PI * x
+    s = plain_sin_cos(c)
+    total = s @ A.T
+    total *= c
+    cos_sum = c @ A.T
+    cos_sum *= s
+    total -= cos_sum
+    total /= network.TWO_PI
+    return total
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def random_adjacency(n, seed):
+    A = (substream(seed, "adjacency").random((n, n)) < 0.6).astype(float)
+    np.fill_diagonal(A, 0.0)
+    return A
+
+
+@pytest.mark.parametrize("shape", [(1, 8), (1, 2), (7, 3), (1024, 8),
+                                   (3001, 5)])
+def test_grouped_diffusive_sum_equals_ungrouped(shape):
+    x = substream(shape[0], "grouped").uniform(0.0, 1.0, shape)
+    A = random_adjacency(shape[1], shape[0])
+    assert_same_bits(network._diffusive_sum(x, A), ungrouped_sum(x, A))
+    # a transposed, non-contiguous state gives the same bits too
+    xt = np.ascontiguousarray(x.T).T
+    assert_same_bits(network._diffusive_sum(xt, A), ungrouped_sum(x, A))
+
+
+def test_grouped_diffusive_sum_equals_ungrouped_on_bucket_edges():
+    # the grouping key's edges and glibc's range edges: k/64, arguments at
+    # and next to multiples of pi/4, signed zeros, 1, subnormals, negatives
+    # and huge values
+    quarter = np.arange(-16, 17) * (np.pi / 4) / network.TWO_PI
+    values = np.concatenate([
+        np.arange(65) / 64, np.arange(-16, 17) / 8, quarter,
+        np.nextafter(quarter, np.inf), np.nextafter(quarter, -np.inf),
+        [0.0, -0.0, 1.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -0.3, -1.7,
+         -123.4, 1e300, -1e300, 1e22, np.nextafter(1.0, 0.0)]])
+    order = substream(9, "edges").permutation(values.size)
+    for x in (values, values[order]):
+        x = np.resize(x, (x.size // 4 + 1, 4))
+        A = random_adjacency(4, 9)
+        assert_same_bits(network._diffusive_sum(x, A), ungrouped_sum(x, A))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grouped_diffusive_sum_warns_as_ungrouped(bad):
+    # each warning of the ungrouped expression once, and no other: the
+    # grouping key is integer-only
+    x = substream(3, "bad").uniform(0.0, 1.0, (6, 3))
+    x[2, 1] = bad
+    x[4, 0] = np.nan
+    A = random_adjacency(3, 3)
+    recorded = []
+    for f in (network._diffusive_sum, ungrouped_sum):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            total = f(x, A)
+        recorded.append(([(w.category, str(w.message)) for w in caught],
+                         total))
+    (got, got_total), (want, want_total) = recorded
+    assert got == want
+    assert_same_bits(got_total, want_total)
+
+
+@pytest.mark.parametrize("ensemble",
+                         [1, 3 * (network.TILE_VALUES // 4) + 5])
+def test_walk_rows_grouped_equals_ungrouped(monkeypatch, ensemble):
+    # one row, and tiles with an uneven last one, stepped with and without
+    # the grouping: every state keeps its bits
+    system = NetworkSystem(node_map=instantiate(pm_family(0.5), 0.1),
+                           n_nodes=4, alpha_c=0.02)
+    sched = gen_schedule("bursty", 4, horizon=6, seed=6, p=0.8, fail_rate=0.2)
+    x0 = substream(6, "tiles").uniform(0.0, 1.0, (ensemble, 4))
+
+    def walked():
+        x = x0.copy()
+        list(network._walk_rows(system, sched, x, [3, 6], 6, 16, 1e-12, 0,
+                                ensemble))
+        return x
+    grouped = walked()
+    monkeypatch.setattr(network, "_grouped_sin_cos", plain_sin_cos)
+    assert_same_bits(grouped, walked())
 
 
 def serial_simulate_oracle(system, schedule, ensemble, n_steps, seed=0,
