@@ -7,13 +7,13 @@ from typing import Callable
 
 import numpy as np
 
+from . import maps
 from .densities import GridDensity, cell_centers
 from .maps import MapFamily, instantiate, mod1
 from .seeding import substream
 from .sequences import _as_gammas
 from .transfer import per_run, step_blocks, ulam_operators
 
-DEFAULT_DITHER = 1e-12
 DITHER_BLOCK = 1 << 14     # orbit dither values per draw: 128 KiB
 WILSON_Z = 1.96            # the 95% normal quantile of `wilson_interval`
 SUMMABILITY_TERMS = 1000   # terms of the partial sums in `lln_summability`
@@ -59,11 +59,10 @@ def observable(name: str, n_cells: int) -> Observable:
 
 # --- orbits ----------------------------------------------------------------
 
-def _orbit(family: MapFamily, gammas, x: np.ndarray, rng,
-           dither: float):
+def _orbit(family: MapFamily, gammas, x: np.ndarray, rng):
     """The points F_{gamma_k} o ... o F_{gamma_1}(x) for k = 1, 2, ...: each
-    step evaluates the map, adds uniform noise of width `dither` drawn from
-    `rng`, and wraps mod 1.  Every yielded array is fresh.
+    step evaluates the map, adds uniform noise of width `maps.DITHER` drawn
+    from `rng`, and wraps mod 1.  Every yielded array is fresh.
 
     The noise of a block of steps, about DITHER_BLOCK values and at most
     the horizon, is drawn in one `rng.uniform` call; it fills in C order
@@ -71,29 +70,29 @@ def _orbit(family: MapFamily, gammas, x: np.ndarray, rng,
     j.  The values drawn past the last step advance `rng` beyond where
     per-step draws would leave it: every caller passes a substream of its
     own that nothing reads after the orbit."""
+    dither = maps.DITHER
     steps = max(1, min(len(gammas), DITHER_BLOCK // max(x.size, 1)))
     noise, j = (), 0
     for instance in per_run(lambda gamma: instantiate(family, gamma), gammas):
         fx = instance.evaluate(x)
-        if dither > 0:
-            if j == len(noise):
-                noise, j = rng.uniform(-0.5 * dither, 0.5 * dither,
-                                       (steps,) + x.shape), 0
-            fx += noise[j]
-            j += 1
+        if j == len(noise):
+            noise, j = rng.uniform(-0.5 * dither, 0.5 * dither,
+                                   (steps,) + x.shape), 0
+        fx += noise[j]
+        j += 1
         x = mod1(fx)
         yield x
 
 
-def orbit_points(family: MapFamily, seq, x0, n: int, seed: int = 0,
-                 dither: float = DEFAULT_DITHER) -> np.ndarray:
+def orbit_points(family: MapFamily, seq, x0, n: int,
+                 seed: int = 0) -> np.ndarray:
     """Full trajectory (n+1 rows) of one or more initial points under the
     nonautonomous composition, with per-step dithering."""
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     out = np.empty((n + 1,) + x.shape)
     out[0] = x
     for k, x in enumerate(_orbit(family, _as_gammas(seq, n), x,
-                                 substream(seed, "orbit-dither"), dither), 1):
+                                 substream(seed, "orbit-dither")), 1):
         out[k] = x
     return out
 
@@ -106,8 +105,7 @@ class BirkhoffResult:
 
 
 def birkhoff_averages(family: MapFamily, seq, initial_points: int, psi,
-                      n: int, seed: int = 0,
-                      dither: float = DEFAULT_DITHER) -> BirkhoffResult:
+                      n: int, seed: int = 0) -> BirkhoffResult:
     """Running Birkhoff averages S_n(psi)(x)/n for Lebesgue-sampled points.
 
     `psi` may be a single Observable or a sequence of them; all observables
@@ -132,7 +130,7 @@ def birkhoff_averages(family: MapFamily, seq, initial_points: int, psi,
         np.divide(sums, 1.0, out=avg)
         np.minimum(tail_min, avg, out=tail_min)
         np.maximum(tail_max, avg, out=tail_max)
-    for t, x in enumerate(_orbit(family, gammas, x, rng, dither), 2):
+    for t, x in enumerate(_orbit(family, gammas, x, rng), 2):
         for j, o in enumerate(obs):
             sums[j] += o.fn(x)
         if t >= tail_start:
@@ -199,8 +197,8 @@ class CovarianceTable:
 
 
 def covariance_decay(family: MapFamily, seq, psi: Observable, window: tuple,
-                     ensemble: int = 10000, seed: int = 0,
-                     dither: float = DEFAULT_DITHER) -> CovarianceTable:
+                     ensemble: int = 10000,
+                     seed: int = 0) -> CovarianceTable:
     """Monte-Carlo covariances of psi_i = psi o F_{gamma_i} o ... o F_{gamma_1}
     over a Lebesgue ensemble, with spectrally computed means as cross-check,
     and a geometric fit |R_ij| <= C q^{|j-i|}."""
@@ -215,7 +213,7 @@ def covariance_decay(family: MapFamily, seq, psi: Observable, window: tuple,
     n_cells = psi.n_cells
     samples = np.empty((j_max + 1, ensemble))
     samples[0] = psi.fn(x)
-    for k, x in enumerate(_orbit(family, gammas, x, rng, dither), 1):
+    for k, x in enumerate(_orbit(family, gammas, x, rng), 1):
         samples[k] = psi.fn(x)
     # spectral means: int psi L_{gamma_k} ... L_{gamma_1} 1 dm
     operators = ulam_operators(family, gammas, n_cells)
@@ -301,19 +299,34 @@ def lp_distance(empirical, mu_ref: GridDensity,
     a finite family underestimates the true distance by at most one ball
     diameter, while the piecewise-constant reference biases it upward for
     measures smoother than the cover.
+
+    `empirical` is an array of sample points, each of weight 1/size, or a
+    `(points, weights)` pair of equal shapes with finite nonnegative
+    weights of positive total, normalized here.
     """
     if ball_count < 8:
         raise ValueError("ball_count must be at least 8")
     if isinstance(empirical, tuple):
-        points, weights = empirical
-        points = mod1(np.asarray(points, dtype=float))
-        weights = np.asarray(weights, dtype=float)
-        weights = weights / weights.sum()
+        points, weights = (np.asarray(a, dtype=float) for a in empirical)
+        if points.shape != weights.shape:
+            raise ValueError("points and weights must have the same shape")
     else:
-        points = mod1(np.asarray(empirical, dtype=float))
-        if points.size == 0:
-            raise ValueError("empirical sample must be nonempty")
+        points, weights = np.asarray(empirical, dtype=float), None
+    if points.size == 0:
+        raise ValueError("empirical sample must be nonempty")
+    if not np.isfinite(points).all():
+        raise ValueError("empirical points must be finite")
+    points = mod1(points)
+    if weights is None:
         weights = np.full(points.size, 1.0 / points.size)
+    else:
+        if not (np.isfinite(weights).all() and (weights >= 0).all()):
+            raise ValueError("weights must be finite and nonnegative")
+        with np.errstate(over="ignore"):
+            total = weights.sum()
+        if not 0 < total < np.inf:
+            raise ValueError("weights must have a positive finite total")
+        weights = weights / total
     J = ball_count
     mu_ball = np.bincount(np.minimum((points * J).astype(int), J - 1),
                           weights=weights, minlength=J)

@@ -77,11 +77,6 @@ class GridDensity:
         vals = height * np.clip(overlap, 0.0, None) * n_cells
         return GridDensity(vals)
 
-    @staticmethod
-    def from_callable(fn, n_cells: int) -> "GridDensity":
-        """Sample a function at cell centers (midpoint approximation of cell averages)."""
-        return GridDensity(np.asarray(fn(cell_centers(n_cells)), dtype=float))
-
 
 def cell_centers(n_cells: int) -> np.ndarray:
     return (np.arange(n_cells) + 0.5) / n_cells

@@ -8,6 +8,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import maps
 from .maps import MapInstance, mod1
 from .seeding import substream
 from .transfer import _can_fork, _fork_helper, _reap, build_ulam, fixed_density
@@ -210,8 +211,8 @@ def histogram_noise_floor(ensemble: int, n_bins: int) -> float:
 
 def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
                       ensemble: int, n_steps: int, seed: int = 0,
-                      n_bins: int = 64, checkpoint_every: Optional[int] = None,
-                      dither: float = 1e-12) -> NetworkSummary:
+                      n_bins: int = 64,
+                      checkpoint_every: Optional[int] = None) -> NetworkSummary:
     """Evolve an iid-uniform ensemble and compare per-node marginals against
     the uncoupled invariant density at every checkpoint.
 
@@ -233,8 +234,6 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
         checkpoint_every = max(n_steps // 20, 1)
     elif checkpoint_every < 1:
         raise ValueError("checkpoint_every must be positive")
-    if not dither >= 0:
-        raise ValueError("dither must be nonnegative")
     if schedule.n_nodes != system.n_nodes:
         raise ValueError("schedule and system disagree on the node count")
     if schedule.horizon < n_steps:
@@ -246,7 +245,7 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
     checkpoints = [t for t in range(1, n_steps + 1)
                    if t % checkpoint_every == 0 or t == n_steps]
     walk = functools.partial(_walk_rows, system, schedule, x, checkpoints,
-                             seed, n_bins, dither)
+                             seed, n_bins)
     half = ensemble // 2
     helper = None    # (pid, pipe) of the helper stepping rows [half, ensemble)
     if (half and ensemble * system.n_nodes * n_steps > FORK_MIN_VALUES
@@ -285,8 +284,7 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
                           n_bins=n_bins)
 
 
-def _walk_rows(system, schedule, x, checkpoints, seed, n_bins, dither, lo,
-               hi):
+def _walk_rows(system, schedule, x, checkpoints, seed, n_bins, lo, hi):
     """Step rows [lo, hi) of the ensemble `x` in place up to the last of the
     ascending `checkpoints`, yielding their (n_nodes, n_bins) int64
     histogram counts after each checkpoint step.
@@ -295,32 +293,29 @@ def _walk_rows(system, schedule, x, checkpoints, seed, n_bins, dither, lo,
     `substream(seed, "network-dither")`: the stream is advanced past the
     rows before and after them, and their values are drawn into a buffer
     with `rng.random(out=...)`, scaled and shifted in place, the same
-    values as `rng.uniform(-dither / 2, dither / 2, x.shape)[lo:hi]`, bit
-    for bit.  The rows are stepped in tiles whose temporaries stay in cache
-    and are small enough for the allocator to reuse, not map afresh every
-    step; each tile is dithered and wrapped mod 1 while it is still in
-    cache."""
+    values as `rng.uniform(-DITHER / 2, DITHER / 2, x.shape)[lo:hi]` (with
+    `maps.DITHER`), bit for bit.  The rows are stepped in tiles whose
+    temporaries stay in cache and are small enough for the allocator to
+    reuse, not map afresh every step; each tile is dithered and wrapped
+    mod 1 while it is still in cache."""
     ensemble, n_nodes = x.shape
     own = x[lo:hi]
     rng = substream(seed, "network-dither")
-    noise = np.empty_like(own) if dither > 0 else None
+    dither = maps.DITHER
+    noise = np.empty_like(own)
     tile = max(TILE_VALUES // n_nodes, 1)
     marks = set(checkpoints)
     for t in range(checkpoints[-1]):
-        if noise is not None:
-            rng.bit_generator.advance(lo * n_nodes)
-            rng.random(out=noise)
-            noise *= dither
-            noise -= 0.5 * dither
-            rng.bit_generator.advance((ensemble - hi) * n_nodes)
+        rng.bit_generator.advance(lo * n_nodes)
+        rng.random(out=noise)
+        noise *= dither
+        noise -= 0.5 * dither
+        rng.bit_generator.advance((ensemble - hi) * n_nodes)
         for start in range(0, hi - lo, tile):
             rows = slice(start, start + tile)
             stepped = step_network(system, own[rows], t, schedule)
-            if noise is None:
-                own[rows] = stepped
-            else:
-                stepped += noise[rows]
-                own[rows] = mod1(stepped)
+            stepped += noise[rows]
+            own[rows] = mod1(stepped)
         if t + 1 in marks:
             cnt = np.empty((n_nodes, n_bins), dtype=np.int64)
             for i in range(n_nodes):

@@ -107,24 +107,17 @@ class UlamOperator:
     vector against the grid; `step_blocks` checks its start vector once and
     writes each product into its row of a block buffer.
 
-    `UlamOperator(matrix)` takes any dense or sparse square matrix, checks
-    it and keeps a canonical float copy with the index dtype it had;
-    operators built in this package skip that.  `matrix` is the operator as
-    a read-only `scipy.sparse.csr_array` on the same arrays, built on first
-    use.
+    Operators are built by `build_ulam` and `averaged_operator` only: the
+    kernel checks no bounds, so arrays from elsewhere are not taken.
+    `matrix` is the operator as a read-only `scipy.sparse.csr_array` on the
+    same arrays, built on first use.
     """
 
     __slots__ = ("indptr", "indices", "data", "n_cells", "_matrix")
 
-    def __init__(self, matrix):
-        import scipy.sparse
-        mat = scipy.sparse.csr_array(matrix, dtype=float, copy=True)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("operator matrix must be square")
-        mat.sum_duplicates()
-        if np.any(mat.data < 0):
-            raise ValueError("operator matrix must be entrywise nonnegative")
-        self._hold(mat.indptr, mat.indices, mat.data, mat.shape[0], mat)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("UlamOperator is not built from a matrix: use "
+                        "build_ulam or averaged_operator")
 
     @classmethod
     def _trusted(cls, indptr: np.ndarray, indices: np.ndarray,
@@ -132,16 +125,13 @@ class UlamOperator:
         """Wrap square, canonical, nonnegative CSR arrays built in this
         package and owned by the caller: no copy and no re-validation."""
         op = object.__new__(cls)
-        op._hold(indptr, indices, data, n_cells, None)
-        return op
-
-    def _hold(self, indptr, indices, data, n_cells, matrix):
         for arr in (indptr, indices, data):
             arr.flags.writeable = False
         for name, value in (("indptr", indptr), ("indices", indices),
                             ("data", data), ("n_cells", n_cells),
-                            ("_matrix", matrix)):
-            object.__setattr__(self, name, value)
+                            ("_matrix", None)):
+            object.__setattr__(op, name, value)
+        return op
 
     def __setattr__(self, name, value):
         raise AttributeError(f"UlamOperator is read-only: cannot set {name!r}")

@@ -46,6 +46,11 @@ BATTERY = {
     "birkhoff-doubling": "birkhoff --family doubling --gamma-hat 0.1 "
                          "--delta 0.01 --cells 128 --n 1000 --points 20 "
                          "--psi cos",
+    "birkhoff-lsv-sin": "birkhoff --family lsv --gamma-hat 0.1 --delta 0.01 "
+                        "--cells 128 --n 1000 --points 20 --psi sin",
+    "birkhoff-pm-kappa-one": "birkhoff --family pm --kappa 0.3 --gamma-hat 0.1 "
+                             "--delta 0.01 --cells 128 --n 1000 --points 20 "
+                             "--psi one",
     "cone-doubling": "cone --family doubling --cells 128 --samples 10",
     "network-doubling": "network --family doubling --nodes 4 --n 50 "
                         "--ensemble 200 --bins 16",

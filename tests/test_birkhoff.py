@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nonstat_dyn import birkhoff, sequences, transfer
+from nonstat_dyn import birkhoff, maps, sequences, transfer
 from nonstat_dyn.birkhoff import (band_pass_check,
                                   birkhoff_averages, covariance_decay,
                                   lln_summability, lp_distance, observable,
@@ -163,17 +163,18 @@ def per_step_orbit(family, gammas, x, rng, dither):
 
 
 @pytest.mark.parametrize("points", [1, 100, 10 ** 4])
-def test_block_dither_equals_per_step_draws(points):
+def test_block_dither_equals_per_step_draws(monkeypatch, points):
     # horizons on both sides of one draw's block of steps, and past three;
     # a coarse dither on a few runs of parameters makes a changed stream show.
     # An orbit no longer than a block draws no value past its last step
+    monkeypatch.setattr(maps, "DITHER", 1e-3)
     fam = pm_family(0.5)
     block = max(1, birkhoff.DITHER_BLOCK // points)
     x0 = substream(3, "block-dither-x").uniform(0.0, 1.0, points)
     for horizon in (1, block - 1, block, block + 1, 3 * block + 5):
         gammas = np.repeat([0.05, 0.1, 0.15, 0.1], -(-horizon // 4))[:horizon]
         rng, ref = substream(4, "d"), substream(4, "d")
-        got = birkhoff._orbit(fam, gammas, x0, rng, 1e-3)
+        got = birkhoff._orbit(fam, gammas, x0, rng)
         want = per_step_orbit(fam, gammas, x0, ref, 1e-3)
         steps = 0
         for a, b in zip(got, want, strict=True):
@@ -184,11 +185,12 @@ def test_block_dither_equals_per_step_draws(points):
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_dither_defeats_binary_collapse():
+def test_dither_defeats_binary_collapse(monkeypatch):
     fam = doubling_family()
     seq = ParameterSequence.constant(0.0)
-    no_dither = orbit_points(fam, seq, np.array([0.3]), 200, seed=7, dither=0.0)
     with_dither = orbit_points(fam, seq, np.array([0.3]), 200, seed=7)
+    monkeypatch.setattr(maps, "DITHER", 0.0)
+    no_dither = orbit_points(fam, seq, np.array([0.3]), 200, seed=7)
     # exact binary arithmetic collapses every orbit onto the fixed point 0
     assert np.all(no_dither[-100:] == 0.0)
     assert np.mean(with_dither[-100:] == 0.0) < 0.5
@@ -254,6 +256,26 @@ def test_lp_self_distance_within_ball_radius():
     atoms = ((np.arange(1024) + 0.5) / 1024, phi.values / 1024)
     rep = lp_distance(atoms, phi, ball_count=64)
     assert rep.estimate <= rep.ball_radius
+
+
+@pytest.mark.parametrize("empirical,message", [
+    (np.array([]), "nonempty"),
+    ((np.array([]), np.array([])), "nonempty"),
+    ((np.array([0.1, 0.2]), np.array([1.0])), "same shape"),
+    ((np.array([0.1, 0.2]), np.array([2.0, -1.0])), "nonnegative"),
+    ((np.array([0.1, 0.2]), np.array([1.0, np.nan])), "finite"),
+    ((np.array([0.1, 0.2]), np.array([1.0, np.inf])), "finite"),
+    ((np.array([0.1, 0.2]), np.array([0.0, 0.0])), "positive finite total"),
+    ((np.array([0.1, 0.2]), np.array([1e308, 1e308])),
+     "positive finite total"),
+    ((np.array([0.1, np.nan]), np.array([1.0, 1.0])), "points must be finite"),
+    (np.array([0.1, np.inf]), "points must be finite"),
+], ids=["empty", "empty-weighted", "lengths", "negative-weight", "nan-weight",
+        "inf-weight", "zero-total", "overflowing-total", "nan-point",
+        "inf-point"])
+def test_lp_rejects_bad_samples(empirical, message):
+    with pytest.raises(ValueError, match=message):
+        lp_distance(empirical, GridDensity.uniform(64))
 
 
 def test_lp_two_diracs_bracketing():

@@ -9,7 +9,7 @@ from nonstat_dyn.cones import (PROPORTIONAL_TOL, ConeExitError, ConeParams,
                                cone_image_check, contraction_and_diameter,
                                log_holder_constant, sample_cone_density,
                                theta_holder, theta_plus)
-from nonstat_dyn.densities import GridDensity
+from nonstat_dyn.densities import GridDensity, cell_centers
 from nonstat_dyn.maps import circle_family, doubling_family, instantiate, \
     pm_family
 from nonstat_dyn.seeding import substream
@@ -38,8 +38,8 @@ def test_log_holder_constant_oracle():
     # for pairs with one point at 0 (d(x, y)^nu is subadditive)
     n = 2048
     b, nu = 1.3, 0.5
-    phi = GridDensity.from_callable(
-        lambda x: np.exp(b * np.minimum(x, 1.0 - x) ** nu), n)
+    x = cell_centers(n)
+    phi = GridDensity(np.exp(b * np.minimum(x, 1.0 - x) ** nu))
     a_min = log_holder_constant(phi, nu, rho0=0.25)
     # cell centers miss x=0 where the ratio is extremal, so the discrete
     # constant sits just below b
@@ -56,7 +56,7 @@ def test_theta_plus_identity_and_projectivity():
 def test_theta_plus_linear_example():
     n = 4096
     one = GridDensity.uniform(n)
-    lin = GridDensity.from_callable(lambda x: 2 + x, n)
+    lin = GridDensity(2 + cell_centers(n))
     rep = theta_plus(one, lin)
     assert abs(rep.theta - np.log(1.5)) < 5e-4
     assert abs(rep.alpha_val - 2.0) < 1e-3

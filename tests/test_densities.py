@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from nonstat_dyn.densities import (GridDensity, GridMismatchError,
-                                   _window_extremes, l1_distance,
-                                   osc_integral, quasi_holder_seminorm)
+                                   _window_extremes, cell_centers,
+                                   l1_distance, osc_integral,
+                                   quasi_holder_seminorm)
 
 
 def brute_force_osc_integral(phi: GridDensity, eps: float, samples_per_cell=9):
@@ -60,7 +61,8 @@ def test_osc_tent_closed_form():
     # except within eps of its peak 1/2 and its trough 0, where it is
     # eps + |x - c|; each of the two costs eps^2, so the integral is
     # 2 eps - 2 eps^2
-    tent = GridDensity.from_callable(lambda x: np.minimum(x, 1.0 - x), 4096)
+    x = cell_centers(4096)
+    tent = GridDensity(np.minimum(x, 1.0 - x))
     for eps in (0.01, 0.04):
         assert abs(osc_integral(tent, eps) - (2 * eps - 2 * eps ** 2)) < 1e-4
 
@@ -155,8 +157,8 @@ def test_seminorm_lipschitz_bound():
     # |phi|_1 seminorm of a K-Lipschitz function is at most ~2K
     K = 3.0
     for n in (512, 1024):
-        phi = GridDensity.from_callable(lambda x: 1 + K * np.minimum(x, 1 - x),
-                                        n)
+        x = cell_centers(n)
+        phi = GridDensity(1 + K * np.minimum(x, 1 - x))
         rep = quasi_holder_seminorm(phi, 1.0)
         assert rep.seminorm <= 2 * K * 1.05
 
@@ -164,8 +166,8 @@ def test_seminorm_lipschitz_bound():
 def test_seminorm_refinement_consistency():
     smooth = lambda x: 1 + 0.3 * np.sin(2 * np.pi * x)
     eps = 10 / 512
-    a = osc_integral(GridDensity.from_callable(smooth, 512), eps)
-    b = osc_integral(GridDensity.from_callable(smooth, 1024), eps)
+    a = osc_integral(GridDensity(smooth(cell_centers(512))), eps)
+    b = osc_integral(GridDensity(smooth(cell_centers(1024))), eps)
     assert abs(a - b) / b < 0.05
 
 

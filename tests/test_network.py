@@ -13,7 +13,7 @@ import pytest
 
 from nonstat_dyn.maps import (circle_family, doubling_family, instantiate,
                               mod1, pm_family)
-from nonstat_dyn import network, transfer
+from nonstat_dyn import maps, network, transfer
 from nonstat_dyn.network import (AdjacencySchedule, NetworkSystem,
                                  diffusive_coupling, gen_schedule,
                                  histogram_noise_floor, simulate_ensemble,
@@ -359,7 +359,7 @@ def test_walk_rows_grouped_equals_ungrouped(monkeypatch, ensemble):
 
     def walked():
         x = x0.copy()
-        list(network._walk_rows(system, sched, x, [3, 6], 6, 16, 1e-12, 0,
+        list(network._walk_rows(system, sched, x, [3, 6], 6, 16, 0,
                                 ensemble))
         return x
     grouped = walked()
@@ -368,7 +368,7 @@ def test_walk_rows_grouped_equals_ungrouped(monkeypatch, ensemble):
 
 
 def serial_simulate_oracle(system, schedule, ensemble, n_steps, seed=0,
-                           n_bins=64, checkpoint_every=None, dither=1e-12):
+                           n_bins=64, checkpoint_every=None):
     """simulate_ensemble's counts and distances from one step_network call
     over all rows per step, on one thread."""
     if checkpoint_every is None:
@@ -380,9 +380,8 @@ def serial_simulate_oracle(system, schedule, ensemble, n_steps, seed=0,
     counts, dists = [], []
     for t in range(n_steps):
         x = step_network(system, x, t, schedule)
-        if dither > 0:
-            x += rng.uniform(-0.5 * dither, 0.5 * dither, x.shape)
-            x = mod1(x)
+        x += rng.uniform(-0.5 * maps.DITHER, 0.5 * maps.DITHER, x.shape)
+        x = mod1(x)
         if (t + 1) % checkpoint_every == 0 or t + 1 == n_steps:
             cnt = np.array([np.bincount(np.minimum((x[:, i] * n_bins).astype(int),
                                                    n_bins - 1), minlength=n_bins)
@@ -453,19 +452,17 @@ def test_two_thread_ensemble_equals_serial_oracle(monkeypatch, ensemble,
     system = NetworkSystem(node_map=instantiate(pm_family(0.5), 0.1),
                            n_nodes=4, **coupling)
     sched = gen_schedule("bursty", 4, horizon=12, seed=5, p=0.8, fail_rate=0.2)
-    for dither in (1e-12, 0.0):
-        summaries, forks = on_both_paths(
-            monkeypatch, lambda: simulate_ensemble(
-                system, sched, ensemble, 12, seed=11, n_bins=16,
-                checkpoint_every=4, dither=dither))
-        assert forks == (ensemble > 1 and transfer._can_fork())
-        counts, dists = serial_simulate_oracle(system, sched, ensemble, 12,
-                                               seed=11, n_bins=16,
-                                               checkpoint_every=4,
-                                               dither=dither)
-        for summary in summaries:
-            assert np.array_equal(summary.counts, counts)
-            assert np.array_equal(summary.distances, dists)
+    summaries, forks = on_both_paths(
+        monkeypatch, lambda: simulate_ensemble(
+            system, sched, ensemble, 12, seed=11, n_bins=16,
+            checkpoint_every=4))
+    assert forks == (ensemble > 1 and transfer._can_fork())
+    counts, dists = serial_simulate_oracle(system, sched, ensemble, 12,
+                                           seed=11, n_bins=16,
+                                           checkpoint_every=4)
+    for summary in summaries:
+        assert np.array_equal(summary.counts, counts)
+        assert np.array_equal(summary.distances, dists)
 
 
 @pytest.mark.parametrize("dither", [3e-13, 2e-12, 1e-3, 0.7])
@@ -475,6 +472,7 @@ def test_dither_buffer_draws_the_uniform_stream(monkeypatch, dither):
     # draws; a coarse dither moves states across bins, so a changed stream
     # shows.  The larger ensembles span several tiles per half with odd
     # remainders
+    monkeypatch.setattr(maps, "DITHER", dither)
     system = NetworkSystem(node_map=instantiate(doubling_family(), 0.0),
                            n_nodes=3, alpha_c=0.02)
     sched = gen_schedule("bursty", 3, horizon=20, seed=2)
@@ -483,12 +481,11 @@ def test_dither_buffer_draws_the_uniform_stream(monkeypatch, dither):
         summaries, forks = on_both_paths(
             monkeypatch, lambda: simulate_ensemble(
                 system, sched, ensemble, n_steps, seed=4, n_bins=16,
-                checkpoint_every=5, dither=dither))
+                checkpoint_every=5))
         assert forks == transfer._can_fork()
         counts, dists = serial_simulate_oracle(system, sched, ensemble,
                                                n_steps, seed=4, n_bins=16,
-                                               checkpoint_every=5,
-                                               dither=dither)
+                                               checkpoint_every=5)
         for summary in summaries:
             assert np.array_equal(summary.counts, counts)
             assert np.array_equal(summary.distances, dists)
@@ -588,18 +585,16 @@ def test_package_import_starts_no_thread_pool():
     assert out.split() == ["False", "1"]
 
 
-@pytest.mark.parametrize("ensemble,n_steps,checkpoint_every,message,dither", [
-    (0, 10, None, "ensemble must be positive", 1e-12),
-    (10, 0, None, "n_steps must be positive", 1e-12),
-    (10, -1, 2, "n_steps must be positive", 1e-12),
-    (10, 10, 0, "checkpoint_every must be positive", 1e-12),
-    (10, 10, -1, "checkpoint_every must be positive", 1e-12),
-    (10, 10, None, "dither must be nonnegative", -1e-12),
-    (10, 10, None, "dither must be nonnegative", float("nan")),
-    (10, 11, None, "schedule horizon 10 is shorter than n_steps 11", 1e-12),
+@pytest.mark.parametrize("ensemble,n_steps,checkpoint_every,message", [
+    (0, 10, None, "ensemble must be positive"),
+    (10, 0, None, "n_steps must be positive"),
+    (10, -1, 2, "n_steps must be positive"),
+    (10, 10, 0, "checkpoint_every must be positive"),
+    (10, 10, -1, "checkpoint_every must be positive"),
+    (10, 11, None, "schedule horizon 10 is shorter than n_steps 11"),
 ])
 def test_ensemble_edge_inputs_rejected_before_any_work(
-        monkeypatch, ensemble, n_steps, checkpoint_every, message, dither):
+        monkeypatch, ensemble, n_steps, checkpoint_every, message):
     def no_work(*args, **kwargs):
         raise AssertionError("work began before the inputs were checked")
 
@@ -610,4 +605,4 @@ def test_ensemble_edge_inputs_rejected_before_any_work(
     sched = gen_schedule("static", 4, horizon=10)
     with pytest.raises(ValueError, match=f"^{message}$"):
         simulate_ensemble(system, sched, ensemble, n_steps,
-                          checkpoint_every=checkpoint_every, dither=dither)
+                          checkpoint_every=checkpoint_every)

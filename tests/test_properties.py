@@ -1,9 +1,10 @@
-"""Property-based checks of the bit-for-bit oracles.
+"""Property-based checks of the operator axioms and the bit-for-bit oracles.
 
-Each property holds a fast path to the plain numpy expression it replaces,
-bit for bit, over inputs that hypothesis draws.  Every run draws the same
+The axioms hold for every operator `build_ulam` makes, and each other
+property holds a fast path to the plain numpy expression it replaces, bit
+for bit, over inputs that hypothesis draws.  Every run draws the same
 cases (`derandomize=True`) and writes no example database, so the suite
-stays deterministic and leaves no `.hypothesis/` directory behind.
+stays deterministic.
 """
 import warnings
 
@@ -13,7 +14,9 @@ from hypothesis.extra import numpy as hnp
 
 from nonstat_dyn import network
 from nonstat_dyn.cones import _shifted_rows
-from nonstat_dyn.maps import mod1
+from nonstat_dyn.maps import (BUILTIN_FAMILIES, family_by_name, instantiate,
+                              mod1)
+from nonstat_dyn.transfer import STEP_BLOCK, build_ulam, step_blocks
 
 
 def checked(max_examples):
@@ -91,3 +94,48 @@ def test_shifted_rows_equal_the_index_gather(case):
     assert rows.shape == (count, n)
     assert rows.tobytes() == want.tobytes()
     assert not rows.flags.writeable
+
+
+@st.composite
+def ulam_cases(draw):
+    """(instance, n_cells, quadrature): a built-in family at its default
+    settings and any gamma in its expanding range, on 2 to 300 cells with 1
+    to 40 quadrature nodes."""
+    family = family_by_name(draw(st.sampled_from(sorted(BUILTIN_FAMILIES))))
+    gamma = draw(st.floats(*family.gamma_range))
+    n_cells = draw(st.integers(2, 300))
+    quadrature = draw(st.integers(1, 40))
+    return instantiate(family, gamma), n_cells, quadrature
+
+
+@checked(600)
+@given(ulam_cases())
+def test_built_operators_satisfy_the_axioms(case):
+    op = build_ulam(*case)
+    mat = op.matrix
+    n = op.n_cells
+    assert mat.shape == (n, n)
+    # canonical CSR: each row's columns strictly ascending, within the grid
+    assert op.indptr[0] == 0 and op.indptr[-1] == op.data.size
+    assert np.all(np.diff(op.indptr) >= 0)
+    row_of = np.repeat(np.arange(n), np.diff(op.indptr))
+    same_row = row_of[1:] == row_of[:-1]
+    assert np.all(np.diff(op.indices)[same_row] > 0)
+    assert op.indices.min() >= 0 and op.indices.max() < n
+    assert np.all(op.data > 0)
+    column_sums = np.bincount(op.indices, weights=op.data, minlength=n)
+    assert np.max(np.abs(column_sums - 1.0)) <= 1e-12
+
+
+@checked(600)
+@given(ulam_cases(), st.integers(1, 2 * STEP_BLOCK + 8),
+       st.integers(0, 2 ** 32 - 1))
+def test_step_blocks_rows_equal_chained_matrix_products(case, steps, seed):
+    op = build_ulam(*case)
+    v = np.random.default_rng(seed).uniform(0.0, 2.0, op.n_cells)
+    rows = np.concatenate([block.copy()
+                           for block in step_blocks([op] * steps, v)])
+    assert rows.shape == (steps, op.n_cells)
+    for row in rows:
+        v = op.matrix @ v
+        assert np.array_equal(bits(row), bits(v))

@@ -33,11 +33,27 @@ def random_density(rng, n):
     return GridDensity(vals / vals.mean())
 
 
+def _breakpoint_affine(gamma, b0=0.4):
+    b = b0 + gamma
+    a1, a2 = 1.0 / b, 1.0 / (1.0 - b)
+    return [(a1, 0.0), (a2, -a2 * b)]
+
+
+# (slope, intercept) of each piece of an affine family's instance at gamma,
+# by the family's name
+PIECE_AFFINE = {
+    "doubling": lambda gamma: [(2.0 + gamma, 0.0)],
+    "breakpoint(b0=0.4)": _breakpoint_affine,
+    "tent": lambda gamma: [(2.0 + gamma, 0.0), (-(2.0 + gamma), 2.0 + gamma)],
+}
+
+
 def affine_ulam_oracle(instance, n):
     """Exact Ulam entries of a piecewise-affine map by interval intersection."""
     mat = np.zeros((n, n))
-    for piece in instance.pieces:
-        a, b = piece.affine
+    affine = PIECE_AFFINE[instance.family.name](instance.gamma)
+    assert len(affine) == len(instance.pieces)
+    for piece, (a, b) in zip(instance.pieces, affine):
         for j in range(n):
             lo, hi = max(j / n, piece.lo), min((j + 1) / n, piece.hi)
             if hi <= lo:
@@ -86,8 +102,7 @@ def interp_ulam_oracle(instance, n_cells, quadrature=32):
                             return_inverse=True)
     data = np.bincount(where, weights=np.concatenate(weights))
     indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=n))))
-    mat = scipy.sparse.csr_array((data, keys % n, indptr), shape=(n, n))
-    return UlamOperator(matrix=mat).matrix
+    return scipy.sparse.csr_array((data, keys % n, indptr), shape=(n, n))
 
 
 ORACLE_GRID = {
@@ -165,13 +180,22 @@ def test_kernel_products_match_public_matmul_bitwise(name):
                                                 rng.uniform(0.1, 2.0, n))
 
 
+def csr_operator(matrix):
+    """An `UlamOperator` on the arrays of a square matrix's canonical scipy
+    CSR form, wrapped as `build_ulam` wraps its own."""
+    mat = scipy.sparse.csr_array(matrix)
+    mat.sum_duplicates()
+    return UlamOperator._trusted(mat.indptr, mat.indices, mat.data,
+                                 mat.shape[0])
+
+
 def user_csr_int64(n):
     rng = np.random.default_rng(3)
     dense = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.2)
     mat = scipy.sparse.csr_array(dense)
     mat.indices = mat.indices.astype(np.int64)
     mat.indptr = mat.indptr.astype(np.int64)
-    op = UlamOperator(matrix=mat)
+    op = csr_operator(mat)
     assert op.matrix.indices.dtype == np.int64
     return op
 
@@ -179,7 +203,7 @@ def user_csr_int64(n):
 @pytest.mark.parametrize("make", [
     lambda: averaged_operator(
         pm_family(0.5), AveragingLaw(0.1, 0.02, n_samples=8), 300),
-    lambda: UlamOperator(matrix=np.random.default_rng(2).uniform(
+    lambda: csr_operator(np.random.default_rng(2).uniform(
         0.0, 1.0, (57, 57))),
     lambda: user_csr_int64(211),
 ], ids=["averaged", "dense", "user-csr-int64"])
@@ -726,9 +750,15 @@ def test_built_operators_are_canonical_positive_and_frozen():
 
 def test_public_constructors_reject_negative_entries():
     with pytest.raises(ValueError, match="nonnegative"):
-        UlamOperator(matrix=np.array([[1.0, 0.5], [0.0, -0.5]]))
-    with pytest.raises(ValueError, match="nonnegative"):
         GridDensity(np.array([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("args", [(), (np.eye(2),), (build_ulam(
+    instantiate(doubling_family(), 0.0), 4).matrix,)])
+def test_operators_are_built_not_constructed(args):
+    # the kernel checks no bounds, so no arrays from outside are taken
+    with pytest.raises(TypeError, match="use build_ulam"):
+        UlamOperator(*args)
 
 
 def test_doubling_two_cell_matrix_exact():
@@ -942,7 +972,7 @@ def test_fixed_density_nonconvergence_reports_residual():
                     [1.0, 0.0, 0.0],
                     [0.0, 0.0, 0.0]])
     with pytest.raises(NonConvergenceError) as err:
-        fixed_density(UlamOperator(matrix=osc), tol=1e-13, max_iter=50)
+        fixed_density(csr_operator(osc), tol=1e-13, max_iter=50)
     assert "residual" in str(err.value)
 
 
