@@ -28,11 +28,6 @@ class Observable:
     values: np.ndarray
     name: str = "psi"
 
-    @staticmethod
-    def from_callable(fn, n_cells: int, name: str = "psi") -> "Observable":
-        vals = np.asarray(fn(cell_centers(n_cells)), dtype=float)
-        return Observable(fn=fn, values=vals, name=name)
-
     @property
     def n_cells(self) -> int:
         return self.values.size
@@ -54,7 +49,9 @@ def observable(name: str, n_cells: int) -> Observable:
     if name not in BUILTIN_OBSERVABLES:
         raise ValueError(f"unknown observable {name!r}; known: "
                          f"{sorted(BUILTIN_OBSERVABLES)}")
-    return Observable.from_callable(BUILTIN_OBSERVABLES[name], n_cells, name=name)
+    fn = BUILTIN_OBSERVABLES[name]
+    return Observable(fn=fn, name=name, values=np.asarray(
+        fn(cell_centers(n_cells)), dtype=float))
 
 
 # --- orbits ----------------------------------------------------------------

@@ -8,10 +8,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import maps
+from . import _helpers, maps
 from .maps import MapInstance, mod1
 from .seeding import substream
-from .transfer import _can_fork, _fork_helper, _reap, build_ulam, fixed_density
+from .transfer import build_ulam, fixed_density
 
 TWO_PI = 2.0 * np.pi
 #: State values per stepped tile, 64 KiB per temporary: with the trig
@@ -19,11 +19,11 @@ TWO_PI = 2.0 * np.pi
 #: median of 8 pairs).
 TILE_VALUES = 1 << 13
 #: Rows x nodes x steps above which `simulate_ensemble` forks a helper: the
-#: fork and its pipe cost what one process takes for 2-4 x 10^5 (pm, 4
-#: nodes, median of 9 runs: 9.7 ms forked against 8.6 ms alone at 192,000,
-#: 15.1 against 16.6 ms at 400,000, on a host where a fork took ~4 ms). No
-#: benchmark workload runs near it, so it was left at 2^17.
-FORK_MIN_VALUES = 1 << 17
+#: smallest power of two at which a forked run beat one process in most
+#: alternating pairs (pm, alpha_c 0.01, bursty, 2-8 nodes, 12-50 steps,
+#: 165 pairs per size on a 2-CPU host: the fork was faster in 27 at 2^17,
+#: 110 at 2^18 and 136 at 2^19).
+FORK_MIN_VALUES = 1 << 18
 
 
 def diffusive_coupling(xj, xi):
@@ -217,7 +217,7 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
     the uncoupled invariant density at every checkpoint.
 
     Rows are independent, so where rows x nodes x steps exceeds
-    FORK_MIN_VALUES and `transfer._can_fork` finds a second CPU usable, a
+    FORK_MIN_VALUES and `_helpers.can_fork` finds a second CPU usable, a
     forked helper process steps the upper half of the rows while this
     process steps the lower half; the helper sends its rows' histogram
     counts at every checkpoint through a pipe, and they are added to this
@@ -249,31 +249,30 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
     half = ensemble // 2
     helper = None    # (pid, pipe) of the helper stepping rows [half, ensemble)
     if (half and ensemble * system.n_nodes * n_steps > FORK_MIN_VALUES
-            and _can_fork()):
-        helper = _fork_helper(functools.partial(_send_counts,
-                                                walk(half, ensemble)))
+            and _helpers.can_fork()):
+        helper = _helpers.fork((cnt,) for cnt in walk(half, ensemble))
+    part = np.empty((system.n_nodes, n_bins), dtype=np.int64)
     upper = None     # the upper rows' counts, if stepped here
     counts = []
     try:
         for index, cnt in enumerate(walk(0, half if helper else ensemble)):
             if helper is not None:
-                part = _read_counts(helper[1], cnt.shape)
-                if part is None:
+                if _helpers.receive(helper, part):
+                    cnt += part
+                else:
                     # the helper stopped; this process's copy of its rows
                     # still holds their initial states, so they are stepped
                     # here from the start, past the checkpoints read already
-                    _reap(helper)
+                    _helpers.reap(helper)
                     helper = None
                     upper = itertools.islice(walk(half, ensemble), index,
                                              None)
-                else:
-                    cnt += part
             if upper is not None:
                 cnt += next(upper)
             counts.append(cnt)
     finally:
         if helper is not None:
-            _reap(helper)
+            _helpers.reap(helper)
     counts = np.array(counts)
     dists = np.array([[float(np.mean(np.abs(c * (n_bins / ensemble)
                                             - invariant.values)))
@@ -324,17 +323,3 @@ def _walk_rows(system, schedule, x, checkpoints, seed, n_bins, lo, hi):
                     minlength=n_bins)
             yield cnt
 
-
-def _send_counts(walk, pipe) -> None:
-    """The helper of `simulate_ensemble`: write the raw bytes of each
-    checkpoint's counts from `walk` to `pipe` as they come."""
-    for cnt in walk:
-        pipe.write(cnt)
-        pipe.flush()
-
-
-def _read_counts(pipe, shape) -> Optional[np.ndarray]:
-    """The next checkpoint's counts on `pipe`, or None if they come up
-    short."""
-    cnt = np.empty(shape, dtype=np.int64)
-    return cnt if pipe.readinto(cnt) == cnt.nbytes else None

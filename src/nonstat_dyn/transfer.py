@@ -8,15 +8,13 @@ import importlib.util
 import itertools
 import math
 import os
-import signal
-import struct
 import sys
-import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import _helpers
 from .densities import (GridDensity, GridMismatchError, l1_norm,
                         quasi_holder_seminorm, seminorms)
 from .maps import MapFamily, MapInstance, instantiate
@@ -331,7 +329,8 @@ def ulam_operators(family: MapFamily, params: Iterable,
     `build_ulam` per run of equal consecutive parameters, as `per_run`.
 
     The builds are independent, so a stream of two or more runs shares them
-    with a helper process, forked when a run begins if `_helper_can_run`.
+    with a helper process, forked when a run begins if `_helpers.can_fork`
+    and a CPU of the machine is idle (`_helpers.cpu_idle`).
     That is tested at run 1 and, while it fails, again at runs 2, 4, 8, ...
     (the powers of two): a momentary load, such as this process's own
     OpenBLAS thread still spinning just after numpy's import, does not keep
@@ -339,7 +338,7 @@ def ulam_operators(family: MapFamily, params: Iterable,
     per 2000 runs.  The helper goes on through its own copy of the parameter
     iterator and builds the run at which it was forked and every other run
     after it by the same call, in the same process image, so their bits are
-    the parent's; it writes each one to a pipe as one frame, `_write_frame`.
+    the parent's; it sends each one as a frame, `_build_every_other_run`.
     The parent builds the runs before the fork and every other run after it,
     and reads the helper's.  The pipe is the only queue: the helper blocks
     while it is full, and the parent holds only the current operator, so
@@ -357,21 +356,21 @@ def ulam_operators(family: MapFamily, params: Iterable,
 
     runs = itertools.groupby(map(float, params))
     helper = None    # (pid, pipe) of the process building every other run
-    test_at = 1      # the next run to test `_helper_can_run` at; 0 for none
+    test_at = 1      # the next run to test for a helper at; 0 for none
     forked_at = 0
     try:
         for index, (gamma, run) in enumerate(runs):
             op = None
             if index == test_at:
                 test_at *= 2
-                if _helper_can_run():
+                if _helpers.can_fork() and _helpers.cpu_idle():
                     test_at, forked_at = 0, index
-                    helper = _fork_helper(functools.partial(
-                        _build_every_other_run, make, gamma, runs))
+                    helper = _helpers.fork(
+                        _build_every_other_run(make, gamma, runs))
             if helper is not None and (index - forked_at) % 2 == 0:
-                op = _read_frame(helper[1], gamma, n_cells)
+                op = _read_frame(helper, gamma, n_cells)
                 if op is None:
-                    _reap(helper)
+                    _helpers.reap(helper)
                     helper = None
             if op is None:
                 op = make(gamma)
@@ -379,120 +378,34 @@ def ulam_operators(family: MapFamily, params: Iterable,
                 yield op
     finally:
         if helper is not None:
-            _reap(helper)
+            _helpers.reap(helper)
 
 
-def _helper_can_run() -> bool:
-    """Whether this process may fork a helper that gets a CPU of its own:
-    `_can_fork`, and a CPU of the machine is idle.  Split in two, the builds
-    of a stream cost more CPU time in all, which only pays on a CPU that
-    would otherwise idle.  The idle test reads the load of one moment, so
-    `ulam_operators` asks again at runs 2, 4, 8, ... of a stream refused at
-    run 1."""
-    return _can_fork() and _runnable_elsewhere() < (os.cpu_count() or 1) - 1
-
-
-def _can_fork() -> bool:
-    """Whether a forked helper could run beside this process: `os.fork`
-    exists, two CPUs are available to the process, and no other Python
-    thread runs (one could hold a lock when the process forks; numpy's
-    OpenBLAS pool is no such thread, as its own fork handler stops it
-    first).  Whether the machine has a CPU idle is `_helper_can_run`'s
-    test, left to work that costs more CPU time when split."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) >= 2
-    return (os.cpu_count() or 1) >= 2
-
-
-def _runnable_elsewhere() -> int:
-    """The tasks runnable on the machine now, as /proc/loadavg counts them,
-    less the threads of this process that are: an OpenBLAS thread spinning
-    for a while after a solve stops at the fork.  Where /proc cannot be
-    read, one per CPU."""
-    try:
-        with open("/proc/loadavg") as loadavg:
-            runnable = int(loadavg.read().split()[3].split("/")[0])
-        for tid in os.listdir("/proc/self/task"):
-            with open(f"/proc/self/task/{tid}/stat") as stat:
-                runnable -= stat.read().rpartition(")")[2].split()[0] == "R"
-    except (OSError, ValueError, IndexError):
-        return os.cpu_count() or 1
-    return runnable
-
-
-def _fork_helper(work: Callable) -> Optional[tuple]:
-    """Fork a helper process that calls work(pipe) on the write end of a
-    pipe, as a buffered file, and exits.  Returns (pid, read end as a
-    buffered file), or None if no process could be forked."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            # every inherited descriptor but the write end: another helper's
-            # read end held here would keep that helper blocked on a full
-            # pipe, and its parent waiting on it, once its parent is done
-            os.closerange(0, write_end)
-            os.closerange(write_end + 1, os.sysconf("SC_OPEN_MAX"))
-            work(os.fdopen(write_end, "wb"))
-            status = 0
-        finally:
-            # no atexit handler or inherited stdio buffer runs here
-            os._exit(status)
-    os.close(write_end)
-    return pid, os.fdopen(read_end, "rb")
-
-
-def _build_every_other_run(make, gamma: float, runs, pipe) -> None:
-    """The helper of `ulam_operators`: build the run it was forked at
+def _build_every_other_run(make, gamma: float, runs) -> Iterator[tuple]:
+    """The frames of `ulam_operators`' helper: the run it was forked at
     (parameter `gamma`) and every other run after it in `runs`, the rest of
-    the groupby, writing each operator to `pipe`."""
-    _write_frame(pipe, gamma, make(gamma))
-    for index, (gamma, _) in enumerate(runs, 1):
-        if index % 2 == 0:
-            _write_frame(pipe, gamma, make(gamma))
+    the groupby, each operator as its parameter (float64) and nnz (int64),
+    then `indptr`, `indices` (both int32) and `data`."""
+    gammas = itertools.chain([gamma], (g for g, _ in runs))
+    for gamma in itertools.islice(gammas, 0, None, 2):
+        op = make(gamma)
+        yield (np.array([gamma]), np.array([op.data.size], dtype=np.int64),
+               op.indptr, op.indices, op.data)
 
 
-def _reap(helper: tuple) -> None:
-    """Close the read end, stop the helper and wait for it: whatever it has
-    left to do is work nobody reads, such as the rest of a network half
-    after the parent's own half raised.  Until it is waited for, its pid
-    cannot be reused, so the kill reaches no other process."""
-    pid, pipe = helper
-    pipe.close()
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
-
-
-def _write_frame(pipe, gamma: float, op: UlamOperator) -> None:
-    """One operator as a frame: its parameter (float64) and nnz (int64),
-    then the raw bytes of `indptr`, `indices` (both int32) and `data`."""
-    pipe.write(struct.pack("=dq", gamma, op.data.size))
-    for arr in (op.indptr, op.indices, op.data):
-        pipe.write(arr)
-    pipe.flush()
-
-
-def _read_frame(pipe, gamma: float, n_cells: int) -> Optional[UlamOperator]:
-    """The operator of the next frame on `pipe`, in fresh arrays, or None if
+def _read_frame(helper: tuple, gamma: float,
+                n_cells: int) -> Optional[UlamOperator]:
+    """The operator of the helper's next frame, in fresh arrays, or None if
     the frame comes up short or was built for another parameter than
     `gamma` (compared bit for bit)."""
-    head = pipe.read(16)
-    if len(head) < 16 or head[:8] != struct.pack("=d", gamma):
+    param, nnz = np.empty(1), np.empty(1, dtype=np.int64)
+    if (not _helpers.receive(helper, param, nnz)
+            or param.tobytes() != np.float64(gamma).tobytes()):
         return None
-    nnz = struct.unpack("=q", head[8:])[0]
     arrays = (np.empty(n_cells + 1, dtype=np.int32),
-              np.empty(nnz, dtype=np.int32), np.empty(nnz))
-    for arr in arrays:
-        if pipe.readinto(arr) < arr.nbytes:
-            return None
+              np.empty(nnz[0], dtype=np.int32), np.empty(nnz[0]))
+    if not _helpers.receive(helper, *arrays):
+        return None
     return UlamOperator._trusted(*arrays, n_cells)
 
 

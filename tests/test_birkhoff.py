@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nonstat_dyn import birkhoff, maps, sequences, transfer
+from nonstat_dyn import _helpers, birkhoff, maps, sequences, transfer
 from nonstat_dyn.birkhoff import (band_pass_check,
                                   birkhoff_averages, covariance_decay,
                                   lln_summability, lp_distance, observable,
@@ -98,7 +98,7 @@ def test_streams_build_once_per_run(monkeypatch, tmp_path):
     # a helper process, so each call appends its label as one line to a
     # file opened with O_APPEND, which the calls of both processes reach.
     # A CPU is taken as idle, so the helper is used whatever else runs
-    monkeypatch.setattr(transfer, "_runnable_elsewhere", lambda: 0)
+    monkeypatch.setattr(_helpers, "runnable_elsewhere", lambda: 0)
     log = tmp_path / "builds"
 
     def count_calls(module, name, label):

@@ -13,13 +13,14 @@ import pytest
 
 from nonstat_dyn.maps import (circle_family, doubling_family, instantiate,
                               mod1, pm_family)
-from nonstat_dyn import maps, network, transfer
+from nonstat_dyn import _helpers, maps, network
 from nonstat_dyn.network import (AdjacencySchedule, NetworkSystem,
                                  diffusive_coupling, gen_schedule,
                                  histogram_noise_floor, simulate_ensemble,
                                  step_network)
 from nonstat_dyn.seeding import substream
 from nonstat_dyn.transfer import build_ulam, fixed_density
+from test_helpers import assert_no_child_left, counting_forks
 
 
 def test_static_complete_schedule():
@@ -392,20 +393,6 @@ def serial_simulate_oracle(system, schedule, ensemble, n_steps, seed=0,
     return np.array(counts), np.array(dists)
 
 
-def counting_forks(patch):
-    """Patch os.fork to record the pid of every child it starts; the list
-    of pids."""
-    pids, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-    patch.setattr(os, "fork", counted)
-    return pids
-
-
 def on_both_paths(monkeypatch, simulate):
     """simulate() on the path that forks a helper for the upper rows, with
     FORK_MIN_VALUES at 0 so that any run of 2 rows or more forks, then on
@@ -418,16 +405,11 @@ def on_both_paths(monkeypatch, simulate):
         pids = counting_forks(patch)
         forked = simulate()
     with monkeypatch.context() as patch:
-        patch.setattr(network, "_can_fork", lambda: False)
+        patch.setattr(_helpers, "can_fork", lambda: False)
         patch.setattr(os, "fork", no_fork)
         alone = simulate()
     assert_no_child_left()
     return (forked, alone), len(pids)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 # rows of one stepped tile at 4 and 3 nodes
@@ -456,7 +438,7 @@ def test_two_thread_ensemble_equals_serial_oracle(monkeypatch, ensemble,
         monkeypatch, lambda: simulate_ensemble(
             system, sched, ensemble, 12, seed=11, n_bins=16,
             checkpoint_every=4))
-    assert forks == (ensemble > 1 and transfer._can_fork())
+    assert forks == (ensemble > 1 and _helpers.can_fork())
     counts, dists = serial_simulate_oracle(system, sched, ensemble, 12,
                                            seed=11, n_bins=16,
                                            checkpoint_every=4)
@@ -482,7 +464,7 @@ def test_dither_buffer_draws_the_uniform_stream(monkeypatch, dither):
             monkeypatch, lambda: simulate_ensemble(
                 system, sched, ensemble, n_steps, seed=4, n_bins=16,
                 checkpoint_every=5))
-        assert forks == transfer._can_fork()
+        assert forks == _helpers.can_fork()
         counts, dists = serial_simulate_oracle(system, sched, ensemble,
                                                n_steps, seed=4, n_bins=16,
                                                checkpoint_every=5)
@@ -514,7 +496,7 @@ def test_ensemble_failure_raises_and_leaks_no_process(monkeypatch):
     with pytest.raises(RuntimeError, match=r"^step failed at t=5$"):
         simulate_ensemble(system, sched, 100, 10, seed=1, checkpoint_every=2)
     assert time.monotonic() - start < 30
-    assert len(pids) == transfer._can_fork()
+    assert len(pids) == _helpers.can_fork()
     assert_no_child_left()
     assert threading.active_count() == before
 
@@ -538,7 +520,7 @@ def test_ensemble_equals_oracle_when_the_helper_dies(monkeypatch, dies_at):
     pids = counting_forks(monkeypatch)
     summary = simulate_ensemble(system, sched, 4 * TILE_ROWS_4 + 3, 12,
                                 seed=11, n_bins=16, checkpoint_every=4)
-    assert len(pids) == transfer._can_fork()
+    assert len(pids) == _helpers.can_fork()
     counts, dists = serial_simulate_oracle(system, sched, 4 * TILE_ROWS_4 + 3,
                                            12, seed=11, n_bins=16,
                                            checkpoint_every=4)
@@ -569,7 +551,7 @@ def test_small_ensemble_forks_no_helper(monkeypatch):
         pids = counting_forks(patch)
         simulate_ensemble(system, sched, rows + 1, 16, seed=3, n_bins=16,
                           checkpoint_every=4)
-    assert len(pids) == transfer._can_fork()
+    assert len(pids) == _helpers.can_fork()
     assert_no_child_left()
 
 

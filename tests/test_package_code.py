@@ -35,15 +35,14 @@ CALLED_BY_TESTS_ONLY = {
     "UlamOperator.__setattr__": "it only raises",
     "_load_sparsetools": "it runs at import, before any run",
     # the battery runs on one CPU, so no helper is forked; the both-path
-    # tests of test_stepping.py and test_network.py run these
-    "_runnable_elsewhere": "helper side, off in the battery",
-    "_fork_helper": "helper side, off in the battery",
+    # tests of test_transfer.py and test_network.py run these
+    "cpu_idle": "helper side, off in the battery",
+    "runnable_elsewhere": "helper side, off in the battery",
+    "fork": "helper side, off in the battery",
+    "receive": "helper side, off in the battery",
+    "reap": "helper side, off in the battery",
     "_build_every_other_run": "helper side, off in the battery",
-    "_write_frame": "helper side, off in the battery",
     "_read_frame": "helper side, off in the battery",
-    "_reap": "helper side, off in the battery",
-    "_send_counts": "helper side, off in the battery",
-    "_read_counts": "helper side, off in the battery",
 }
 
 
@@ -87,7 +86,7 @@ def _modules():
 def _battery_calls(tmp_path, monkeypatch) -> set:
     """(file, first line, name) of each package code object called while
     the battery runs in this process.  The caches are cleared first, since
-    a hit skips the call.  The process is shown one CPU, so `_can_fork`
+    a hit skips the call.  The process is shown one CPU, so `can_fork`
     refuses every helper and the set does not depend on the machine."""
     for cache in (maps._pm_shape, maps._lsv_shape, transfer._chord_grid,
                   transfer._shape_values):

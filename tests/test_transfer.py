@@ -18,7 +18,7 @@ from nonstat_dyn.densities import (GridDensity, GridMismatchError,
 from nonstat_dyn.maps import (ExpansionError, breakpoint_family,
                               circle_family, doubling_family, instantiate,
                               lsv_family, pm_family, tent_family)
-from nonstat_dyn import transfer
+from nonstat_dyn import _helpers, transfer
 from nonstat_dyn.transfer import (AveragingLaw, LasotaYorkeFit,
                                   NonConvergenceError, UlamOperator,
                                   apply_sequence, averaged_operator,
@@ -26,6 +26,7 @@ from nonstat_dyn.transfer import (AveragingLaw, LasotaYorkeFit,
                                   fixed_density, iterated_bound_margin,
                                   lasota_yorke_fit, perturbation_probe,
                                   step_blocks)
+from test_helpers import assert_no_child_left, counting_forks
 
 
 def random_density(rng, n):
@@ -189,24 +190,12 @@ def csr_operator(matrix):
                                  mat.shape[0])
 
 
-def user_csr_int64(n):
-    rng = np.random.default_rng(3)
-    dense = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.2)
-    mat = scipy.sparse.csr_array(dense)
-    mat.indices = mat.indices.astype(np.int64)
-    mat.indptr = mat.indptr.astype(np.int64)
-    op = csr_operator(mat)
-    assert op.matrix.indices.dtype == np.int64
-    return op
-
-
 @pytest.mark.parametrize("make", [
     lambda: averaged_operator(
         pm_family(0.5), AveragingLaw(0.1, 0.02, n_samples=8), 300),
     lambda: csr_operator(np.random.default_rng(2).uniform(
         0.0, 1.0, (57, 57))),
-    lambda: user_csr_int64(211),
-], ids=["averaged", "dense", "user-csr-int64"])
+], ids=["averaged", "dense"])
 def test_kernel_products_match_public_matmul_on_other_builds(make):
     op = make()
     v = np.random.default_rng(4).uniform(0.1, 2.0, op.n_cells)
@@ -390,25 +379,12 @@ STREAM_GRID = {
 def idle_cpu(monkeypatch):
     """Take a CPU of the machine as idle, so that whether a stream forks its
     helper does not hang on what else runs while the suite does."""
-    monkeypatch.setattr(transfer, "_runnable_elsewhere", lambda: 0)
+    monkeypatch.setattr(_helpers, "runnable_elsewhere", lambda: 0)
 
 
-def counting_forks(monkeypatch):
-    """The pids of the helpers forked from here on."""
-    pids, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def helper_can_run():
+    """Whether `ulam_operators` forks its helper at run 1."""
+    return _helpers.can_fork() and _helpers.cpu_idle()
 
 
 @pytest.mark.parametrize("name", sorted(STREAM_GRID))
@@ -425,7 +401,7 @@ def test_streamed_operators_match_in_process_builds_bytewise(monkeypatch,
     runs = np.concatenate([np.linspace(lo, hi, 5), rng.uniform(lo, hi, 25)])
     gammas = np.repeat(runs, rng.integers(1, 4, 30))
     ops = list(transfer.ulam_operators(family, gammas, n))
-    assert len(forks) == transfer._helper_can_run()
+    assert len(forks) == helper_can_run()
     assert len(ops) == gammas.size
     assert len({op.data.size for op in ops}) > 1
     for gamma, op in zip(gammas, ops):
@@ -449,8 +425,8 @@ def test_helper_builds_the_odd_runs_only_where_it_can(monkeypatch, setting):
     elif setting == "one-cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     elif setting == "busy-cpus":
-        monkeypatch.setattr(transfer, "_runnable_elsewhere", os.cpu_count)
-    helper = transfer._helper_can_run()
+        monkeypatch.setattr(_helpers, "runnable_elsewhere", os.cpu_count)
+    helper = helper_can_run()
     if setting != "two-cpus":
         assert not helper
     built, build = [], transfer.build_ulam
@@ -474,7 +450,7 @@ def test_helper_refused_at_run_one_is_forked_at_the_next_test(monkeypatch):
     def busy_once():
         calls.append(None)
         return os.cpu_count() if len(calls) == 1 else 0
-    monkeypatch.setattr(transfer, "_runnable_elsewhere", busy_once)
+    monkeypatch.setattr(_helpers, "runnable_elsewhere", busy_once)
     forks = counting_forks(monkeypatch)
     built, build = [], transfer.build_ulam
 
@@ -486,7 +462,7 @@ def test_helper_refused_at_run_one_is_forked_at_the_next_test(monkeypatch):
     runs = np.linspace(0.05, 0.15, 9)
     gammas = np.repeat(runs, [1, 2, 1, 3, 2, 1, 2, 1, 1])
     ops = list(transfer.ulam_operators(fam, gammas, 64))
-    can_fork = transfer._can_fork()
+    can_fork = _helpers.can_fork()
     assert len(forks) == can_fork
     assert len(calls) == (2 if can_fork else 0)
     assert built == list(runs[[0, 1, 3, 5, 7]] if can_fork else runs)
@@ -522,7 +498,7 @@ def test_stream_error_raises_as_in_process(monkeypatch, bad_run):
     assert streamed == drain(transfer.per_run(
         lambda gamma: build_ulam(instantiate(fam, gamma), 64), gammas))
     assert streamed[0] == np.cumsum([1, 2, 1, 3, 2, 1, 2, 1])[bad_run - 1]
-    assert len(forks) == transfer._helper_can_run()
+    assert len(forks) == helper_can_run()
     assert_no_child_left()
 
 
@@ -541,7 +517,7 @@ def test_helper_parameters_that_differ_from_the_parents_are_not_used(
             drawn.append(random.uniform(0.05, 0.15))
             yield drawn[-1]
     ops = list(transfer.ulam_operators(fam, draws(), 64))
-    assert len(forks) == transfer._helper_can_run()
+    assert len(forks) == helper_can_run()
     assert len(ops) == len(drawn) == 40
     for gamma, op in zip(drawn, ops):
         want = build_ulam(instantiate(fam, gamma), 64)
@@ -560,7 +536,7 @@ def test_no_helper_while_another_thread_runs(monkeypatch):
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        assert not transfer._helper_can_run()
+        assert not helper_can_run()
         fam, gammas = pm_family(0.5), np.linspace(0.05, 0.15, 9)
         ops = list(transfer.ulam_operators(fam, gammas, 64))
     finally:
@@ -615,10 +591,10 @@ CLOSED_EARLY = """
 import os
 import sys
 import numpy as np
-from nonstat_dyn import transfer
+from nonstat_dyn import _helpers
 from nonstat_dyn.maps import pm_family
 from nonstat_dyn.transfer import ulam_operators
-transfer._runnable_elsewhere = lambda: 0    # a CPU taken as idle
+_helpers.runnable_elsewhere = lambda: 0    # a CPU taken as idle
 gammas = np.random.default_rng(0).uniform(0.09, 0.11, 400)
 first = ulam_operators(pm_family(0.5), gammas, 512)
 second = ulam_operators(pm_family(0.5), gammas, 512)
