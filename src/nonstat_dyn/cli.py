@@ -61,6 +61,7 @@ class ArtifactWriter:
         self.run_id = hashlib.sha256(blob).hexdigest()[:16]
         self.checksums: dict = {}
         self.timings: dict = {}
+        self.minor_faults: int | None = None
 
     def _write(self, name: str, text: str) -> None:
         """Write one artifact and record the SHA-256 of the bytes written.
@@ -93,6 +94,7 @@ class ArtifactWriter:
             "config": self.config,
             "artifacts": self.checksums,
             "timings_ms": self.timings,
+            "minor_faults": self.minor_faults,
             "peak_rss_mb": _peak_rss_mb(),
         }
         # serialized before its own write, so the manifest does not list itself
@@ -105,6 +107,11 @@ def _peak_rss_mb() -> float:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # ru_maxrss is in bytes on macOS and in KiB elsewhere
     return round(peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10), 3)
+
+
+def _minor_faults() -> int:
+    """Minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def _family(name: str, kappa: float, b0: float):
@@ -473,9 +480,13 @@ def run(experiment: str, cfg: dict, outdir: str) -> int:
             _check(key, value, *BOUNDS[key])
     writer = ArtifactWriter(outdir, {"experiment": experiment, **cfg})
     start, cpu_start = time.perf_counter(), time.process_time()
+    faults_start = _minor_faults()
     status = EXPERIMENTS[experiment](writer, **cfg)
     writer.timings["total"] = round(1000.0 * (time.perf_counter() - start), 3)
     writer.timings["cpu"] = round(1000.0 * (time.process_time() - cpu_start), 3)
+    # pages this process touched for the first time, as the allocator
+    # maps them: a helper process's own are not counted
+    writer.minor_faults = _minor_faults() - faults_start
     writer.finish()
     return status
 

@@ -9,6 +9,7 @@ import itertools
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -32,6 +33,12 @@ SHAPE_CACHE_SIZE = 8
 #: 330, 380 and 386 ms (median of 5-7 runs, 2-core VM): 16 is near the best
 #: of both.
 STEP_BLOCK = 16
+
+#: Chord nodes per call when assembly evaluates a piece's lift itself: 64
+#: KiB per temporary, under glibc's default 128 KiB mmap threshold, so a
+#: build maps no fresh pages for them (`network.TILE_VALUES` is 2^13 for the
+#: same reason).  A lift is elementwise, so the chunks give its bits.
+CHORD_CHUNK = 1 << 13
 
 
 def _load_sparsetools():
@@ -203,6 +210,35 @@ def _shape_values(shape, nq: int, lo: float, hi: float) -> np.ndarray:
     return vals
 
 
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _chord_buffer(nq: int, thread: int) -> np.ndarray:
+    """The buffer that one thread's builds on a grid of nq chord
+    subintervals write each piece's chord values into: nq + 1 floats, the
+    most nodes a piece in [0, 1] has.  At 1024 cells and up a fresh array
+    per build passes glibc's mmap threshold and maps fresh pages; keyed by
+    `threading.get_ident()`, no two threads share one."""
+    return np.empty(nq + 1)
+
+
+def _chord_values(piece, xs: np.ndarray, n: int, nq: int) -> np.ndarray:
+    """n times the piece's lift at its chord nodes `xs` (in target cells),
+    in this thread's chord buffer: valid until the next call on the grid.
+    A split lift is slope * xs plus its cached shape values; any other is
+    called on `CHORD_CHUNK` nodes at a time."""
+    ys = _chord_buffer(nq, threading.get_ident())[:xs.size]
+    if piece.split is None:
+        for i in range(0, xs.size, CHORD_CHUNK):
+            chunk = slice(i, i + CHORD_CHUNK)
+            np.multiply(np.asarray(piece.lift(xs[chunk]), dtype=float), n,
+                        out=ys[chunk])
+    else:
+        slope, shape = piece.split
+        np.multiply(slope, xs, out=ys)
+        ys += _shape_values(shape, nq, piece.lo, piece.hi)
+        ys *= n
+    return ys
+
+
 def _entries(instance: MapInstance, n_cells: int,
              quadrature: int = 32) -> tuple:
     """The chord-rule entries of a realized map's transfer operator, as
@@ -222,9 +258,10 @@ def _entries(instance: MapInstance, n_cells: int,
     exact for affine branches, columns sum to one, and entries are
     continuous in the map parameter, unlike point binning.  A piece that
     declares its lift as slope*x + shape(x) reads the shape's values at its
-    chord nodes from a cache.  The cell edges k / n_cells are every
-    `quadrature`-th node of the cached chord grid: both are the correctly
-    rounded quotient, so the same floats.
+    chord nodes from a cache, and every piece's lift values are written
+    into one reused buffer (`_chord_values`).  The cell edges k / n_cells
+    are every `quadrature`-th node of the cached chord grid: both are the
+    correctly rounded quotient, so the same floats.
     """
     if n_cells < 2:
         raise ValueError("n_cells must be at least 2")
@@ -235,13 +272,7 @@ def _entries(instance: MapInstance, n_cells: int,
     targets, sources, weights = [], [], []
     for piece in instance.pieces:
         xs = _chord_nodes(nq, piece.lo, piece.hi)
-        if piece.split is None:
-            ys = np.asarray(piece.lift(xs), dtype=float) * n   # in target cells
-        else:
-            slope, shape = piece.split
-            ys = slope * xs
-            ys += _shape_values(shape, nq, piece.lo, piece.hi)
-            ys *= n
+        ys = _chord_values(piece, xs, n, nq)
         x0, x1 = float(xs[0]), float(xs[-1])
         y0, y1 = float(ys[0]), float(ys[-1])
         up = y1 >= y0
@@ -525,10 +556,11 @@ def averaged_operator(family: MapFamily, nu: AveragingLaw,
             continue
         need = acc[1].size + data.size
         if spare is None or spare[1].size < need:
-            # twice the need, so that the union's slow growth seldom
-            # reallocates
+            # exactly the need: buffers of twice it, which the union's slow
+            # growth seldom outgrew, held ~0.7 MiB more at 3072 cells x 8
+            # nodes and were no faster
             spare = (np.empty(n + 1, dtype=np.int32),
-                     np.empty(2 * need, dtype=np.int32), np.empty(2 * need))
+                     np.empty(need, dtype=np.int32), np.empty(need))
         _sparsetools.csr_plus_csr(n, n, *acc, member.indptr, member.indices,
                                   data, *spare)
         nnz = spare[0][-1]

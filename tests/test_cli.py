@@ -312,6 +312,8 @@ def test_manifest_lists_artifacts(tmp_path):
     # where the run's CPU time and memory went, in the manifest only
     assert manifest["timings_ms"]["cpu"] >= 0
     assert manifest["peak_rss_mb"] >= 0
+    faults = manifest["minor_faults"]
+    assert type(faults) is int and faults >= 0
 
 
 def test_csv_rows_carry_manifest_id(tmp_path):

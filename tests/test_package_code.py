@@ -10,6 +10,8 @@ class makes no call of its own (a dataclass's methods are generated), so
 a class passes if some package module reads its name.
 """
 import ast
+import functools
+import importlib
 import os
 import sys
 from pathlib import Path
@@ -17,7 +19,6 @@ from pathlib import Path
 import pytest
 
 import nonstat_dyn
-from nonstat_dyn import maps, transfer
 from test_artifact_digests import BATTERY, run_digests
 
 PACKAGE = Path(nonstat_dyn.__file__).parent
@@ -83,13 +84,35 @@ def _modules():
             for path in sorted(PACKAGE.glob("*.py"))}
 
 
+def _package_caches() -> set:
+    """Every `functools.lru_cache` defined at the top level of a package
+    module, found by looking, so that a new cache is cleared too."""
+    caches = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = nonstat_dyn.__name__ if path.stem == "__init__" else (
+            f"{nonstat_dyn.__name__}.{path.stem}")
+        for value in vars(importlib.import_module(name)).values():
+            if (isinstance(value, functools._lru_cache_wrapper)
+                    and value.__module__ == name):
+                caches.add(value)
+    return caches
+
+
+def test_every_package_cache_is_found():
+    found = {f"{cache.__module__}.{cache.__qualname__}"
+             for cache in _package_caches()}
+    assert {"nonstat_dyn.maps._pm_shape", "nonstat_dyn.maps._lsv_shape",
+            "nonstat_dyn.transfer._chord_grid",
+            "nonstat_dyn.transfer._shape_values",
+            "nonstat_dyn.transfer._chord_buffer"} <= found
+
+
 def _battery_calls(tmp_path, monkeypatch) -> set:
     """(file, first line, name) of each package code object called while
-    the battery runs in this process.  The caches are cleared first, since
+    the battery runs in this process.  Every cache is cleared first, since
     a hit skips the call.  The process is shown one CPU, so `can_fork`
     refuses every helper and the set does not depend on the machine."""
-    for cache in (maps._pm_shape, maps._lsv_shape, transfer._chord_grid,
-                  transfer._shape_values):
+    for cache in _package_caches():
         cache.cache_clear()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)

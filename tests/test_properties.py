@@ -9,14 +9,17 @@ stays deterministic.
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nonstat_dyn import network
+from nonstat_dyn import network, transfer
 from nonstat_dyn.cones import _shifted_rows
+from nonstat_dyn.densities import _window_extremes
 from nonstat_dyn.maps import (BUILTIN_FAMILIES, family_by_name, instantiate,
                               mod1)
 from nonstat_dyn.transfer import STEP_BLOCK, build_ulam, step_blocks
+from test_transfer import operator_bytes, whole_array_build
 
 
 def checked(max_examples):
@@ -139,3 +142,51 @@ def test_step_blocks_rows_equal_chained_matrix_products(case, steps, seed):
     for row in rows:
         v = op.matrix @ v
         assert np.array_equal(bits(row), bits(v))
+
+
+@checked(300)
+@given(ulam_cases(),
+       st.one_of(st.integers(1, 64), st.just(transfer.CHORD_CHUNK)))
+def test_chunked_builds_equal_whole_array_builds(case, chunk):
+    # a small chunk puts chunk edges all along every piece, off-grid piece
+    # ends and falling pieces included
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(transfer, "CHORD_CHUNK", chunk)
+        got = operator_bytes(build_ulam(*case))
+    assert got == operator_bytes(whole_array_build(*case))
+
+
+@st.composite
+def window_cases(draw):
+    """(values, q_max, qs): 1 to 3 rows of 1 to 60 cells, or one 1-D row, and
+    the ascending q of each eps `_osc_integrals` would take, the largest
+    being the table's q."""
+    n = draw(st.integers(1, 60))
+    shape = draw(st.sampled_from([(n,), (1, n), (2, n), (3, n)]))
+    values = draw(hnp.arrays(np.float64, shape,
+                             elements=st.floats(allow_nan=False)))
+    qs = sorted(draw(st.lists(st.integers(1, 2 * n + 3), min_size=1,
+                              max_size=4)))
+    return values, qs[-1], qs
+
+
+@checked(200)
+@given(window_cases())
+def test_window_extremes_equal_brute_force_windows(case):
+    values, q_max, qs = case
+    n = values.shape[-1]
+    extremes = _window_extremes(values, q_max)
+    # the windows of (-q - 1, q), (-q, q), (-q, q + 1) and (-q - 1, q + 1),
+    # in the order `_osc_integrals` asks for them at each q
+    for q in qs:
+        for lo, hi in ((-q - 1, q), (-q, q), (-q, q + 1), (-q - 1, q),
+                       (-q - 1, q + 1), (-q, q + 1)):
+            size = hi - lo + 1
+            start = -lo - 2 * (size // 2)
+            cells = (np.arange(n)[:, None] + start + np.arange(size)) % n
+            window = values[..., cells]
+            mx, mn = extremes(lo, hi)
+            assert mx.shape == mn.shape == values.shape
+            assert mx.flags.c_contiguous and mn.flags.c_contiguous
+            assert mx.tobytes() == window.max(axis=-1).tobytes(), (lo, hi)
+            assert mn.tobytes() == window.min(axis=-1).tobytes(), (lo, hi)

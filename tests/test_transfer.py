@@ -106,6 +106,30 @@ def interp_ulam_oracle(instance, n_cells, quadrature=32):
     return scipy.sparse.csr_array((data, keys % n, indptr), shape=(n, n))
 
 
+def whole_array_chord_values(piece, xs, n, nq):
+    """`transfer._chord_values` as one expression over all of `xs`, into a
+    fresh array: the chord values with no chunks and no reused buffer."""
+    if piece.split is None:
+        return np.asarray(piece.lift(xs), dtype=float) * n
+    slope, shape = piece.split
+    ys = slope * xs
+    ys += transfer._shape_values(shape, nq, piece.lo, piece.hi)
+    ys *= n
+    return ys
+
+
+def whole_array_build(instance, n_cells, quadrature=32):
+    """`build_ulam` with each piece's chord values taken whole."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(transfer, "_chord_values",
+                            whole_array_chord_values)
+        return build_ulam(instance, n_cells, quadrature)
+
+
+def operator_bytes(op):
+    return op.indptr.tobytes(), op.indices.tobytes(), op.data.tobytes()
+
+
 ORACLE_GRID = {
     "doubling": (doubling_family(), (-0.05, 1.0), False),
     "pm": (pm_family(0.5), (0.05, 0.3), False),
@@ -373,6 +397,10 @@ STREAM_GRID = {
     "tent": (tent_family(), (-0.1, 0.1), 33),
     "doubling": (doubling_family(), (-0.05, 1.0), 40),
     "circle": (circle_family(), (-0.3, 0.3), 40),
+    # above CHORD_CHUNK nodes per piece, where each build reuses a buffer
+    # that the forked helper inherits
+    "pm-1024": (pm_family(0.5), (0.05, 0.3), 1024),
+    "circle-1024": (circle_family(), (-0.3, 0.3), 1024),
 }
 
 
@@ -707,6 +735,93 @@ def test_shape_cache_bounded_read_only_and_shared():
     assert not nodes.flags.writeable
     assert not np.shares_memory(transfer._chord_nodes(9, 0.0, 0.5),
                                 transfer._chord_grid(9))
+
+
+_CHUNK = transfer.CHORD_CHUNK
+# one-piece families on [0, 1] have nq + 1 chord nodes, and tent's and
+# lsv's halves nq / 2 + 1: these grids put a piece at CHORD_CHUNK - 1,
+# CHORD_CHUNK and CHORD_CHUNK + 1 nodes, and at twice CHORD_CHUNK (+ 1)
+CHUNK_EDGE_GRIDS = [(_CHUNK - 2, 1), (_CHUNK - 1, 1), (_CHUNK, 1),
+                    (2 * _CHUNK - 1, 1), (2 * _CHUNK, 1),
+                    (_CHUNK - 2, 2), (_CHUNK - 1, 2), (_CHUNK, 2)]
+CHUNK_EDGE_FAMILIES = {
+    "doubling": (doubling_family(), (-0.05, 1.0)),
+    "pm": (pm_family(0.5), (0.05,)),
+    "lsv": (lsv_family(0.5), (0.1, 0.3)),
+    # breakpoints off the chord grid, with CHORD_CHUNK - 1, CHORD_CHUNK and
+    # CHORD_CHUNK + 1 nodes left of them on the 2 * CHORD_CHUNK grid
+    "breakpoint": (breakpoint_family(),
+                   tuple((_CHUNK + d) / (2 * _CHUNK) - 0.4
+                         for d in (-2.5, -1.5, -0.5))),
+    "tent": (tent_family(), (-0.1, 0.1)),
+    "circle": (circle_family(), (-0.3, 0.3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_EDGE_FAMILIES))
+def test_chunked_chord_values_match_whole_array_builds_bitwise(name):
+    family, gammas = CHUNK_EDGE_FAMILIES[name]
+    remainders = set()
+    for gamma in gammas:
+        inst = instantiate(family, gamma)
+        for n, q in CHUNK_EDGE_GRIDS:
+            remainders.update(
+                transfer._chord_nodes(n * q, p.lo, p.hi).size % _CHUNK
+                for p in inst.pieces)
+            assert (operator_bytes(build_ulam(inst, n, q))
+                    == operator_bytes(whole_array_build(inst, n, q))), (
+                gamma, n, q)
+    assert {_CHUNK - 1, 0, 1} <= remainders
+
+
+def test_chord_buffer_is_one_per_thread_and_grid_and_bounded():
+    transfer._chord_buffer.cache_clear()
+    inst = instantiate(circle_family(), 0.3)
+    for _ in range(3):
+        build_ulam(inst, 1024)
+    info = transfer._chord_buffer.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    assert info.maxsize == transfer.SHAPE_CACHE_SIZE
+    for n in range(2, 2 * transfer.SHAPE_CACHE_SIZE + 2):
+        build_ulam(inst, n, 3)
+    assert (transfer._chord_buffer.cache_info().currsize
+            == transfer.SHAPE_CACHE_SIZE)
+
+
+def test_builds_in_two_threads_match_serial_builds_bytewise():
+    # each thread writes its chord values into a buffer of its own, so two
+    # threads building at once, on one grid and on different grids, get
+    # the serial bytes; a short switch interval interleaves them finely
+    jobs = [
+        [(circle_family(), 0.3, 1024), (doubling_family(), 0.1, 333),
+         (tent_family(), 0.05, 2048)],
+        [(tent_family(), -0.1, 1024), (lsv_family(0.5), 0.2, 700),
+         (breakpoint_family(), 0.0137, 2048)],
+    ]
+    rounds = 15
+    want = [[operator_bytes(build_ulam(instantiate(f, g), n))
+             for f, g, n in job] for job in jobs]
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def work(k):
+        start.wait()
+        for _ in range(rounds):
+            for f, g, n in jobs[k]:
+                got[k].append(operator_bytes(build_ulam(instantiate(f, g), n)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got[0] == want[0] * rounds
+    assert got[1] == want[1] * rounds
 
 
 def test_built_operators_are_canonical_positive_and_frozen():
