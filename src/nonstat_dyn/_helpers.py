@@ -30,8 +30,8 @@ def cpu_idle() -> bool:
     """Whether a CPU of the machine is idle, for a helper to get one of its
     own.  Split in two, the builds of a stream cost more CPU time in all,
     which only pays on a CPU that would otherwise idle.  The test reads the
-    load of one moment, so `transfer.ulam_operators` asks again at runs 2,
-    4, 8, ... of a stream refused at run 1."""
+    load of one moment, so `transfer.ulam_operators` asks again at the
+    doubles of the run at which a stream was refused."""
     return runnable_elsewhere() < (os.cpu_count() or 1) - 1
 
 

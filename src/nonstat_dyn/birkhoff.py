@@ -286,6 +286,28 @@ def _cdf_from_density(phi: GridDensity) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(phi.values) / phi.n_cells])
 
 
+def _circ_measure(cdf_at, lo, hi):
+    """Measure of the circle arcs [lo, hi] under the distribution function
+    `cdf_at` on [0, 1]; an arc of length one or more is the whole circle."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    full = (hi - lo) >= 1.0
+    lo_m = lo % 1.0
+    hi_m = hi % 1.0
+    plain = cdf_at(hi_m) - cdf_at(lo_m)
+    wrapped = 1.0 - cdf_at(lo_m) + cdf_at(hi_m)
+    return np.where(full, 1.0, np.where(lo_m <= hi_m, plain, wrapped))
+
+
+def _union_measure(cdf_at, lo: np.ndarray, hi: np.ndarray) -> float:
+    """The measures (`_circ_measure`) of the union of the arcs [lo, hi],
+    whose starts and ends both rise, summed one merged arc at a time: a
+    merged arc ends where the next arc starts past its end."""
+    gap = lo[1:] > hi[:-1]
+    return sum(_circ_measure(cdf_at, lo[np.r_[True, gap]],
+                             hi[np.r_[gap, True]]).tolist())
+
+
 def lp_distance(empirical, mu_ref: GridDensity,
                 ball_count: int = 64) -> LPReport:
     """Levy-Prokhorov estimate via a finite cover of equal balls.
@@ -339,17 +361,7 @@ def lp_distance(empirical, mu_ref: GridDensity,
     def emp_at(q):
         return emp_cum[np.searchsorted(pts_sorted, q, side="left")]
 
-    def circ_measure(cdf_at, lo, hi):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        full = (hi - lo) >= 1.0
-        lo_m = lo % 1.0
-        hi_m = hi % 1.0
-        plain = cdf_at(hi_m) - cdf_at(lo_m)
-        wrapped = 1.0 - cdf_at(lo_m) + cdf_at(hi_m)
-        return np.where(full, 1.0, np.where(lo_m <= hi_m, plain, wrapped))
-
-    nu_ball = np.asarray(circ_measure(ref_at, np.arange(J) / J,
+    nu_ball = np.asarray(_circ_measure(ref_at, np.arange(J) / J,
                                       (np.arange(J) + 1) / J))
     radius = 0.5 / J
     s_grid = np.unique(np.concatenate([
@@ -367,25 +379,18 @@ def lp_distance(empirical, mu_ref: GridDensity,
 
     worst_per_s = []
     for s in s_grid:
-        worst = float(np.max(mu_arc - circ_measure(ref_at, arc_lo - s,
-                                                   arc_hi + s)))
+        worst = float(np.max(mu_arc - _circ_measure(ref_at, arc_lo - s,
+                                                    arc_hi + s)))
         worst = max(worst, float(np.max(
-            nu_arc - circ_measure(emp_at, arc_lo - s, arc_hi + s))))
+            nu_arc - _circ_measure(emp_at, arc_lo - s, arc_hi + s))))
         # positive-surplus union of balls (mu -> nu), enlarged intervals merged
         ball_lo = np.arange(J) / J - s
         ball_hi = (np.arange(J) + 1) / J + s
-        surplus = mu_ball - circ_measure(ref_at, ball_lo, ball_hi)
+        surplus = mu_ball - _circ_measure(ref_at, ball_lo, ball_hi)
         chosen = np.nonzero(surplus > 0)[0]
         if chosen.size:
-            ivals = sorted((ball_lo[i], ball_hi[i]) for i in chosen)
-            merged = [list(ivals[0])]
-            for lo_i, hi_i in ivals[1:]:
-                if lo_i <= merged[-1][1]:
-                    merged[-1][1] = max(merged[-1][1], hi_i)
-                else:
-                    merged.append([lo_i, hi_i])
-            nu_union = min(sum(float(circ_measure(ref_at, a, b))
-                               for a, b in merged), 1.0)
+            nu_union = min(_union_measure(ref_at, ball_lo[chosen],
+                                          ball_hi[chosen]), 1.0)
             worst = max(worst, float(mu_ball[chosen].sum()) - nu_union)
         worst_per_s.append(worst)
     worst_per_s = np.array(worst_per_s)

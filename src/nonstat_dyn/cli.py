@@ -62,6 +62,7 @@ class ArtifactWriter:
         self.checksums: dict = {}
         self.timings: dict = {}
         self.minor_faults: int | None = None
+        self.children: dict | None = None
 
     def _write(self, name: str, text: str) -> None:
         """Write one artifact and record the SHA-256 of the bytes written.
@@ -95,6 +96,7 @@ class ArtifactWriter:
             "artifacts": self.checksums,
             "timings_ms": self.timings,
             "minor_faults": self.minor_faults,
+            "children": self.children,
             "peak_rss_mb": _peak_rss_mb(),
         }
         # serialized before its own write, so the manifest does not list itself
@@ -109,9 +111,11 @@ def _peak_rss_mb() -> float:
     return round(peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10), 3)
 
 
-def _minor_faults() -> int:
-    """Minor page faults of this process so far."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def _usage(who: int) -> tuple:
+    """(CPU ms, minor page faults) so far of this process (`RUSAGE_SELF`)
+    or of the children it has waited for (`RUSAGE_CHILDREN`)."""
+    use = resource.getrusage(who)
+    return 1000.0 * (use.ru_utime + use.ru_stime), use.ru_minflt
 
 
 def _family(name: str, kappa: float, b0: float):
@@ -158,7 +162,7 @@ def _check_balls(family, gamma_hat: float, deltas) -> None:
 # work, whether or not the run reads it.
 BOUNDS = {
     "cells": (2, True), "nodes": (2, True), "bins": (2, True),
-    "balls": (8, True),
+    "balls": (8, True), "j_max": (1, True),
     "n": (0, False), "sequences": (0, False), "seeds": (0, False),
     "checkpoint": (0, False), "points": (0, False), "ensemble": (0, False),
     "samples": (0, False), "n_test": (0, False), "first_gap": (0, False),
@@ -203,14 +207,14 @@ def run_stability(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
     family = _family(family, kappa, b0)
     deltas = _deltas(deltas)
     _check_balls(family, gamma_hat, deltas)
-    table = stability_experiment(family, gamma_hat, deltas,
-                                 _phi0(phi0, cells), n, sequences, seed,
-                                 checkpoint_every=checkpoint)
+    rows = stability_experiment(family, gamma_hat, deltas,
+                                _phi0(phi0, cells), n, sequences, seed,
+                                checkpoint_every=checkpoint)
     writer.write_csv("stability.csv", {
-        "delta": [r.delta for r in table.rows],
-        "worst_post_transient": [r.worst_post_transient for r in table.rows],
-        "stationary_distance": [r.stationary_distance for r in table.rows],
-        "sequences": [r.n_sequences for r in table.rows],
+        "delta": [r.delta for r in rows],
+        "worst_post_transient": [r.worst_post_transient for r in rows],
+        "stationary_distance": [r.stationary_distance for r in rows],
+        "sequences": [r.n_sequences for r in rows],
     }, meta={"family": family.name, "gamma_hat": gamma_hat, "n": n,
              "cells": cells})
     return 0
@@ -257,12 +261,9 @@ def run_adversarial(writer: ArtifactWriter, *, kappa=0.5, eps=0.1, n=10000,
 def run_birkhoff(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
                  b0=0.4, gamma_hat=0.1, delta=0.01, cells=1024, n=100000,
                  points=100, seed=0, band_eps=0.05, psi="x", covariance=0,
-                 i_max=4, j_max=14, ensemble=10000, lp=0, balls=64) -> int:
+                 j_max=14, ensemble=10000, lp=0, balls=64) -> int:
     family = _family(family, kappa, b0)
     _check_balls(family, gamma_hat, [delta])
-    if not 0 <= i_max <= j_max or j_max < 1:
-        raise ConfigError(f"i_max, j_max: must satisfy 0 <= i_max <= j_max "
-                          f"and j_max >= 1, got {i_max}, {j_max}")
     psi = observable(psi, cells)
     seq = ParameterSequence.iid(gamma_hat, delta, seed)
     result = birkhoff_averages(family, seq, points, psi, n, seed=seed)
@@ -280,7 +281,7 @@ def run_birkhoff(writer: ArtifactWriter, *, family="doubling", kappa=0.5,
         "wilson": list(check.wilson), "n": n, "points": points,
     })
     if covariance:
-        cov = covariance_decay(family, seq, psi, (i_max, j_max),
+        cov = covariance_decay(family, seq, psi, (0, j_max),
                                ensemble=ensemble, seed=seed)
         lln = lln_summability(cov)
         i, j = np.indices(cov.R.shape)
@@ -480,13 +481,19 @@ def run(experiment: str, cfg: dict, outdir: str) -> int:
             _check(key, value, *BOUNDS[key])
     writer = ArtifactWriter(outdir, {"experiment": experiment, **cfg})
     start, cpu_start = time.perf_counter(), time.process_time()
-    faults_start = _minor_faults()
+    _, faults_start = _usage(resource.RUSAGE_SELF)
+    children_start = _usage(resource.RUSAGE_CHILDREN)
     status = EXPERIMENTS[experiment](writer, **cfg)
     writer.timings["total"] = round(1000.0 * (time.perf_counter() - start), 3)
     writer.timings["cpu"] = round(1000.0 * (time.process_time() - cpu_start), 3)
     # pages this process touched for the first time, as the allocator
-    # maps them: a helper process's own are not counted
-    writer.minor_faults = _minor_faults() - faults_start
+    # maps them
+    writer.minor_faults = _usage(resource.RUSAGE_SELF)[1] - faults_start
+    # every helper is reaped before its stream returns, and the kernel then
+    # adds its CPU time and faults to this process's children
+    cpu, faults = (end - begin for begin, end in
+                   zip(children_start, _usage(resource.RUSAGE_CHILDREN)))
+    writer.children = {"cpu_ms": round(cpu, 3), "minor_faults": faults}
     writer.finish()
     return status
 

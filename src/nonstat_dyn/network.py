@@ -4,7 +4,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -211,10 +210,10 @@ def histogram_noise_floor(ensemble: int, n_bins: int) -> float:
 
 def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
                       ensemble: int, n_steps: int, seed: int = 0,
-                      n_bins: int = 64,
-                      checkpoint_every: Optional[int] = None) -> NetworkSummary:
+                      n_bins: int = 64) -> NetworkSummary:
     """Evolve an iid-uniform ensemble and compare per-node marginals against
-    the uncoupled invariant density at every checkpoint.
+    the uncoupled invariant density at every checkpoint: every
+    max(n_steps // 20, 1) steps and the last.
 
     Rows are independent, so where rows x nodes x steps exceeds
     FORK_MIN_VALUES and `_helpers.can_fork` finds a second CPU usable, a
@@ -230,10 +229,6 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
         raise ValueError("ensemble must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    if checkpoint_every is None:
-        checkpoint_every = max(n_steps // 20, 1)
-    elif checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be positive")
     if schedule.n_nodes != system.n_nodes:
         raise ValueError("schedule and system disagree on the node count")
     if schedule.horizon < n_steps:
@@ -242,8 +237,8 @@ def simulate_ensemble(system: NetworkSystem, schedule: AdjacencySchedule,
     rng_init = substream(seed, "network-init")
     x = rng_init.uniform(0.0, 1.0, (ensemble, system.n_nodes))
     invariant = fixed_density(build_ulam(system.node_map, n_bins))
-    checkpoints = [t for t in range(1, n_steps + 1)
-                   if t % checkpoint_every == 0 or t == n_steps]
+    every = max(n_steps // 20, 1)
+    checkpoints = list(range(every, n_steps, every)) + [n_steps]
     walk = functools.partial(_walk_rows, system, schedule, x, checkpoints,
                              seed, n_bins)
     half = ensemble // 2

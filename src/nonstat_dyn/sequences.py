@@ -75,7 +75,7 @@ def doubling_gap_schedule(first_gap: int, n_max: int) -> tuple:
 class EvolutionTrace:
     steps: np.ndarray            # checkpoint indices (0 = initial state)
     masses: np.ndarray
-    distances: Optional[np.ndarray]      # L1 distance to the reference, per checkpoint
+    distances: np.ndarray        # L1 distance to the reference, per checkpoint
     seminorms: Optional[np.ndarray]
     final: GridDensity
 
@@ -90,24 +90,19 @@ def _as_gammas(seq, n: int) -> np.ndarray:
 
 
 def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
-                   checkpoint_every: int = 50,
-                   reference: Optional[GridDensity] = None,
-                   track_seminorm: bool = False,
-                   alpha: Optional[float] = None) -> EvolutionTrace:
+                   checkpoint_every: int = 50, *, reference: GridDensity,
+                   track_seminorm: bool = False) -> EvolutionTrace:
     """Push phi0 through L_{gamma_n} ... L_{gamma_1}, recording mass, distance
-    to a reference density, and (optionally) the oscillation seminorm at
-    checkpoints."""
+    to a reference density, and (optionally) the oscillation seminorm of
+    exponent min(family.holder_exponent, 1) at checkpoints."""
     gammas = _as_gammas(seq, n)
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be positive")
-    if reference is not None:
-        _check_same_grid(phi0, reference)
-    if alpha is None:
-        alpha = min(family.holder_exponent, 1.0)
+    _check_same_grid(phi0, reference)
+    alpha = min(family.holder_exponent, 1.0)
     operators = ulam_operators(family, gammas, phi0.n_cells)
-    steps, masses, dists, semis = [[0]], [[phi0.mass]], [], []
-    if reference is not None:
-        dists.append([float(np.mean(np.abs(phi0.values - reference.values)))])
+    steps, masses, semis = [[0]], [[phi0.mass]], []
+    dists = [[float(np.mean(np.abs(phi0.values - reference.values)))]]
     if track_seminorm:
         semis.append([quasi_holder_seminorm(phi0, alpha).seminorm])
     # clipped checkpoint rows wait here for one seminorm pass per full buffer
@@ -122,8 +117,7 @@ def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
         picked = rows[keep]
         steps.append(ks[keep])
         masses.append(picked.mean(axis=1))
-        if reference is not None:
-            dists.append(np.abs(picked - reference.values).mean(axis=1))
+        dists.append(np.abs(picked - reference.values).mean(axis=1))
         if track_seminorm and len(picked):
             if held + len(picked) > STEP_BLOCK:
                 semis.append(seminorms(pending[:held], alpha))
@@ -134,7 +128,7 @@ def evolve_density(family: MapFamily, seq, phi0: GridDensity, n: int,
         semis.append(seminorms(pending[:held], alpha))
     return EvolutionTrace(
         steps=np.concatenate(steps), masses=np.concatenate(masses),
-        distances=np.concatenate(dists) if reference is not None else None,
+        distances=np.concatenate(dists),
         seminorms=np.concatenate(semis) if track_seminorm else None,
         final=GridDensity._trusted(np.clip(last, 0.0, None)))
 
@@ -162,18 +156,13 @@ class StabilityRow:
     n_sequences: int
 
 
-@dataclass(frozen=True)
-class StabilityTable:
-    rows: tuple
-
-
 def stability_experiment(family: MapFamily, gamma_hat: float,
                          delta_list: Sequence[float], phi0: GridDensity,
                          n: int, n_seqs: int, seed: int,
-                         checkpoint_every: int = 50) -> StabilityTable:
-    """Worst post-transient deviation over random sequences per delta, plus
-    the stationary-density deviation of the uniform averaged operator on 64
-    midpoint nodes.
+                         checkpoint_every: int = 50) -> tuple:
+    """One `StabilityRow` per delta: the worst post-transient deviation over
+    random sequences, plus the stationary-density deviation of the uniform
+    averaged operator on 64 midpoint nodes.
 
     Every delta-ball around gamma_hat must lie inside the family's range."""
     deltas = list(delta_list)
@@ -203,7 +192,7 @@ def stability_experiment(family: MapFamily, gamma_hat: float,
         rows.append(StabilityRow(delta=delta, worst_post_transient=worst,
                                  stationary_distance=stat_dist,
                                  n_sequences=n_seqs))
-    return StabilityTable(rows=tuple(rows))
+    return tuple(rows)
 
 
 # --- the alternating-perturbation counterexample ---------------------------

@@ -40,6 +40,13 @@ STEP_BLOCK = 16
 #: same reason).  A lift is elementwise, so the chunks give its bits.
 CHORD_CHUNK = 1 << 13
 
+#: The run at which `ulam_operators` first asks for a build helper, then at
+#: its doubles: streams of 64 iid pm runs lost with a helper from run 1 (in
+#: 10 and 7 of 10 pairs at 512 and 1024 cells), and of 128 won 2 and 10.
+FIRST_HELPER_RUN = 64
+
+MAX_POWER_STEPS = 20000    # products before `fixed_density` gives up
+
 
 def _load_sparsetools():
     """scipy's compiled sparse routines, loaded from their extension file
@@ -239,8 +246,7 @@ def _chord_values(piece, xs: np.ndarray, n: int, nq: int) -> np.ndarray:
     return ys
 
 
-def _entries(instance: MapInstance, n_cells: int,
-             quadrature: int = 32) -> tuple:
+def _entries(instance: MapInstance, n_cells: int, quadrature: int) -> tuple:
     """The chord-rule entries of a realized map's transfer operator, as
     (targets, sources, weights) in cut order: int32 target cells wrapped mod
     n_cells, int32 source cells and float64 values.  An entry met more than
@@ -359,17 +365,17 @@ def ulam_operators(family: MapFamily, params: Iterable,
     """The `UlamOperator` of each parameter in turn, for `step_blocks`: one
     `build_ulam` per run of equal consecutive parameters, as `per_run`.
 
-    The builds are independent, so a stream of two or more runs shares them
-    with a helper process, forked when a run begins if `_helpers.can_fork`
-    and a CPU of the machine is idle (`_helpers.cpu_idle`).
-    That is tested at run 1 and, while it fails, again at runs 2, 4, 8, ...
-    (the powers of two): a momentary load, such as this process's own
-    OpenBLAS thread still spinning just after numpy's import, does not keep
-    a long stream in one process, and at ~30 us a test costs at most ~0.3 ms
-    per 2000 runs.  The helper goes on through its own copy of the parameter
-    iterator and builds the run at which it was forked and every other run
-    after it by the same call, in the same process image, so their bits are
-    the parent's; it sends each one as a frame, `_build_every_other_run`.
+    The builds are independent, so a stream of more than `FIRST_HELPER_RUN`
+    runs shares them with a helper process, forked when a run begins if
+    `_helpers.can_fork` and a CPU of the machine is idle
+    (`_helpers.cpu_idle`).  That is tested at run `FIRST_HELPER_RUN` (runs
+    count from 0) and, while it fails, again at its doubles: a momentary
+    load does not keep a long stream in one process, and at ~30 us a test
+    costs at most ~0.2 ms per 2000 runs.  The helper goes on through its
+    own copy of the parameter iterator and builds the run at which it was
+    forked and every other run after it by the same call, in the same
+    process image, so their bits are the parent's; it sends each one as a
+    frame, `_build_every_other_run`.
     The parent builds the runs before the fork and every other run after it,
     and reads the helper's.  The pipe is the only queue: the helper blocks
     while it is full, and the parent holds only the current operator, so
@@ -387,7 +393,7 @@ def ulam_operators(family: MapFamily, params: Iterable,
 
     runs = itertools.groupby(map(float, params))
     helper = None    # (pid, pipe) of the process building every other run
-    test_at = 1      # the next run to test for a helper at; 0 for none
+    test_at = FIRST_HELPER_RUN   # the next run to test at; 0 for none
     forked_at = 0
     try:
         for index, (gamma, run) in enumerate(runs):
@@ -499,10 +505,6 @@ def _row_distances(rows: np.ndarray, ref: np.ndarray, scratch: np.ndarray,
 
 def apply_sequence(ops: Sequence[UlamOperator], phi: GridDensity) -> GridDensity:
     """Compose operators in time order: L_{gamma_n} ... L_{gamma_1} phi."""
-    for op in ops:
-        if op.n_cells != phi.n_cells:
-            raise GridMismatchError(
-                f"grid mismatch: operator {op.n_cells}, density {phi.n_cells}")
     if not ops:
         return phi
     *_, rows = step_blocks(ops, phi.values)
@@ -573,17 +575,17 @@ def averaged_operator(family: MapFamily, nu: AveragingLaw,
 
 # --- fixed densities -----------------------------------------------------
 
-def fixed_density(op: UlamOperator, tol: float = 1e-12,
-                  max_iter: int = 20000) -> GridDensity:
+def fixed_density(op: UlamOperator, tol: float = 1e-12) -> GridDensity:
     """Power iteration from the uniform start; returns a probability density
-    with residual ||M phi - phi||_1 <= tol."""
+    with residual ||M phi - phi||_1 <= tol, or raises `NonConvergenceError`
+    after `MAX_POWER_STEPS` products."""
     n = op.n_cells
     # two iterates swapped each step and one scratch vector; `mean` is
     # `add.reduce / n`, so every step keeps the bits of `nxt / nxt.mean()`
     # and of the residual `mean(abs(nxt - vals))`
     vals, nxt, diff = np.ones(n), np.empty(n), np.empty(n)
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_POWER_STEPS):
         op._step(vals, nxt)
         m = np.add.reduce(nxt) / n
         if m <= 0:
@@ -596,7 +598,7 @@ def fixed_density(op: UlamOperator, tol: float = 1e-12,
         if residual <= tol:
             return GridDensity(np.clip(vals, 0.0, None))
     raise NonConvergenceError(
-        f"power iteration did not reach tol={tol} in {max_iter} steps "
+        f"power iteration did not reach tol={tol} in {MAX_POWER_STEPS} steps "
         f"(final residual {residual:.3e}); the spectral gap may be too small "
         "or the operator invalid")
 

@@ -43,6 +43,10 @@ BATTERY = {
     "birkhoff-pm-cov-lp": "birkhoff --family pm --gamma-hat 0.1 --delta 0.01 "
                           "--cells 128 --n 1000 --points 20 --covariance 1 "
                           "--j-max 6 --ensemble 1000 --lp 1",
+    # few points per cover ball, so that some balls hold a surplus
+    "birkhoff-pm-lp-sparse": "birkhoff --family pm --gamma-hat 0.1 "
+                             "--delta 0.01 --cells 128 --n 300 --points 20 "
+                             "--lp 1",
     "birkhoff-doubling": "birkhoff --family doubling --gamma-hat 0.1 "
                          "--delta 0.01 --cells 128 --n 1000 --points 20 "
                          "--psi cos",

@@ -97,8 +97,10 @@ def test_streams_build_once_per_run(monkeypatch, tmp_path):
     # one CSR operator.  An iid density loop builds every other operator on
     # a helper process, so each call appends its label as one line to a
     # file opened with O_APPEND, which the calls of both processes reach.
-    # A CPU is taken as idle, so the helper is used whatever else runs
+    # A CPU is taken as idle, and the helper asked for from run 1, so the
+    # helper is used whatever else runs
     monkeypatch.setattr(_helpers, "runnable_elsewhere", lambda: 0)
+    monkeypatch.setattr(transfer, "FIRST_HELPER_RUN", 1)
     log = tmp_path / "builds"
 
     def count_calls(module, name, label):
@@ -136,10 +138,10 @@ def test_streams_build_once_per_run(monkeypatch, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 19
-    assert builds_of(lambda: evolve_density(fam, const, phi0, 50)) == {
-        "csr": 1}
-    assert builds_of(lambda: evolve_density(fam, iid, phi0, 50)) == {
-        "csr": 50}
+    assert builds_of(lambda: evolve_density(
+        fam, const, phi0, 50, reference=phi0)) == {"csr": 1}
+    assert builds_of(lambda: evolve_density(
+        fam, iid, phi0, 50, reference=phi0)) == {"csr": 50}
     # the +eps operator serves both its blocks and the +eps fixed density
     assert builds_of(lambda: adversarial_demo(
         fam, 0.1, (0, 8, 24, 56), n_max=50, n_cells=64)) == {"csr": 2}

@@ -171,19 +171,15 @@ def test_count_below_minimum_is_config_error_before_any_step(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("flags,message", [
-    ("--covariance 1 --i-max 5 --j-max 3",
-     "i_max, j_max: must satisfy 0 <= i_max <= j_max and j_max >= 1, got 5, 3"),
-    ("--covariance 1 --i-max 0 --j-max 0",
-     "i_max, j_max: must satisfy 0 <= i_max <= j_max and j_max >= 1, got 0, 0"),
+    ("--covariance 1 --j-max 0", "j_max: must be at least 1, got 0"),
     ("--lp 1 --balls 4", "balls: must be at least 8, got 4"),
     ("--band-eps -0.5", "band_eps: must be nonnegative, got -0.5"),
     # a value set out of range is rejected even where the run leaves it unread
     ("--ensemble 0", "ensemble: must be positive, got 0"),
     ("--balls 4", "balls: must be at least 8, got 4"),
-    ("--i-max 5 --j-max 3",
-     "i_max, j_max: must satisfy 0 <= i_max <= j_max and j_max >= 1, got 5, 3"),
-], ids=["window", "no-lag", "balls", "band-eps", "ensemble-unread",
-        "balls-unread", "window-unread"])
+    ("--j-max 0", "j_max: must be at least 1, got 0"),
+], ids=["no-lag", "balls", "band-eps", "ensemble-unread", "balls-unread",
+        "window-unread"])
 def test_birkhoff_option_error_before_any_step(tmp_path, capsys, flags,
                                               message):
     out = tmp_path / "birk"
@@ -191,6 +187,21 @@ def test_birkhoff_option_error_before_any_step(tmp_path, capsys, flags,
                  "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_birkhoff_takes_no_i_max(tmp_path, capsys):
+    # the covariance window always starts at 0: neither a flag nor a config
+    # key sets its start
+    out = tmp_path / "birk"
+    with pytest.raises(SystemExit) as exc:
+        main(["birkhoff", "--i-max", "4", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --i-max 4" in capsys.readouterr().err
+    cfg = tmp_path / "window.ini"
+    cfg.write_text("[birkhoff]\ni_max = 4\n")
+    assert main(["birkhoff", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown keys ['i_max'] in [birkhoff]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_powers_is_config_error_before_any_step(tmp_path, capsys):
@@ -238,15 +249,13 @@ def test_coupling_flag_is_usage_error(tmp_path, capsys):
 
 
 # numeric flags without a BOUNDS entry, each with why; the schedule
-# parameters and the birkhoff window are checked whether or not a run reads them
+# parameters are checked whether or not a run reads them
 UNBOUNDED = {
     **dict.fromkeys(["kappa", "b0"], "_family checks it for every family"),
     **dict.fromkeys(["a", "nu", "rho0", "lam", "alpha"],
                     "the library checks it"),
     **dict.fromkeys(["p", "fail_rate", "period"],
                     "gen_schedule checks it for every schedule kind"),
-    **dict.fromkeys(["i_max", "j_max"],
-                    "run_birkhoff checks the window, with or without covariance"),
     **dict.fromkeys(["gamma", "gamma_hat", "alpha_c", "covariance", "lp"],
                     "no range"),
 }
@@ -314,6 +323,31 @@ def test_manifest_lists_artifacts(tmp_path):
     assert manifest["peak_rss_mb"] >= 0
     faults = manifest["minor_faults"]
     assert type(faults) is int and faults >= 0
+    children = manifest["children"]
+    assert set(children) == {"cpu_ms", "minor_faults"}
+    assert children["cpu_ms"] >= 0
+    assert type(children["minor_faults"]) is int
+    assert children["minor_faults"] >= 0
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_manifest_counts_the_helpers_reaped_in_the_run(tmp_path, monkeypatch,
+                                                      cpus):
+    # an iid stream forced onto its build helper from its first test; shown
+    # one CPU, the run forks no helper and its children count nothing
+    from nonstat_dyn import _helpers, transfer
+    monkeypatch.setattr(_helpers, "runnable_elsewhere", lambda: 0)
+    monkeypatch.setattr(transfer, "FIRST_HELPER_RUN", 1)
+    if cpus == 1:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    out = tmp_path / "evolve"
+    assert main(["evolve", "--family", "pm", "--cells", "64", "--n", "40",
+                 "--out", str(out)]) == 0
+    children = json.load(open(out / "run_manifest.json"))["children"]
+    if cpus == 1 or not _helpers.can_fork():
+        assert children == {"cpu_ms": 0.0, "minor_faults": 0}
+    else:
+        assert children["minor_faults"] > 0
 
 
 def test_csv_rows_carry_manifest_id(tmp_path):

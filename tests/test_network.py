@@ -167,7 +167,7 @@ def test_uncoupled_marginals_match_single_map_bitwise():
     sched = gen_schedule("static", n_nodes, horizon=steps)
     system = NetworkSystem(node_map=node, n_nodes=n_nodes, alpha_c=0.0)
     summary = simulate_ensemble(system, sched, ensemble, steps, seed=9,
-                                n_bins=16, checkpoint_every=10)
+                                n_bins=16)
     # replicate the ensemble loop by hand with the same substreams
     x = substream(9, "network-init").uniform(0.0, 1.0, (ensemble, n_nodes))
     rng = substream(9, "network-dither")
@@ -175,7 +175,7 @@ def test_uncoupled_marginals_match_single_map_bitwise():
     for t in range(steps):
         x = (node.evaluate(x.ravel()).reshape(x.shape)) % 1.0
         x = (x + rng.uniform(-0.5e-12, 0.5e-12, x.shape)) % 1.0
-        if (t + 1) % 10 == 0 or t + 1 == steps:
+        if (t + 1) % 2 == 0 or t + 1 == steps:    # every 50 // 20 steps
             counts.append([np.bincount(np.minimum((x[:, i] * 16).astype(int), 15),
                                        minlength=16) for i in range(n_nodes)])
     assert np.array_equal(summary.counts, np.array(counts))
@@ -261,8 +261,7 @@ def test_ensemble_memory_bounded():
     system = NetworkSystem(node_map=node, n_nodes=8, alpha_c=0.01)
     tracemalloc.start()
     try:
-        simulate_ensemble(system, sched, 10_000, 40, seed=1,
-                          checkpoint_every=40)
+        simulate_ensemble(system, sched, 10_000, 40, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -369,11 +368,10 @@ def test_walk_rows_grouped_equals_ungrouped(monkeypatch, ensemble):
 
 
 def serial_simulate_oracle(system, schedule, ensemble, n_steps, seed=0,
-                           n_bins=64, checkpoint_every=None):
+                           n_bins=64):
     """simulate_ensemble's counts and distances from one step_network call
     over all rows per step, on one thread."""
-    if checkpoint_every is None:
-        checkpoint_every = max(n_steps // 20, 1)
+    checkpoint_every = max(n_steps // 20, 1)
     x = substream(seed, "network-init").uniform(0.0, 1.0,
                                                 (ensemble, system.n_nodes))
     rng = substream(seed, "network-dither")
@@ -436,12 +434,10 @@ def test_two_thread_ensemble_equals_serial_oracle(monkeypatch, ensemble,
     sched = gen_schedule("bursty", 4, horizon=12, seed=5, p=0.8, fail_rate=0.2)
     summaries, forks = on_both_paths(
         monkeypatch, lambda: simulate_ensemble(
-            system, sched, ensemble, 12, seed=11, n_bins=16,
-            checkpoint_every=4))
+            system, sched, ensemble, 12, seed=11, n_bins=16))
     assert forks == (ensemble > 1 and _helpers.can_fork())
     counts, dists = serial_simulate_oracle(system, sched, ensemble, 12,
-                                           seed=11, n_bins=16,
-                                           checkpoint_every=4)
+                                           seed=11, n_bins=16)
     for summary in summaries:
         assert np.array_equal(summary.counts, counts)
         assert np.array_equal(summary.distances, dists)
@@ -462,12 +458,10 @@ def test_dither_buffer_draws_the_uniform_stream(monkeypatch, dither):
                               (8 * TILE_ROWS_3 + 1, 4)):
         summaries, forks = on_both_paths(
             monkeypatch, lambda: simulate_ensemble(
-                system, sched, ensemble, n_steps, seed=4, n_bins=16,
-                checkpoint_every=5))
+                system, sched, ensemble, n_steps, seed=4, n_bins=16))
         assert forks == _helpers.can_fork()
         counts, dists = serial_simulate_oracle(system, sched, ensemble,
-                                               n_steps, seed=4, n_bins=16,
-                                               checkpoint_every=5)
+                                               n_steps, seed=4, n_bins=16)
         for summary in summaries:
             assert np.array_equal(summary.counts, counts)
             assert np.array_equal(summary.distances, dists)
@@ -494,7 +488,7 @@ def test_ensemble_failure_raises_and_leaks_no_process(monkeypatch):
     pids = counting_forks(monkeypatch)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match=r"^step failed at t=5$"):
-        simulate_ensemble(system, sched, 100, 10, seed=1, checkpoint_every=2)
+        simulate_ensemble(system, sched, 100, 10, seed=1)
     assert time.monotonic() - start < 30
     assert len(pids) == _helpers.can_fork()
     assert_no_child_left()
@@ -519,11 +513,10 @@ def test_ensemble_equals_oracle_when_the_helper_dies(monkeypatch, dies_at):
     sched = gen_schedule("bursty", 4, horizon=12, seed=5, p=0.8, fail_rate=0.2)
     pids = counting_forks(monkeypatch)
     summary = simulate_ensemble(system, sched, 4 * TILE_ROWS_4 + 3, 12,
-                                seed=11, n_bins=16, checkpoint_every=4)
+                                seed=11, n_bins=16)
     assert len(pids) == _helpers.can_fork()
     counts, dists = serial_simulate_oracle(system, sched, 4 * TILE_ROWS_4 + 3,
-                                           12, seed=11, n_bins=16,
-                                           checkpoint_every=4)
+                                           12, seed=11, n_bins=16)
     assert np.array_equal(summary.counts, counts)
     assert np.array_equal(summary.distances, dists)
     assert_no_child_left()
@@ -540,17 +533,15 @@ def test_small_ensemble_forks_no_helper(monkeypatch):
         with monkeypatch.context() as patch:
             pids = counting_forks(patch)
             summary = simulate_ensemble(system, sched, ensemble, 16, seed=3,
-                                        n_bins=16, checkpoint_every=4)
+                                        n_bins=16)
         assert pids == []
         counts, dists = serial_simulate_oracle(system, sched, ensemble, 16,
-                                               seed=3, n_bins=16,
-                                               checkpoint_every=4)
+                                               seed=3, n_bins=16)
         assert np.array_equal(summary.counts, counts)
         assert np.array_equal(summary.distances, dists)
     with monkeypatch.context() as patch:
         pids = counting_forks(patch)
-        simulate_ensemble(system, sched, rows + 1, 16, seed=3, n_bins=16,
-                          checkpoint_every=4)
+        simulate_ensemble(system, sched, rows + 1, 16, seed=3, n_bins=16)
     assert len(pids) == _helpers.can_fork()
     assert_no_child_left()
 
@@ -567,16 +558,14 @@ def test_package_import_starts_no_thread_pool():
     assert out.split() == ["False", "1"]
 
 
-@pytest.mark.parametrize("ensemble,n_steps,checkpoint_every,message", [
-    (0, 10, None, "ensemble must be positive"),
-    (10, 0, None, "n_steps must be positive"),
-    (10, -1, 2, "n_steps must be positive"),
-    (10, 10, 0, "checkpoint_every must be positive"),
-    (10, 10, -1, "checkpoint_every must be positive"),
-    (10, 11, None, "schedule horizon 10 is shorter than n_steps 11"),
+@pytest.mark.parametrize("ensemble,n_steps,message", [
+    (0, 10, "ensemble must be positive"),
+    (10, 0, "n_steps must be positive"),
+    (10, -1, "n_steps must be positive"),
+    (10, 11, "schedule horizon 10 is shorter than n_steps 11"),
 ])
 def test_ensemble_edge_inputs_rejected_before_any_work(
-        monkeypatch, ensemble, n_steps, checkpoint_every, message):
+        monkeypatch, ensemble, n_steps, message):
     def no_work(*args, **kwargs):
         raise AssertionError("work began before the inputs were checked")
 
@@ -586,5 +575,4 @@ def test_ensemble_edge_inputs_rejected_before_any_work(
                            n_nodes=4, alpha_c=0.02)
     sched = gen_schedule("static", 4, horizon=10)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        simulate_ensemble(system, sched, ensemble, n_steps,
-                          checkpoint_every=checkpoint_every)
+        simulate_ensemble(system, sched, ensemble, n_steps)

@@ -13,11 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nonstat_dyn import network, transfer
+from nonstat_dyn import maps, network, transfer
+from nonstat_dyn.birkhoff import (DITHER_BLOCK, _circ_measure,
+                                  _union_measure, orbit_points)
 from nonstat_dyn.cones import _shifted_rows
-from nonstat_dyn.densities import _window_extremes
+from nonstat_dyn.densities import GridDensity, _window_extremes
 from nonstat_dyn.maps import (BUILTIN_FAMILIES, family_by_name, instantiate,
-                              mod1)
+                              mod1, pm_family)
+from nonstat_dyn.seeding import substream
+from nonstat_dyn.sequences import ParameterSequence, gen_sequence
 from nonstat_dyn.transfer import STEP_BLOCK, build_ulam, step_blocks
 from test_transfer import operator_bytes, whole_array_build
 
@@ -190,3 +194,80 @@ def test_window_extremes_equal_brute_force_windows(case):
             assert mx.flags.c_contiguous and mn.flags.c_contiguous
             assert mx.tobytes() == window.max(axis=-1).tobytes(), (lo, hi)
             assert mn.tobytes() == window.min(axis=-1).tobytes(), (lo, hi)
+
+
+def union_measure_oracle(cdf_at, lo, hi):
+    """`lp_distance`'s positive-surplus union as it was written before
+    `_union_measure`: the arcs sorted, merged by a Python loop, and each
+    merged arc measured by its own call."""
+    ivals = sorted(zip(lo, hi))
+    merged = [list(ivals[0])]
+    for lo_i, hi_i in ivals[1:]:
+        if lo_i <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi_i)
+        else:
+            merged.append([lo_i, hi_i])
+    return sum(float(_circ_measure(cdf_at, a, b)) for a, b in merged)
+
+
+@st.composite
+def surplus_cases(draw):
+    """(cdf_at, lo, hi): a random step density's distribution function, and
+    the enlarged cover balls of a random nonempty surplus set, for J from 8
+    to 256 balls and s on `lp_distance`'s grid for J."""
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.8)
+    values[rng.integers(n)] += 1.0
+    ref = GridDensity(values / values.mean())
+    cdf = np.concatenate([[0.0], np.cumsum(ref.values) / n])
+    edges = np.arange(n + 1) / n
+    J = draw(st.integers(8, 256))
+    s_grid = np.unique(np.concatenate([
+        np.geomspace(0.25 / J, 0.06, 24),
+        np.arange(0.06, 0.5, 0.25 / J), [0.5]]))
+    # small s and sparse surpluses give many merged arcs to sum
+    s = s_grid[draw(st.one_of(st.integers(0, 8),
+                              st.integers(0, s_grid.size - 1)))]
+    chosen = np.flatnonzero(rng.random(J) < draw(st.floats(0.0, 1.0)))
+    if chosen.size == 0:
+        chosen = rng.integers(J, size=1)
+    lo = (np.arange(J) / J - s)[chosen]
+    hi = ((np.arange(J) + 1) / J + s)[chosen]
+    return (lambda q: np.interp(q, edges, cdf)), lo, hi
+
+
+@checked(200)
+@given(surplus_cases())
+def test_union_measure_equals_the_merge_loop(case):
+    cdf_at, lo, hi = case
+    assert (_union_measure(cdf_at, lo, hi).hex()
+            == union_measure_oracle(cdf_at, lo, hi).hex())
+
+
+def per_step_orbit_points(family, gammas, x0, seed):
+    """`orbit_points` with the dither drawn by one `rng.uniform` call of
+    the points' shape at every step."""
+    rng = substream(seed, "orbit-dither")
+    half = 0.5 * maps.DITHER
+    rows = [x0]
+    for gamma in gammas:
+        fx = instantiate(family, float(gamma)).evaluate(rows[-1])
+        fx += rng.uniform(-half, half, x0.shape)
+        rows.append(mod1(fx))
+    return np.array(rows)
+
+
+@checked(200)
+@given(st.one_of(st.integers(1, 64), st.integers(1, 2 ** 15)), st.data())
+def test_orbit_block_dither_equals_per_step_draws(points, data):
+    # horizons shorter than one block of draws, and, where a block is a
+    # few steps, past three blocks; at most 2^18 values per orbit
+    block = max(1, DITHER_BLOCK // points)
+    n = data.draw(st.integers(1, min(3 * block + 2, 2 ** 18 // points, 400)))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    family, seq = pm_family(0.5), ParameterSequence.iid(0.1, 0.01, seed)
+    x0 = substream(seed, "orbit-start").uniform(0.0, 1.0, points)
+    got = orbit_points(family, seq, x0, n, seed=seed)
+    want = per_step_orbit_points(family, gen_sequence(seq, n), x0, seed)
+    assert got.tobytes() == want.tobytes()

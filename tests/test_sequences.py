@@ -66,7 +66,8 @@ def test_evolve_mass_conserved_and_nonnegative():
     fam = doubling_family()
     trace = evolve_density(fam, ParameterSequence.iid(0.0, 0.01, 3),
                            GridDensity.indicator(0, 0.5, 256, height=2.0),
-                           200, checkpoint_every=20)
+                           200, checkpoint_every=20,
+                           reference=GridDensity.uniform(256))
     assert np.max(np.abs(trace.masses - 1.0)) <= 1e-9
     assert np.all(trace.final.values >= 0)
 
@@ -82,8 +83,9 @@ def test_evolve_seminorm_settles_below_ly_level():
     level = fit.c_hat / (1.0 - fit.eta_hat)
     trace = evolve_density(fam, ParameterSequence.iid(0.1, 0.01, 5),
                            GridDensity.indicator(0, 0.5, 256, height=2.0),
-                           300, checkpoint_every=50, track_seminorm=True,
-                           alpha=0.5)
+                           300, checkpoint_every=50,
+                           reference=GridDensity.uniform(256),
+                           track_seminorm=True)
     assert np.all(trace.seminorms[2:] <= level * 1.5)
 
 
@@ -111,7 +113,8 @@ def test_evolve_memory_bounded_in_horizon():
     tracemalloc.start()
     try:
         evolve_density(pm_family(0.5), ParameterSequence.iid(0.1, 0.01, 0),
-                       GridDensity.uniform(256), 400)
+                       GridDensity.uniform(256), 400,
+                       reference=GridDensity.uniform(256))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -125,7 +128,7 @@ def test_evolve_steps_skip_scans_and_revalidation(monkeypatch):
     fam = pm_family(0.5)
     seq = ParameterSequence.iid(0.1, 0.01, 0)
     phi0 = GridDensity.uniform(128)
-    want = evolve_density(fam, seq, phi0, 50).final.values
+    want = evolve_density(fam, seq, phi0, 50, reference=phi0).final.values
     calls = []
     original = GridDensity.__post_init__
 
@@ -133,7 +136,7 @@ def test_evolve_steps_skip_scans_and_revalidation(monkeypatch):
         calls.append(self)
         original(self)
     monkeypatch.setattr(GridDensity, "__post_init__", validate)
-    got = evolve_density(fam, seq, phi0, 50).final.values
+    got = evolve_density(fam, seq, phi0, 50, reference=phi0).final.values
     assert calls == []
     assert np.array_equal(got, want)
 
@@ -161,18 +164,17 @@ def test_post_transient_worst_picks_plateau():
 
 def test_stability_experiment_zero_delta_row():
     fam = pm_family(0.5)
-    table = stability_experiment(fam, 0.1, [0.0], GridDensity.uniform(128),
-                                 200, 2, seed=0, checkpoint_every=50)
-    row = table.rows[0]
+    row, = stability_experiment(fam, 0.1, [0.0], GridDensity.uniform(128),
+                                200, 2, seed=0, checkpoint_every=50)
     assert row.stationary_distance <= 1e-12
     assert row.worst_post_transient <= 1e-8
 
 
 def test_stability_experiment_monotone_in_delta():
     fam = pm_family(0.5)
-    table = stability_experiment(fam, 0.1, [0.04, 0.01], GridDensity.uniform(128),
-                                 400, 3, seed=1, checkpoint_every=50)
-    d_big, d_small = table.rows[0], table.rows[1]
+    d_big, d_small = stability_experiment(
+        fam, 0.1, [0.04, 0.01], GridDensity.uniform(128), 400, 3, seed=1,
+        checkpoint_every=50)
     assert d_small.worst_post_transient < d_big.worst_post_transient
     assert d_small.stationary_distance < d_big.stationary_distance
 
@@ -182,11 +184,11 @@ def test_point_mass_distance_bounded_by_ball_radius_effect():
     fam = pm_family(0.5)
     phi_hat = fixed_density(build_ulam(instantiate(fam, 0.1), 256))
     phi_gamma = fixed_density(build_ulam(instantiate(fam, 0.11), 256))
-    table = stability_experiment(fam, 0.1, [0.01], GridDensity.uniform(256),
-                                 300, 2, seed=2)
+    row, = stability_experiment(fam, 0.1, [0.01], GridDensity.uniform(256),
+                                300, 2, seed=2)
     d_point = l1_distance(phi_gamma, phi_hat)
-    assert d_point <= 4 * max(table.rows[0].stationary_distance,
-                              table.rows[0].worst_post_transient)
+    assert d_point <= 4 * max(row.stationary_distance,
+                              row.worst_post_transient)
 
 
 def test_adversarial_demo_short_schedule_warns():

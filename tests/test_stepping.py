@@ -140,7 +140,7 @@ def test_evolve_density_matches_one_step_oracle(family, n):
     reference = fixed_density(build_ulam(instantiate(family, 0.1), CELLS))
     gammas = gen_sequence(ParameterSequence.iid(0.1, 0.01, n), n)
     trace = evolve_density(family, gammas, phi0, n, checkpoint_every=7,
-                           reference=reference, track_seminorm=True, alpha=0.5)
+                           reference=reference, track_seminorm=True)
     steps, masses, dists, semis, final = evolve_oracle(
         family, gammas, phi0, n, 7, reference, 0.5)
     assert np.array_equal(trace.steps, steps)
@@ -169,7 +169,7 @@ def test_checkpoint_seminorms_batched_match_one_step_oracle(
     monkeypatch.setattr(sequences, "seminorms", counting)
     trace = evolve_density(family, gammas, phi0, n,
                            checkpoint_every=checkpoint_every,
-                           reference=reference, track_seminorm=True, alpha=0.5)
+                           reference=reference, track_seminorm=True)
     _, _, _, semis, final = evolve_oracle(
         family, gammas, phi0, n, checkpoint_every, reference, 0.5)
     assert np.array_equal(trace.seminorms, semis)
@@ -181,7 +181,8 @@ def test_checkpoint_seminorms_batched_match_one_step_oracle(
 
 def test_evolve_density_zero_steps_keeps_initial_state():
     phi0 = step_density(CELLS, 0)
-    trace = evolve_density(pm_family(0.5), [], phi0, 0, track_seminorm=True)
+    trace = evolve_density(pm_family(0.5), [], phi0, 0, reference=phi0,
+                           track_seminorm=True)
     assert trace.steps.tolist() == [0]
     assert np.array_equal(trace.final.values, phi0.values)
     assert len(trace.seminorms) == 1

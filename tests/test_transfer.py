@@ -307,12 +307,13 @@ def test_fixed_density_buffers_keep_bits_and_iterations(make, monkeypatch):
     assert len(calls) == iterations
 
 
-def test_fixed_density_nonconvergence_message_unchanged():
+def test_fixed_density_nonconvergence_message_unchanged(monkeypatch):
     op = build_ulam(instantiate(pm_family(0.5), 0.1), 256)
     with pytest.raises(NonConvergenceError) as want:
         fixed_density_fresh_vectors(op, max_iter=7)
+    monkeypatch.setattr(transfer, "MAX_POWER_STEPS", 7)
     with pytest.raises(NonConvergenceError) as got:
-        fixed_density(op, max_iter=7)
+        fixed_density(op)
     assert str(got.value) == str(want.value)
 
 
@@ -406,12 +407,14 @@ STREAM_GRID = {
 
 def idle_cpu(monkeypatch):
     """Take a CPU of the machine as idle, so that whether a stream forks its
-    helper does not hang on what else runs while the suite does."""
+    helper does not hang on what else runs while the suite does, and ask
+    for the helper from run 1, so that short streams take its path."""
     monkeypatch.setattr(_helpers, "runnable_elsewhere", lambda: 0)
+    monkeypatch.setattr(transfer, "FIRST_HELPER_RUN", 1)
 
 
 def helper_can_run():
-    """Whether `ulam_operators` forks its helper at run 1."""
+    """Whether `ulam_operators` forks its helper at its first test."""
     return _helpers.can_fork() and _helpers.cpu_idle()
 
 
@@ -479,6 +482,7 @@ def test_helper_refused_at_run_one_is_forked_at_the_next_test(monkeypatch):
         calls.append(None)
         return os.cpu_count() if len(calls) == 1 else 0
     monkeypatch.setattr(_helpers, "runnable_elsewhere", busy_once)
+    monkeypatch.setattr(transfer, "FIRST_HELPER_RUN", 1)
     forks = counting_forks(monkeypatch)
     built, build = [], transfer.build_ulam
 
@@ -500,6 +504,25 @@ def test_helper_refused_at_run_one_is_forked_at_the_next_test(monkeypatch):
         for field in ("indptr", "indices", "data"):
             assert (getattr(op, field).tobytes()
                     == getattr(want, field).tobytes()), (gamma, field)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("runs,forks_one", [(30, False), (2000, True)],
+                         ids=["short", "long"])
+def test_short_stream_forks_no_helper_and_a_long_one_forks_one(
+        monkeypatch, runs, forks_one):
+    # the 30 runs of a perturb-probe stream at its defaults are built in this
+    # process; the 2000 of the `sequential` workload fork one helper
+    monkeypatch.setattr(_helpers, "runnable_elsewhere", lambda: 0)
+    forks = counting_forks(monkeypatch)
+    fam = pm_family(0.5)
+    gammas = np.random.default_rng(runs).uniform(0.09, 0.11, runs)
+    ops = list(transfer.ulam_operators(fam, gammas, 16))
+    assert len(forks) == (forks_one and helper_can_run())
+    assert len(ops) == runs
+    for gamma, op in zip(gammas[::97], ops[::97]):
+        assert (op.data.tobytes()
+                == build_ulam(instantiate(fam, gamma), 16).data.tobytes())
     assert_no_child_left()
 
 
@@ -619,10 +642,11 @@ CLOSED_EARLY = """
 import os
 import sys
 import numpy as np
-from nonstat_dyn import _helpers
+from nonstat_dyn import _helpers, transfer
 from nonstat_dyn.maps import pm_family
 from nonstat_dyn.transfer import ulam_operators
 _helpers.runnable_elsewhere = lambda: 0    # a CPU taken as idle
+transfer.FIRST_HELPER_RUN = 1
 gammas = np.random.default_rng(0).uniform(0.09, 0.11, 400)
 first = ulam_operators(pm_family(0.5), gammas, 512)
 second = ulam_operators(pm_family(0.5), gammas, 512)
@@ -1056,14 +1080,15 @@ def test_fixed_density_different_start_same_answer():
     assert l1_distance(a, cur) <= 10 * tol
 
 
-def test_fixed_density_nonconvergence_reports_residual():
+def test_fixed_density_nonconvergence_reports_residual(monkeypatch):
     # column-stochastic but periodic: mass bounces between the first two
     # cells forever, so power iteration from uniform cannot settle
     osc = np.array([[0.0, 1.0, 1.0],
                     [1.0, 0.0, 0.0],
                     [0.0, 0.0, 0.0]])
+    monkeypatch.setattr(transfer, "MAX_POWER_STEPS", 50)
     with pytest.raises(NonConvergenceError) as err:
-        fixed_density(csr_operator(osc), tol=1e-13, max_iter=50)
+        fixed_density(csr_operator(osc), tol=1e-13)
     assert "residual" in str(err.value)
 
 
