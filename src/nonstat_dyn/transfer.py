@@ -348,22 +348,33 @@ def build_ulam(instance: MapInstance, n_cells: int, quadrature: int = 32) -> Ula
     return UlamOperator._trusted(indptr, indices, data, n)
 
 
-def per_run(make: Callable[[float], object], params: Iterable) -> Iterator:
-    """make(gamma) for each parameter in turn, called once per run of equal
-    consecutive parameters: a constant stream builds once, an iid stream at
-    every step, and no item outlives its run, so memory stays flat in the
-    horizon.  `ulam_operators` gives this with `build_ulam`, sharing the
-    builds with a helper process."""
-    for gamma, run in itertools.groupby(map(float, params)):
-        item = make(gamma)
-        for _ in run:
-            yield item
+def _runs(gammas: np.ndarray) -> tuple:
+    """The first value and the length of each run of equal consecutive
+    parameters in the 1-D array `gammas`, as `itertools.groupby(map(float,
+    gammas))` groups them: a NaN is a run of its own, -0.0 equals 0.0."""
+    g = np.asarray(gammas, dtype=float)
+    if g.ndim != 1:
+        raise ValueError(f"parameters must be a 1-D array, got {g.ndim}-D")
+    starts = np.flatnonzero(g[1:] != g[:-1]) + 1
+    starts = np.concatenate(([0], starts)) if g.size else starts
+    return g[starts], np.diff(starts, append=g.size)
 
 
-def ulam_operators(family: MapFamily, params: Iterable,
+def per_run(make: Callable[[float], object], params: np.ndarray) -> Iterator:
+    """make(gamma) for each parameter of the 1-D array `params` in turn (a
+    generator raises `TypeError`), called once per run of equal consecutive
+    parameters: a constant stream builds once, an iid one at every step,
+    and no item outlives its run.  `ulam_operators` gives this with
+    `build_ulam`, sharing the builds with a helper process."""
+    values, counts = _runs(params)
+    for gamma, count in zip(map(float, values), counts):
+        yield from itertools.repeat(make(gamma), count)
+
+
+def ulam_operators(family: MapFamily, params: np.ndarray,
                    n_cells: int) -> Iterator:
-    """The `UlamOperator` of each parameter in turn, for `step_blocks`: one
-    `build_ulam` per run of equal consecutive parameters, as `per_run`.
+    """The `UlamOperator` of each parameter of the 1-D array `params` in
+    turn, for `step_blocks`: one `build_ulam` per run, as `per_run`.
 
     The builds are independent, so a stream of more than `FIRST_HELPER_RUN`
     runs shares them with a helper process, forked when a run begins if
@@ -371,79 +382,67 @@ def ulam_operators(family: MapFamily, params: Iterable,
     (`_helpers.cpu_idle`).  That is tested at run `FIRST_HELPER_RUN` (runs
     count from 0) and, while it fails, again at its doubles: a momentary
     load does not keep a long stream in one process, and at ~30 us a test
-    costs at most ~0.2 ms per 2000 runs.  The helper goes on through its
-    own copy of the parameter iterator and builds the run at which it was
-    forked and every other run after it by the same call, in the same
-    process image, so their bits are the parent's; it sends each one as a
-    frame, `_build_every_other_run`.
-    The parent builds the runs before the fork and every other run after it,
-    and reads the helper's.  The pipe is the only queue: the helper blocks
-    while it is full, and the parent holds only the current operator, so
-    memory stays flat in the horizon.  A frame that comes up short (the
-    helper stopped, say at a parameter out of range), or that was built for
-    another parameter than the parent's (a copied iterator need not yield
-    what the original does: `random` is reseeded in a forked child), hands
-    that run and every later one back to the parent, whose own build then
-    raises as the in-process one would, after as many operators; no helper
-    is forked again.  Closing or exhausting the stream closes the pipe and
-    reaps the helper.
+    costs at most ~0.2 ms per 2000 runs.  From its copy of the run table,
+    the helper builds the run at which it was forked and every other one
+    after it, by the same call in the same process image, so their bits are
+    the parent's, and sends each as a frame (`_build_every_other_run`); the
+    parent builds the rest.  The pipe is the only queue: the helper blocks
+    while it is full, and the parent holds the run table and the current
+    operator only, so memory stays flat as the stream runs.  A frame that
+    comes up short (the helper stopped, say at a parameter out of range)
+    hands that run and every later one back to the parent, whose own build
+    then raises as the in-process one would, after as many operators; no
+    helper is forked again.  Closing or exhausting the stream closes the
+    pipe and reaps the helper.
     """
     def make(gamma):
         return build_ulam(instantiate(family, gamma), n_cells)
 
-    runs = itertools.groupby(map(float, params))
+    values, counts = _runs(params)
     helper = None    # (pid, pipe) of the process building every other run
     test_at = FIRST_HELPER_RUN   # the next run to test at; 0 for none
     forked_at = 0
     try:
-        for index, (gamma, run) in enumerate(runs):
+        for index, count in enumerate(counts):
             op = None
             if index == test_at:
                 test_at *= 2
                 if _helpers.can_fork() and _helpers.cpu_idle():
                     test_at, forked_at = 0, index
                     helper = _helpers.fork(
-                        _build_every_other_run(make, gamma, runs))
+                        _build_every_other_run(make, values[index::2]))
             if helper is not None and (index - forked_at) % 2 == 0:
-                op = _read_frame(helper, gamma, n_cells)
+                op = _read_frame(helper, n_cells)
                 if op is None:
                     _helpers.reap(helper)
                     helper = None
             if op is None:
-                op = make(gamma)
-            for _ in run:
-                yield op
+                op = make(float(values[index]))
+            yield from itertools.repeat(op, count)
     finally:
         if helper is not None:
             _helpers.reap(helper)
 
 
-def _build_every_other_run(make, gamma: float, runs) -> Iterator[tuple]:
-    """The frames of `ulam_operators`' helper: the run it was forked at
-    (parameter `gamma`) and every other run after it in `runs`, the rest of
-    the groupby, each operator as its parameter (float64) and nnz (int64),
-    then `indptr`, `indices` (both int32) and `data`."""
-    gammas = itertools.chain([gamma], (g for g, _ in runs))
-    for gamma in itertools.islice(gammas, 0, None, 2):
-        op = make(gamma)
-        yield (np.array([gamma]), np.array([op.data.size], dtype=np.int64),
+def _build_every_other_run(make, gammas: np.ndarray) -> Iterator[tuple]:
+    """The frames of `ulam_operators`' helper, one per parameter of
+    `gammas`: the operator's nnz (int64), then its `indptr`, `indices`
+    (both int32) and `data`."""
+    for op in map(make, map(float, gammas)):
+        yield (np.array([op.data.size], dtype=np.int64),
                op.indptr, op.indices, op.data)
 
 
-def _read_frame(helper: tuple, gamma: float,
-                n_cells: int) -> Optional[UlamOperator]:
+def _read_frame(helper: tuple, n_cells: int) -> Optional[UlamOperator]:
     """The operator of the helper's next frame, in fresh arrays, or None if
-    the frame comes up short or was built for another parameter than
-    `gamma` (compared bit for bit)."""
-    param, nnz = np.empty(1), np.empty(1, dtype=np.int64)
-    if (not _helpers.receive(helper, param, nnz)
-            or param.tobytes() != np.float64(gamma).tobytes()):
+    the frame comes up short."""
+    nnz = np.empty(1, dtype=np.int64)
+    if not _helpers.receive(helper, nnz):
         return None
     arrays = (np.empty(n_cells + 1, dtype=np.int32),
               np.empty(nnz[0], dtype=np.int32), np.empty(nnz[0]))
-    if not _helpers.receive(helper, *arrays):
-        return None
-    return UlamOperator._trusted(*arrays, n_cells)
+    return (UlamOperator._trusted(*arrays, n_cells)
+            if _helpers.receive(helper, *arrays) else None)
 
 
 def step_blocks(ops: Iterable[UlamOperator],

@@ -6,6 +6,7 @@ for bit, over inputs that hypothesis draws.  Every run draws the same
 cases (`derandomize=True`) and writes no example database, so the suite
 stays deterministic.
 """
+import itertools
 import warnings
 
 import numpy as np
@@ -271,3 +272,30 @@ def test_orbit_block_dither_equals_per_step_draws(points, data):
     got = orbit_points(family, seq, x0, n, seed=seed)
     want = per_step_orbit_points(family, gen_sequence(seq, n), x0, seed)
     assert got.tobytes() == want.tobytes()
+
+
+# the values at which float equality is subtle, each drawn with repeats:
+# NaN equals nothing, -0.0 equals 0.0, and the infinities and the least
+# subnormal are runs like any other
+RUN_EDGES = st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324])
+
+
+@st.composite
+def parameter_streams(draw):
+    """1-D float64 arrays of arbitrary floats and the edge values, each
+    repeated 1 to 4 times; the empty array among them."""
+    values = draw(st.lists(st.one_of(ANY_FLOAT, RUN_EDGES), max_size=40))
+    repeats = draw(st.lists(st.integers(1, 4), min_size=len(values),
+                            max_size=len(values)))
+    return np.repeat(np.array(values, dtype=np.float64), repeats)
+
+
+@checked(300)
+@given(parameter_streams())
+def test_runs_equal_the_groupby_runs(gammas):
+    values, counts = transfer._runs(gammas)
+    runs = [(gamma, len(list(run)))
+            for gamma, run in itertools.groupby(map(float, gammas))]
+    want = np.array([gamma for gamma, _ in runs], dtype=np.float64)
+    assert np.array_equal(bits(values), bits(want))
+    assert counts.tolist() == [count for _, count in runs]

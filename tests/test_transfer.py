@@ -1,6 +1,6 @@
 import dataclasses
+import itertools
 import os
-import random
 import subprocess
 import sys
 import threading
@@ -553,31 +553,6 @@ def test_stream_error_raises_as_in_process(monkeypatch, bad_run):
     assert_no_child_left()
 
 
-def test_helper_parameters_that_differ_from_the_parents_are_not_used(
-        monkeypatch):
-    # the helper walks its own copy of the generator, and `random` is
-    # reseeded in a forked child, so the helper draws other gammas: its
-    # first frame of its own draw is refused, the parent builds every run
-    # from then on, and no second helper is forked for the ~36 runs left
-    idle_cpu(monkeypatch)
-    forks = counting_forks(monkeypatch)
-    fam, drawn = pm_family(0.5), []
-
-    def draws():
-        for _ in range(40):
-            drawn.append(random.uniform(0.05, 0.15))
-            yield drawn[-1]
-    ops = list(transfer.ulam_operators(fam, draws(), 64))
-    assert len(forks) == helper_can_run()
-    assert len(ops) == len(drawn) == 40
-    for gamma, op in zip(drawn, ops):
-        want = build_ulam(instantiate(fam, gamma), 64)
-        for field in ("indptr", "indices", "data"):
-            assert (getattr(op, field).tobytes()
-                    == getattr(want, field).tobytes()), (gamma, field)
-    assert_no_child_left()
-
-
 def test_no_helper_while_another_thread_runs(monkeypatch):
     # a thread that holds a lock at the fork would hold it in the helper
     # forever, so a stream opened while one is alive is built in-process
@@ -599,15 +574,47 @@ def test_no_helper_while_another_thread_runs(monkeypatch):
                 == build_ulam(instantiate(fam, gamma), 64).data.tobytes())
 
 
-def test_one_shot_generator_streams_in_flat_memory(monkeypatch):
+@pytest.mark.parametrize("params,error", [
+    (lambda: (g for g in (0.1, 0.1, 0.2)), TypeError),
+    (lambda: np.full((3, 2), 0.1), ValueError)], ids=["generator", "2-D"])
+def test_streams_take_one_dimensional_arrays_only(monkeypatch, params,
+                                                  error):
+    # the parameters are read as one array at the first `next`, before any
+    # build, and before the fork of a stream that forks at its first run
+    idle_cpu(monkeypatch)
+    monkeypatch.setattr(transfer, "FIRST_HELPER_RUN", 0)
+    forks = counting_forks(monkeypatch)
+    built, build = [], transfer.build_ulam
+
+    def recording(instance, n_cells):
+        built.append(instance.gamma)
+        return build(instance, n_cells)
+    monkeypatch.setattr(transfer, "build_ulam", recording)
+    fam = pm_family(0.5)
+    for stream in (transfer.ulam_operators(fam, params(), 16),
+                   transfer.per_run(built.append, params())):
+        with pytest.raises(error):
+            next(stream)
+    assert forks == [] and built == []
+    # the same parameters as a 1-D array: the first run is forked off and
+    # read from the helper, or built here where no helper can run
+    stream = transfer.ulam_operators(fam, np.ravel(list(params())), 16)
+    assert next(stream).data.tobytes() == build(
+        instantiate(fam, 0.1), 16).data.tobytes()
+    helper = helper_can_run()
+    assert len(forks) == helper and built == ([] if helper else [0.1])
+    stream.close()
+    assert_no_child_left()
+
+
+def test_long_array_stream_runs_in_flat_memory(monkeypatch):
     idle_cpu(monkeypatch)
     fam = pm_family(0.5)
     cycle = (0.09, 0.1, 0.11, 0.095, 0.105, 0.0925, 0.1075)
     want = {gamma: build_ulam(instantiate(fam, gamma), 16) for gamma in cycle}
 
     def params(n):
-        # iterable once: the helper goes on through its own copy
-        return (cycle[k % len(cycle)] for k in range(n))
+        return np.resize(cycle, n)
     n, previous = 10 ** 5, None
     for k, op in enumerate(transfer.ulam_operators(fam, params(n), 16)):
         ref = want[cycle[k % len(cycle)]]
@@ -617,18 +624,24 @@ def test_one_shot_generator_streams_in_flat_memory(monkeypatch):
                 and op.data.tobytes() == ref.data.tobytes()), k
         previous = op
     assert k == n - 1
-    # the parent holds the current operator only: its peak does not grow
-    # with n (traced at smaller n, as tracing slows both processes ~6x)
-    peaks = []
+    # past its run table, two words per run, the parent holds the current
+    # operator only: its peak as the stream runs does not grow with n
+    # (traced at smaller n, as tracing slows both processes ~6x)
+    tables, peaks = [], []
     for n in (10 ** 3, 10 ** 4):
+        stream = transfer.ulam_operators(fam, params(n), 16)
         tracemalloc.start()
         try:
-            for _ in step_blocks(transfer.ulam_operators(fam, params(n), 16),
+            first = next(stream)    # the run table and the first operator
+            tables.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            for _ in step_blocks(itertools.chain([first], stream),
                                  np.ones(16)):
                 pass
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peaks.append(tracemalloc.get_traced_memory()[1] - tables[-1])
         finally:
             tracemalloc.stop()
+    assert tables[1] - tables[0] <= 16 * (10 ** 4 - 10 ** 3) + 2 ** 12, tables
     assert peaks[1] <= peaks[0] + 2 ** 12, peaks
     assert_no_child_left()
 
